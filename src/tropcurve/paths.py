@@ -5,13 +5,13 @@ linear functional.  A top-level path visits 3d points (3d - 1 primitive-order
 steps) from the minimal vertex p to the maximal vertex q.
 
 Each path, together with the two boundary arcs of T_d, bounds two regions.
-The division recursion peels a region at the first corner turning toward its
-arc: either cut the corner (committing the corner triangle as a trivalent
-dual cell) or reflect it across the chord (committing a parallelogram, a
-node of the dual curve); a reflection falling outside T_d drops that branch.
-Peeling both regions down to their arcs yields the pairs of tilings whose
-glued cells are exactly the dual subdivisions of plane tropical curves
-whose marked edges realize the path.
+The division recursion peels a region at the first corner a-b-c turning
+toward its arc: either cut the corner (the triangle abc becomes a trivalent
+dual cell) or reflect b across the chord to v = a + c - b (the parallelogram
+abcv becomes a node of the dual curve); a reflection falling outside T_d
+drops that branch.  Peeling both regions down to their arcs yields the pairs
+of tilings whose glued cells are exactly the dual subdivisions of plane
+tropical curves whose marked edges realize the path.
 
 Two weights attach to a tiling: its complex weight (product of normalized
 triangle areas) and its Welschinger weight (zero if any triangle has even
@@ -23,12 +23,21 @@ connectivity filter would also count reducible degenerations, such as a line
 through two of the points union a rigid one-cycle cubic through the other
 nine; those must not enter either total.  The first reducible configurations
 appear at d = 4, where they account for exactly C(11,2) = 55 spurious units.
+
+No tiling is ever built.  Per side, the recursion maps each partition of the
+path's steps into curve components to the summed weights of the tilings that
+induce it.  Arc: every step is its own block.  Cut: steps ab and bc take the
+block of step ac of the shorter path, times the triangle's weights.  Swap: a
+parallelogram's branches cross, so ab takes the block of vc and bc that of av.
+Join: a plus and a minus partition glue to a connected curve exactly when
+their join is one block.  Side values are the sums of the map's weights.  No
+component escapes the partitions: every cell branch owns a step of its path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import gcd
 from typing import Iterator
@@ -45,10 +54,12 @@ SIDE_MINUS = "minus"
 KIND_COMPLEX = "complex"
 KIND_WELSCHINGER = "welschinger"
 
-# a tiling is a tuple of cells; a cell is a tuple of 3 (triangle) or 4
-# (parallelogram a, b, c, a+c-b in boundary order) lattice points
-Cell = tuple[Point, ...]
-Tiling = tuple[Cell, ...]
+# A side's state map sends a partition of a path's steps into curve
+# components, as block labels numbered in order of first appearance, to the
+# summed (complex, Welschinger) weight of the side's tilings that induce it.
+States = dict[tuple[int, ...], tuple[int, int]]
+
+_NO_STATES: States = {}  # shared by every dead side; never mutated
 
 
 @dataclass(frozen=True)
@@ -63,7 +74,7 @@ class PathDomain:
     left_arc: tuple[Point, ...]
     right_arc: tuple[Point, ...]
 
-    @property
+    @cached_property
     def rank(self) -> dict[Point, int]:
         return {pt: k for k, pt in enumerate(self.points)}
 
@@ -161,20 +172,15 @@ def _triangle_weights(a: Point, b: Point, c: Point) -> tuple[int, int]:
 
 
 class _DivisionEngine:
-    """Memoized corner-division machinery for one domain.
-
-    `pair` is the bare recursion (sum over all completions, no connectivity
-    filter); `tilings` materializes the completions so the glued pairs can be
-    tested for connectedness.
-    """
+    """Memoized connectivity-state division recursion for one domain."""
 
     def __init__(self, domain: PathDomain):
-        self.d = domain.d
+        self.contains = domain.contains
         self.arcs = {SIDE_PLUS: domain.left_arc, SIDE_MINUS: domain.right_arc}
         self.signs = {SIDE_PLUS: 1, SIDE_MINUS: -1}
-        self.pair_cache: dict[tuple[tuple[Point, ...], str], tuple[int, int]] = {}
-        self.tiling_cache: dict[tuple[tuple[Point, ...], str], tuple[Tiling, ...]] = {}
-        self.tiling_info: dict[Tiling, tuple[int, int, dict]] = {}
+        # each top-level path is asked for once per side: keep sub-paths only
+        self.top_points = domain.steps() + 1
+        self.cache: dict[tuple[tuple[Point, ...], str], States] = {}
 
     def _divisible_corner(self, pts: tuple[Point, ...], side: str):
         sign = self.signs[side]
@@ -185,118 +191,76 @@ class _DivisionEngine:
                 return k
         return None
 
-    def pair(self, pts: tuple[Point, ...], side: str) -> tuple[int, int]:
-        """(complex, Welschinger) division values over all completions."""
+    def states(self, pts: tuple[Point, ...], side: str) -> States:
+        """Step partitions of pts over the tilings toward the side's arc."""
         key = (pts, side)
-        cached = self.pair_cache.get(key)
+        cached = self.cache.get(key)
         if cached is not None:
             return cached
         if pts == self.arcs[side]:
-            result = (1, 1)
+            result: States = {tuple(range(len(pts) - 1)): (1, 1)}
+        elif (j := self._divisible_corner(pts, side)) is None:
+            result = _NO_STATES
         else:
-            j = self._divisible_corner(pts, side)
-            if j is None:
-                result = (0, 0)
-            else:
-                a, b, c = pts[j - 1], pts[j], pts[j + 1]
-                m, fw = _triangle_weights(a, b, c)
-                cut = self.pair(pts[:j] + pts[j + 1 :], side)
-                vx, vy = a[0] + c[0] - b[0], a[1] + c[1] - b[1]
-                if vx >= 0 and vy >= 0 and vx + vy <= self.d:
-                    refl = self.pair(pts[:j] + ((vx, vy),) + pts[j + 1 :], side)
-                else:
-                    refl = (0, 0)
-                result = (m * cut[0] + refl[0], fw * cut[1] + refl[1])
-        self.pair_cache[key] = result
-        return result
-
-    def tilings(self, pts: tuple[Point, ...], side: str) -> tuple[Tiling, ...]:
-        """All completions of the region between pts and the side's arc."""
-        key = (pts, side)
-        cached = self.tiling_cache.get(key)
-        if cached is not None:
-            return cached
-        if pts == self.arcs[side]:
-            result: tuple[Tiling, ...] = ((),)
-        else:
-            j = self._divisible_corner(pts, side)
-            if j is None:
-                result = ()
-            else:
-                a, b, c = pts[j - 1], pts[j], pts[j + 1]
-                out = [
-                    ((a, b, c),) + rest
-                    for rest in self.tilings(pts[:j] + pts[j + 1 :], side)
-                ]
-                vx, vy = a[0] + c[0] - b[0], a[1] + c[1] - b[1]
-                if vx >= 0 and vy >= 0 and vx + vy <= self.d:
-                    cell = (a, b, c, (vx, vy))
-                    out.extend(
-                        (cell,) + rest
-                        for rest in self.tilings(
-                            pts[:j] + ((vx, vy),) + pts[j + 1 :], side
-                        )
+            a, b, c = pts[j - 1], pts[j], pts[j + 1]
+            m, fw = _triangle_weights(a, b, c)
+            # cut: steps ab and bc join the component of step ac
+            out = {
+                labels[:j] + labels[j - 1 :]: (m * mu, fw * nu)
+                for labels, (mu, nu) in self.states(pts[:j] + pts[j + 1 :], side).items()
+            }
+            v = (a[0] + c[0] - b[0], a[1] + c[1] - b[1])
+            if self.contains(v):
+                # swap: the parallelogram's branches cross, ab ~ vc and bc ~ av
+                refl = self.states(pts[:j] + (v,) + pts[j + 1 :], side)
+                for labels, (mu, nu) in refl.items():
+                    swapped = _canonical(
+                        labels[: j - 1] + (labels[j], labels[j - 1]) + labels[j + 1 :]
                     )
-                result = tuple(out)
-        self.tiling_cache[key] = result
+                    old_mu, old_nu = out.get(swapped, (0, 0))
+                    out[swapped] = (old_mu + mu, old_nu + nu)
+            result = out or _NO_STATES
+        if len(pts) < self.top_points:
+            self.cache[key] = result
         return result
 
-    def info(self, tiling: Tiling) -> tuple[int, int, dict]:
-        """(complex weight, Welschinger weight, segment -> component root).
 
-        Components are computed on the tiling's cells with every
-        parallelogram split into its two crossing branches (opposite sides
-        belong to the same branch), mirroring node resolution of the dual
-        curve.  The returned map sends each canonical cell side to its
-        component representative, so a path can look its steps up directly.
-        """
-        cached = self.tiling_info.get(tiling)
-        if cached is not None:
-            return cached
-        mu = 1
-        nu = 1
-        side_owner: dict[tuple[Point, Point], list[int]] = {}
-        node_count = 0
-        node_of_side: dict[tuple[Point, Point], int] = {}
-        node_ids: list[int] = []
-        for cell in tiling:
-            if len(cell) == 3:
-                a, b, c = cell
-                m, fw = _triangle_weights(a, b, c)
-                mu *= m
-                nu *= fw
-                node = node_count
-                node_count += 1
-                sides = ((a, b), (b, c), (c, a))
-                nodes = (node, node, node)
-            else:
-                a, b, c, v = cell
-                branch0 = node_count
-                branch1 = node_count + 1
-                node_count += 2
-                sides = ((a, b), (c, v), (b, c), (v, a))
-                nodes = (branch0, branch0, branch1, branch1)
-            for (u, w), node in zip(sides, nodes):
-                seg = (u, w) if u < w else (w, u)
-                node_of_side[seg] = node
-                side_owner.setdefault(seg, []).append(node)
-        parent = list(range(node_count))
+def _canonical(labels: tuple[int, ...]) -> tuple[int, ...]:
+    """Relabel blocks 0, 1, 2, ... in order of first appearance."""
+    first: dict[int, int] = {}
+    return tuple(first.setdefault(x, len(first)) for x in labels)
 
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
 
-        for owners in side_owner.values():
-            if len(owners) == 2:
-                ra, rb = find(owners[0]), find(owners[1])
-                if ra != rb:
-                    parent[ra] = rb
-        segment_root = {seg: find(node) for seg, node in node_of_side.items()}
-        result = (mu, nu, segment_root)
-        self.tiling_info[tiling] = result
-        return result
+def _side_values(states: States) -> tuple[int, int]:
+    return sum(mu for mu, _ in states.values()), sum(nu for _, nu in states.values())
+
+
+def _connected(plus: tuple[int, ...], minus: tuple[int, ...]) -> bool:
+    """Whether the join of two step partitions is a single block."""
+    offset = max(plus) + 1
+    parent = list(range(offset + max(minus) + 1))
+    blocks = len(parent)
+    for x, y in zip(plus, minus):
+        y += offset
+        while parent[x] != x:
+            x = parent[x]
+        while parent[y] != y:
+            y = parent[y]
+        if x != y:
+            parent[x] = y
+            blocks -= 1
+    return blocks == 1
+
+
+def _glued_totals(plus: States, minus: States) -> tuple[int, int]:
+    """(complex, Welschinger) sums over glued pairs forming a connected curve."""
+    total_mu = total_nu = 0
+    for labels_p, (mu_p, nu_p) in plus.items():
+        for labels_m, (mu_m, nu_m) in minus.items():
+            if _connected(labels_p, labels_m):
+                total_mu += mu_p * mu_m
+                total_nu += nu_p * nu_m
+    return total_mu, total_nu
 
 
 _ENGINES: dict[tuple[int, str], _DivisionEngine] = {}
@@ -311,56 +275,16 @@ def _engine(domain: PathDomain) -> _DivisionEngine:
     return engine
 
 
-def _glued_totals(path: tuple[Point, ...], engine: _DivisionEngine) -> tuple[int, int]:
-    """(complex, Welschinger) sums over connected glued tiling pairs."""
-    plus = engine.tilings(path, SIDE_PLUS)
-    if not plus:
-        return (0, 0)
-    minus = engine.tilings(path, SIDE_MINUS)
-    if not minus:
-        return (0, 0)
-    n_steps = len(path) - 1
-    segs = []
-    for k in range(n_steps):
-        u, w = path[k], path[k + 1]
-        segs.append((u, w) if u < w else (w, u))
-
-    def step_blocks(tiling: Tiling):
-        mu, nu, segment_root = engine.info(tiling)
-        blocks: dict[int, list[int]] = {}
-        for k, seg in enumerate(segs):
-            root = segment_root.get(seg)
-            if root is not None:
-                blocks.setdefault(root, []).append(k)
-        return mu, nu, tuple(tuple(b) for b in blocks.values())
-
-    plus_data = [step_blocks(t) for t in plus]
-    minus_data = [step_blocks(t) for t in minus]
-    total_mu = 0
-    total_nu = 0
-    for mu_p, nu_p, blocks_p in plus_data:
-        for mu_m, nu_m, blocks_m in minus_data:
-            parent = list(range(n_steps))
-
-            def find(x: int) -> int:
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            merged = n_steps
-            for blocks in (blocks_p, blocks_m):
-                for block in blocks:
-                    first = block[0]
-                    for k in block[1:]:
-                        ra, rb = find(first), find(k)
-                        if ra != rb:
-                            parent[ra] = rb
-                            merged -= 1
-            if merged == 1:
-                total_mu += mu_p * mu_m
-                total_nu += nu_p * nu_m
-    return (total_mu, total_nu)
+def clear_caches() -> dict[str, int]:
+    """Drop every memoized engine and count; return the entries dropped."""
+    dropped = {
+        "engines": len(_ENGINES),
+        "states": sum(len(engine.cache) for engine in _ENGINES.values()),
+        "totals": _totals.cache_info().currsize,
+    }
+    _ENGINES.clear()
+    _totals.cache_clear()
+    return dropped
 
 
 @dataclass(frozen=True)
@@ -385,24 +309,21 @@ def side_multiplicity(path, domain: PathDomain, side: str, kind: str) -> int:
     pts = validate_path(path, domain)
     if side not in (SIDE_PLUS, SIDE_MINUS):
         raise ValueError(f"side must be {SIDE_PLUS!r} or {SIDE_MINUS!r}")
-    pair = _engine(domain).pair(pts, side)
-    if kind == KIND_COMPLEX:
-        return pair[0]
-    if kind == KIND_WELSCHINGER:
-        return pair[1]
-    raise ValueError(f"kind must be {KIND_COMPLEX!r} or {KIND_WELSCHINGER!r}")
+    if kind not in (KIND_COMPLEX, KIND_WELSCHINGER):
+        raise ValueError(f"kind must be {KIND_COMPLEX!r} or {KIND_WELSCHINGER!r}")
+    mu, nu = _side_values(_engine(domain).states(pts, side))
+    return mu if kind == KIND_COMPLEX else nu
 
 
 def path_multiplicity(path, domain: PathDomain) -> PathMultiplicity:
     """Side values and connected totals of one path."""
     pts = validate_path(path, domain)
     engine = _engine(domain)
-    cp, wp = engine.pair(pts, SIDE_PLUS)
-    cm, wm = engine.pair(pts, SIDE_MINUS)
-    if cp == 0 or cm == 0:
-        mu = nu = 0
-    else:
-        mu, nu = _glued_totals(pts, engine)
+    plus = engine.states(pts, SIDE_PLUS)
+    minus = engine.states(pts, SIDE_MINUS)
+    cp, wp = _side_values(plus)
+    cm, wm = _side_values(minus)
+    mu, nu = _glued_totals(plus, minus)
     return PathMultiplicity(
         complex_plus=cp,
         complex_minus=cm,
@@ -421,11 +342,10 @@ def _totals(d: int, order: str) -> tuple[int, int]:
     total_nu = 0
     for path in enumerate_paths(domain):
         # cheap rejection: a path with a dead side has no completions at all
-        if engine.pair(path, SIDE_PLUS)[0] == 0:
+        plus = engine.states(path, SIDE_PLUS)
+        if not plus:
             continue
-        if engine.pair(path, SIDE_MINUS)[0] == 0:
-            continue
-        mu, nu = _glued_totals(path, engine)
+        mu, nu = _glued_totals(plus, engine.states(path, SIDE_MINUS))
         total_mu += mu
         total_nu += nu
     return total_mu, total_nu

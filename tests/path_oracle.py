@@ -1,0 +1,146 @@
+"""Reference path weights by materialised tilings and a union-find per tiling.
+
+This is the direct reading of the lattice-path theorem: list every tiling of
+each side region, glue each plus tiling to each minus tiling, resolve nodes
+into their crossing branches, and keep the glued pairs that form one
+connected curve.  It is slow and memory-hungry, and serves only as the
+oracle that `tropcurve.paths` is compared against.
+"""
+
+from __future__ import annotations
+
+from tropcurve.paths import SIDE_MINUS, SIDE_PLUS, PathDomain, _triangle_weights
+
+# a tiling is a tuple of cells; a cell is a tuple of 3 (triangle) or 4
+# (parallelogram a, b, c, a+c-b in boundary order) lattice points
+
+
+class TilingOracle:
+    """Every completion of every side region of one domain, memoized."""
+
+    def __init__(self, domain: PathDomain):
+        self.d = domain.d
+        self.arcs = {SIDE_PLUS: domain.left_arc, SIDE_MINUS: domain.right_arc}
+        self.signs = {SIDE_PLUS: 1, SIDE_MINUS: -1}
+        self.tiling_cache: dict = {}
+
+    def _divisible_corner(self, pts, side):
+        sign = self.signs[side]
+        for k in range(1, len(pts) - 1):
+            a, b, c = pts[k - 1], pts[k], pts[k + 1]
+            t = (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0])
+            if sign * t > 0:
+                return k
+        return None
+
+    def tilings(self, pts, side):
+        """All completions of the region between pts and the side's arc."""
+        key = (pts, side)
+        cached = self.tiling_cache.get(key)
+        if cached is not None:
+            return cached
+        if pts == self.arcs[side]:
+            result = ((),)
+        else:
+            j = self._divisible_corner(pts, side)
+            if j is None:
+                result = ()
+            else:
+                a, b, c = pts[j - 1], pts[j], pts[j + 1]
+                out = [((a, b, c),) + rest for rest in self.tilings(pts[:j] + pts[j + 1 :], side)]
+                vx, vy = a[0] + c[0] - b[0], a[1] + c[1] - b[1]
+                if vx >= 0 and vy >= 0 and vx + vy <= self.d:
+                    cell = (a, b, c, (vx, vy))
+                    refl = pts[:j] + ((vx, vy),) + pts[j + 1 :]
+                    out.extend((cell,) + rest for rest in self.tilings(refl, side))
+                result = tuple(out)
+        self.tiling_cache[key] = result
+        return result
+
+    @staticmethod
+    def info(tiling):
+        """(complex weight, Welschinger weight, segment -> component root).
+
+        Every parallelogram is split into its two crossing branches: opposite
+        sides belong to the same branch.
+        """
+        mu = nu = 1
+        side_owner: dict = {}
+        node_of_side: dict = {}
+        node_count = 0
+        for cell in tiling:
+            if len(cell) == 3:
+                a, b, c = cell
+                m, fw = _triangle_weights(a, b, c)
+                mu *= m
+                nu *= fw
+                sides = ((a, b), (b, c), (c, a))
+                nodes = (node_count,) * 3
+                node_count += 1
+            else:
+                a, b, c, v = cell
+                sides = ((a, b), (c, v), (b, c), (v, a))
+                nodes = (node_count, node_count, node_count + 1, node_count + 1)
+                node_count += 2
+            for (u, w), node in zip(sides, nodes):
+                seg = (u, w) if u < w else (w, u)
+                node_of_side[seg] = node
+                side_owner.setdefault(seg, []).append(node)
+        parent = list(range(node_count))
+        for owners in side_owner.values():
+            if len(owners) == 2:
+                _union(parent, owners[0], owners[1])
+        return mu, nu, {seg: _find(parent, node) for seg, node in node_of_side.items()}
+
+    def multiplicity(self, path):
+        """(mu+, mu-, nu+, nu-, mu, nu) of one validated path."""
+        plus = self.tilings(path, SIDE_PLUS)
+        minus = self.tilings(path, SIDE_MINUS)
+        segs = [(u, w) if u < w else (w, u) for u, w in zip(path, path[1:])]
+
+        def step_blocks(tiling):
+            mu, nu, segment_root = self.info(tiling)
+            blocks: dict = {}
+            for k, seg in enumerate(segs):
+                root = segment_root.get(seg)
+                if root is not None:
+                    blocks.setdefault(root, []).append(k)
+            return mu, nu, list(blocks.values())
+
+        plus_data = [step_blocks(t) for t in plus]
+        minus_data = [step_blocks(t) for t in minus]
+        total_mu = total_nu = 0
+        for mu_p, nu_p, blocks_p in plus_data:
+            for mu_m, nu_m, blocks_m in minus_data:
+                parent = list(range(len(segs)))
+                merged = len(segs)
+                for block in blocks_p + blocks_m:
+                    for k in block[1:]:
+                        merged -= _union(parent, block[0], k)
+                if merged == 1:
+                    total_mu += mu_p * mu_m
+                    total_nu += nu_p * nu_m
+        return (
+            sum(mu for mu, _, _ in plus_data),
+            sum(mu for mu, _, _ in minus_data),
+            sum(nu for _, nu, _ in plus_data),
+            sum(nu for _, nu, _ in minus_data),
+            total_mu,
+            total_nu,
+        )
+
+
+def _find(parent, x):
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _union(parent, x, y) -> int:
+    """Merge the classes of x and y; 1 if they were apart, else 0."""
+    rx, ry = _find(parent, x), _find(parent, y)
+    if rx == ry:
+        return 0
+    parent[rx] = ry
+    return 1

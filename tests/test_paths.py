@@ -9,6 +9,7 @@ from tropcurve import (
     count_gw,
     count_welschinger,
     enumerate_paths,
+    km_count,
     path_census,
     path_domain,
     path_multiplicity,
@@ -21,8 +22,21 @@ from tropcurve.paths import (
     ORDER_XEY,
     SIDE_MINUS,
     SIDE_PLUS,
-    _engine,
+    clear_caches,
 )
+
+from path_oracle import TilingOracle
+
+
+def side_product_total(dom):
+    """Sum of mu+ * mu- over all paths: glued pairs with no connectivity filter."""
+    naive = 0
+    for path in enumerate_paths(dom):
+        cp = side_multiplicity(path, dom, SIDE_PLUS, KIND_COMPLEX)
+        if cp == 0:
+            continue
+        naive += cp * side_multiplicity(path, dom, SIDE_MINUS, KIND_COMPLEX)
+    return naive
 
 
 def census_formula(d):
@@ -221,20 +235,31 @@ class TestCounts:
         # line through 2 of the 11 points union a one-cycle cubic through the
         # other 9, contributing C(11,2) = 55 units over the true count
         dom = path_domain(4)
-        engine = _engine(dom)
-        naive = 0
-        for path in enumerate_paths(dom):
-            cp, _ = engine.pair(path, SIDE_PLUS)
-            if cp == 0:
-                continue
-            cm, _ = engine.pair(path, SIDE_MINUS)
-            naive += cp * cm
+        naive = side_product_total(dom)
         assert naive - count_gw(4) == math.comb(11, 2)
+
+    def test_reducible_excess_at_degree_five(self):
+        # a line through 2 of the 14 points with a 2-nodal quartic through the
+        # other 12 (Severi degree N^{4,2} = 225), or a conic through 5 with a
+        # cubic through the other 9
+        dom = path_domain(5)
+        excess = side_product_total(dom) - km_count(5)
+        assert excess == math.comb(14, 2) * 225 + math.comb(14, 5) == 22477
 
     def test_determinism(self):
         a = count_both(3)
         b = count_both(3)
         assert a == b
+
+    def test_clear_caches(self):
+        clear_caches()
+        before = count_both(3)
+        dropped = clear_caches()
+        assert dropped["engines"] == 1
+        assert dropped["states"] > 0
+        assert dropped["totals"] == 1
+        assert clear_caches() == {"engines": 0, "states": 0, "totals": 0}
+        assert count_both(3) == before
 
 
 class TestSideSymmetry:
@@ -242,13 +267,30 @@ class TestSideSymmetry:
         # early rejection order between the two sides must not matter
         for d in (2, 3):
             dom = path_domain(d)
-            engine = _engine(dom)
             total_mu = 0
             total_nu = 0
             for path in enumerate_paths(dom):
-                if engine.pair(path, SIDE_MINUS)[0] == 0:
+                if side_multiplicity(path, dom, SIDE_MINUS, KIND_COMPLEX) == 0:
                     continue
                 m = path_multiplicity(path, dom)
                 total_mu += m.complex_total
                 total_nu += m.welschinger_total
             assert (total_mu, total_nu) == count_both(d)
+
+
+class TestTilingOracle:
+    @pytest.mark.parametrize("order", [ORDER_XEY, ORDER_ROWMAJOR])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_every_path_matches_materialised_tilings(self, d, order):
+        dom = path_domain(d, order)
+        oracle = TilingOracle(dom)
+        for path in enumerate_paths(dom):
+            m = path_multiplicity(path, dom)
+            assert (
+                m.complex_plus,
+                m.complex_minus,
+                m.welschinger_plus,
+                m.welschinger_minus,
+                m.complex_total,
+                m.welschinger_total,
+            ) == oracle.multiplicity(path)
