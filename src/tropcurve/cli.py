@@ -13,7 +13,7 @@ from pathlib import Path
 from . import curve as curvemod
 from . import paths as pathsmod
 from .document import curve_document, write_document
-from .errors import CrossCheckMismatchError, ImbalancedError, TropcurveError
+from .errors import CrossCheckMismatchError, ImbalancedError, ParseError, TropcurveError
 from .invariants import asymptotic_report, build_table, km_count
 from .polynomial import parse_expression, parse_term_table
 from .svgout import render_svg
@@ -74,7 +74,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_polynomial(args):
     if args.expr is not None:
         return parse_expression(args.expr)
-    text = Path(args.poly).read_text(encoding="utf-8")
+    try:
+        text = Path(args.poly).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{args.poly}: not UTF-8 text (byte {exc.start})") from None
     return parse_term_table(text)
 
 

@@ -7,9 +7,12 @@ the max) is dual to that subdivision: one curve vertex per 2-cell, one bounded
 edge per interior subdivision edge, one unbounded ray per boundary edge.
 
 The subdivision is computed over the integers: coefficients are rescaled by a
-common denominator (positive rescaling does not change the face structure) and
-every face test is an integer sign check.  Curve vertex coordinates are exact
-Fractions solved from term equalities.
+common denominator (positive rescaling does not change the face structure).
+Its cells are found by a gift-wrapping walk over the upper hull of the lifted
+points: from one facet next to the Newton polygon's boundary, each cell edge
+is crossed once by a linear scan of integer orientation signs, so the cost
+grows with the number of cells, not with the number of point triples.  Curve
+vertex coordinates are exact Fractions solved from term equalities.
 """
 
 from __future__ import annotations
@@ -35,10 +38,12 @@ from .geometry import (
     on_segment,
     primitive,
     primitive_from_rational,
+    turn,
 )
 from .polynomial import TropicalPolynomial
 
 Segment = tuple[Point, Point]
+Lifted = tuple[int, int, int]
 
 WEST = (-1, 0)
 SOUTH = (0, -1)
@@ -127,13 +132,41 @@ def _integer_lift(poly: TropicalPolynomial) -> dict[Point, int]:
     return {p: int(c * scale) for p, c in poly.terms.items()}
 
 
+def _facet_beyond(points: list[Lifted], u: Lifted, v: Lifted) -> frozenset[Point] | None:
+    """Support points of the upper facet across the lifted edge u -> v.
+
+    Gift wrapping: of the points strictly right of u -> v, keep the one with
+    no point above the plane through u, v and it (planes about the line uv
+    are totally ordered there, so one scan finds it).  The facet is every
+    point on that plane; None when u -> v is on the Newton polygon boundary.
+    """
+    ux, uy, uz = u
+    dx, dy, dz = v[0] - ux, v[1] - uy, v[2] - uz
+    normal = None
+    for px, py, pz in points:
+        wx, wy, wz = px - ux, py - uy, pz - uz
+        nz = dx * wy - dy * wx
+        if nz >= 0:
+            continue
+        if normal is None or normal[0] * wx + normal[1] * wy + normal[2] * wz > 0:
+            # (v - u) x (p - u), negated so that it points upwards
+            normal = (dz * wy - dy * wz, dx * wz - dz * wx, -nz)
+    if normal is None:
+        return None
+    nx, ny, nz = normal
+    return frozenset(
+        (px, py) for px, py, pz in points
+        if nx * (px - ux) + ny * (py - uy) + nz * (pz - uz) == 0
+    )
+
+
 def dual_subdivision(poly: TropicalPolynomial) -> Subdivision:
     """Regular subdivision of the Newton polygon induced by the coefficients.
 
-    Every affinely independent triple of support points spans a candidate
-    facet plane of the lifted point set; the triple lies on an upper facet
-    exactly when no lifted point is above that plane.  The facet's cell is
-    the full set of support points on the plane.
+    The cells are the upper facets of the lifted support, found by a walk.
+    The first facet borders the first segment h0 -> q of the upper chain over
+    the first Newton polygon edge h0 -> h1.  Every hull edge of a found cell
+    is then crossed once with `_facet_beyond`, at O(n) integer sign checks.
     """
     support = poly.support
     hull = convex_hull(support)
@@ -142,35 +175,30 @@ def dual_subdivision(poly: TropicalPolynomial) -> Subdivision:
             f"Newton polygon must be 2-dimensional, got hull {hull}"
         )
     lift = _integer_lift(poly)
-    n = len(support)
-    cell_sets: set[frozenset[Point]] = set()
-    for ia in range(n):
-        pa = support[ia]
-        za = lift[pa]
-        for ib in range(ia + 1, n):
-            pb = support[ib]
-            ux, uy, uz = pb[0] - pa[0], pb[1] - pa[1], lift[pb] - za
-            for ic in range(ib + 1, n):
-                pc = support[ic]
-                vx, vy, vz = pc[0] - pa[0], pc[1] - pa[1], lift[pc] - za
-                nz = ux * vy - uy * vx
-                if nz == 0:
-                    continue
-                nx = uy * vz - uz * vy
-                ny = uz * vx - ux * vz
-                if nz < 0:
-                    nx, ny, nz = -nx, -ny, -nz
-                members = []
-                upper = True
-                for s in support:
-                    e = nx * (s[0] - pa[0]) + ny * (s[1] - pa[1]) + nz * (lift[s] - za)
-                    if e > 0:
-                        upper = False
-                        break
-                    if e == 0:
-                        members.append(s)
-                if upper:
-                    cell_sets.add(frozenset(members))
+    lifted = {p: (p[0], p[1], z) for p, z in lift.items()}
+    points = list(lifted.values())
+    h0, h1 = hull[0], hull[1]
+    # next vertex after h0 on the upper chain over the edge h0 -> h1
+    q = max(
+        (p for p in support if p != h0 and turn(h0, h1, p) == 0),
+        key=lambda p: Fraction(lift[p] - lift[h0], lattice_length(h0, p)),
+    )
+    first = _facet_beyond(points, lifted[q], lifted[h0])
+    cell_sets = {first}
+    pending = [first]
+    crossed: set[Segment] = set()
+    while pending:
+        polygon = convex_hull(sorted(pending.pop()))
+        for t, a in enumerate(polygon):
+            b = polygon[(t + 1) % len(polygon)]
+            seg: Segment = (a, b) if a < b else (b, a)
+            if seg in crossed:
+                continue
+            crossed.add(seg)
+            cell = _facet_beyond(points, lifted[a], lifted[b])
+            if cell is not None and cell not in cell_sets:
+                cell_sets.add(cell)
+                pending.append(cell)
     ordered = sorted(cell_sets, key=sorted)
     polygons = tuple(tuple(convex_hull(sorted(s))) for s in ordered)
 

@@ -26,7 +26,10 @@ def parse_rational(text: str) -> Fraction:
     """Parse 'p' or 'p/q' (q > 0) into a Fraction."""
     if not _RATIONAL_RE.match(text):
         raise ValueError(f"not a rational: {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {text!r}") from None
 
 
 def format_rational(value: Fraction) -> str:
@@ -175,6 +178,7 @@ _TOKEN_RE = re.compile(r"\s*(\d+|[()+\-*/,]|max|[xy])")
 
 
 def _tokenize(text: str) -> list[str]:
+    text = text.rstrip()
     tokens = []
     pos = 0
     while pos < len(text):

@@ -157,6 +157,25 @@ class TestCurve:
         assert code == 0
         assert out_svg.read_text(encoding="utf-8").count("<line ") == 9
 
+    def test_expression_with_trailing_whitespace(self, capsys):
+        code, out, _ = run_cli(capsys, "curve", "--expr", "max(0, x, y) ")
+        assert code == 0
+        assert json.loads(out)["degree"] == 1
+
+    def test_zero_denominator_in_table_exits_one(self, capsys, tmp_path):
+        table = tmp_path / "zero.txt"
+        table.write_text("0 0 0\n1 0 0\n0 1 1/0\n", encoding="utf-8")
+        code, _, err = run_cli(capsys, "curve", "--poly", str(table))
+        assert code == 1
+        assert err.startswith("error: line 3:")
+
+    def test_non_utf8_table_exits_one(self, capsys, tmp_path):
+        table = tmp_path / "latin1.txt"
+        table.write_bytes(b"0 0 0\n1 0 0\n0 1 0 # \xe9\n")
+        code, _, err = run_cli(capsys, "curve", "--poly", str(table))
+        assert code == 1
+        assert err.startswith("error:") and "UTF-8" in err
+
     def test_missing_file_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "curve", "--poly", "/nonexistent/poly.txt")
         assert code == 1

@@ -32,6 +32,8 @@ from tropcurve import (
 )
 from tropcurve.geometry import convex_hull, normalized_area
 
+from subdivision_oracle import triple_scan_cells
+
 WEST, SOUTH, NORTHEAST = (-1, 0), (0, -1), (1, 1)
 
 
@@ -100,6 +102,21 @@ def oracle_cells(poly):
     return {tuple(convex_hull(sorted(s))) for s in found}
 
 
+def assert_matches_oracles(poly):
+    """The hull walk equals the triple scan, cell for cell and in order, and
+    the argmax oracle as a set.  The argmax oracle makes O(n^4) Fraction
+    operations (about 8 s at 45 terms), so it only runs up to 21 terms."""
+    cells = dual_subdivision(poly).cells
+    assert cells == triple_scan_cells(poly)
+    if len(poly) <= 21:
+        assert set(cells) == oracle_cells(poly)
+    return cells
+
+
+def triangle(d):
+    return [(i, j) for i in range(d + 1) for j in range(d + 1 - i)]
+
+
 class TestDualSubdivision:
     def test_line_single_cell(self):
         sub = dual_subdivision(line_poly())
@@ -122,16 +139,86 @@ class TestDualSubdivision:
         assert all(len(c) == 3 for c in sub.cells)
         assert all(abs(normalized_area(list(c))) == 1 for c in sub.cells)
 
-    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 8])
     def test_matches_argmax_oracle_on_concave_lifts(self, d):
-        poly = concave_poly(d)
-        assert set(dual_subdivision(poly).cells) == oracle_cells(poly)
+        assert len(assert_matches_oracles(concave_poly(d))) == d * d
 
     def test_matches_argmax_oracle_on_random_polynomials(self):
         rng = random.Random(20240811)
         for _ in range(12):
-            poly = random_quartic(rng)
-            assert set(dual_subdivision(poly).cells) == oracle_cells(poly)
+            assert_matches_oracles(random_quartic(rng))
+
+    @pytest.mark.parametrize("d", [2, 4, 6, 8, 10])
+    def test_matches_oracles_on_random_wide_lifts(self, d):
+        rng = random.Random(f"wide:{d}")
+        for _ in range(3):
+            assert_matches_oracles(
+                make_polynomial(
+                    [(p, Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 9))) for p in triangle(d)]
+                )
+            )
+
+    def test_matches_oracles_on_tie_heavy_lifts(self):
+        """Heights in -3..3 give coplanar lifted points and so cells with
+        more than three vertices."""
+        rng = random.Random(31)
+        sizes = set()
+        for _ in range(25):
+            d = rng.randint(2, 6)
+            corners = {(0, 0), (d, 0), (0, d)}
+            support = corners | {p for p in triangle(d) if rng.random() < 0.7}
+            poly = make_polynomial([(p, Fraction(rng.randint(-3, 3))) for p in support])
+            sizes.update(len(c) for c in assert_matches_oracles(poly))
+        assert max(sizes) > 3
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            (0, -5, 3, 0),  # the upper chain from (0, 0) skips (1, 0)
+            (0, 0, 0, 0),  # one lifted segment along the whole edge
+            (-4, 2, 1, -5),  # the chain turns at (1, 0) and again at (2, 0)
+            (0, 1, 2, 9),  # convex row: straight to the far end
+        ],
+    )
+    def test_first_newton_edge_with_interior_points(self, row):
+        """The walk starts on the first Newton edge (0, 0) -> (3, 0), whose
+        interior lattice points carry the given heights."""
+        terms = {(i, 0): Fraction(c) for i, c in enumerate(row)}
+        terms.update({(0, 1): Fraction(-1), (1, 1): Fraction(1), (0, 2): Fraction(-2), (2, 1): Fraction(-3)})
+        assert_matches_oracles(make_polynomial(terms.items()))
+
+    def test_matches_oracles_on_random_first_edges(self):
+        rng = random.Random(47)
+        for _ in range(30):
+            d = rng.randint(3, 6)
+            support = {p for p in triangle(d) if p[1] == 0 or rng.random() < 0.5} | {(0, d)}
+            poly = make_polynomial([(p, Fraction(rng.randint(-9, 9), rng.randint(1, 3))) for p in support])
+            assert_matches_oracles(poly)
+
+    def test_off_origin_support(self):
+        poly = parse_expression("max(0, x, y, -x-y)")
+        assert assert_matches_oracles(poly) == (((-1, -1), (1, 0), (0, 1)),)
+        nonflat = parse_expression("max(1, x, y, -x-y)")
+        assert len(assert_matches_oracles(nonflat)) == 3
+
+    def test_matches_oracles_on_random_lattice_supports(self):
+        """Arbitrary supports around the origin, negative exponents included."""
+        rng = random.Random(59)
+        checked = 0
+        while checked < 60:
+            support = {(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.randint(3, 12))}
+            if len(convex_hull(sorted(support))) < 3:
+                continue
+            assert_matches_oracles(
+                make_polynomial([(p, Fraction(rng.randint(-4, 4), rng.randint(1, 2))) for p in support])
+            )
+            checked += 1
+
+    def test_concave_degree_24_unimodular(self):
+        """325 terms: the triple scan takes over a minute here."""
+        sub = dual_subdivision(concave_poly(24))
+        assert len(sub.cells) == 576
+        assert all(abs(normalized_area(list(c))) == 1 for c in sub.cells)
 
     def test_degenerate_support_rejected(self):
         with pytest.raises(DegenerateSupportError):

@@ -84,6 +84,11 @@ class TestTermTable:
         text = "# a comment\n\n0 0 0  # trailing\n1 0 0\n0 1 0\n"
         assert parse_term_table(text) == line_poly()
 
+    def test_zero_denominator_reports_line(self):
+        with pytest.raises(ParseError) as exc:
+            parse_term_table("0 0 0\n0 1 1/0")
+        assert exc.value.line == 2
+
     def test_second_line_error(self):
         with pytest.raises(ParseError) as exc:
             parse_term_table("0 0 0\n1 0")
@@ -121,6 +126,10 @@ class TestExpression:
     def test_subtraction_and_negatives(self):
         poly = parse_expression("max(0 - x + 1, -1)")
         assert poly.terms == {(-1, 0): Fraction(1), (0, 0): Fraction(-1)}
+
+    @pytest.mark.parametrize("text", ["max(0, x, y) ", "max(0,x,y)\n", " max(0, x, y)\t\n"])
+    def test_surrounding_whitespace_ignored(self, text):
+        assert parse_expression(text) == line_poly()
 
     def test_trailing_garbage_rejected(self):
         with pytest.raises(ParseError):
@@ -227,7 +236,7 @@ class TestProperties:
 
 
 def test_parse_rational_rejects_junk():
-    for bad in ("", "x", "1/", "/2", "1.5", "1/2/3"):
+    for bad in ("", "x", "1/", "/2", "1.5", "1/2/3", "1/0", "-3/00"):
         with pytest.raises(ValueError):
             parse_rational(bad)
 
