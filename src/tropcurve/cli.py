@@ -197,6 +197,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER
+    except MemoryError:
+        print("error: out of memory; try a smaller degree or polynomial", file=sys.stderr)
+        return EXIT_USER
 
 
 if __name__ == "__main__":

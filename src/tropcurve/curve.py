@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 from .errors import (
     DegenerateSupportError,
@@ -31,13 +31,13 @@ from .errors import (
 from .geometry import (
     Point,
     convex_hull,
-    interior_lattice_points,
+    cross,
     lattice_length,
-    normalized_area,
     on_ray,
     on_segment,
     primitive,
     primitive_from_rational,
+    triangle_weights,
     turn,
 )
 from .polynomial import TropicalPolynomial
@@ -333,7 +333,7 @@ def vertex_multiplicity(curve: TropicalCurve, vertex_index: int) -> int:
         raise NotTrivalentError(
             f"vertex {vertex_index} has a {len(cell)}-gon dual cell"
         )
-    return abs(normalized_area(list(cell)))
+    return triangle_weights(*cell)[0]
 
 
 def _is_parallelogram(cell: tuple[Point, ...]) -> bool:
@@ -355,93 +355,67 @@ def is_simple(curve: TropicalCurve) -> bool:
     )
 
 
-def _require_simple(curve: TropicalCurve) -> None:
-    if not is_simple(curve):
-        raise NotSimpleError("curve has a dual cell that is neither triangle nor parallelogram")
+def _cell_weights(curve: TropicalCurve) -> list[tuple[int, int]]:
+    """(multiplicity, Welschinger factor) per dual cell: `triangle_weights` for a
+    triangle, (1, 1) for a node's parallelogram, NotSimpleError for any other."""
+    weights = []
+    for cell in curve.subdivision.cells:
+        if len(cell) == 3:
+            weights.append(triangle_weights(*cell))
+        elif _is_parallelogram(cell):
+            weights.append((1, 1))
+        else:
+            raise NotSimpleError(
+                "curve has a dual cell that is neither triangle nor parallelogram"
+            )
+    return weights
 
 
 def curve_multiplicity(curve: TropicalCurve) -> int:
     """Product of trivalent vertex multiplicities (nodes contribute 1)."""
-    _require_simple(curve)
-    product = 1
-    for v in range(len(curve.vertices)):
-        if len(curve.dual_polygon(v)) == 3:
-            product *= vertex_multiplicity(curve, v)
-    return product
+    return prod(m for m, _ in _cell_weights(curve))
 
 
 def welschinger_sign(curve: TropicalCurve) -> int:
     """Tropical Welschinger sign: 0 if some trivalent vertex has even
     multiplicity, else (-1) to the total interior lattice point count of the
     dual triangles."""
-    _require_simple(curve)
-    total_interior = 0
-    for v in range(len(curve.vertices)):
-        cell = curve.dual_polygon(v)
-        if len(cell) != 3:
-            continue
-        if abs(normalized_area(list(cell))) % 2 == 0:
-            return 0
-        total_interior += interior_lattice_points(list(cell))
-    return -1 if total_interior % 2 else 1
-
-
-def _canonical_direction(v: tuple[int, int]) -> tuple[int, int]:
-    p = primitive(v)
-    return p if p > (-p[0], -p[1]) else (-p[0], -p[1])
-
-
-def _resolution_graph(curve: TropicalCurve):
-    """Graph of the curve's parameterization: nodes are split into the two
-    crossing branches by pairing edges dual to parallel parallelogram sides;
-    every ray ends in its own leaf."""
-    split_classes: dict[int, tuple[tuple[int, int], tuple[int, int]]] = {}
-    for v in range(len(curve.vertices)):
-        cell = curve.dual_polygon(v)
-        if _is_parallelogram(cell):
-            d0 = _canonical_direction((cell[1][0] - cell[0][0], cell[1][1] - cell[0][1]))
-            d1 = _canonical_direction((cell[2][0] - cell[1][0], cell[2][1] - cell[1][1]))
-            split_classes[v] = (d0, d1)
-
-    def attach(v: int, dual: Segment):
-        if v not in split_classes:
-            return ("v", v)
-        d = _canonical_direction((dual[1][0] - dual[0][0], dual[1][1] - dual[0][1]))
-        branch = 0 if d == split_classes[v][0] else 1
-        return ("v", v, branch)
-
-    graph_edges = []
-    for edge in curve.bounded_edges:
-        graph_edges.append((attach(edge.v1, edge.dual), attach(edge.v2, edge.dual)))
-    for k, ray in enumerate(curve.rays):
-        graph_edges.append((attach(ray.vertex, ray.dual), ("leaf", k)))
-    return graph_edges
+    return prod(w for _, w in _cell_weights(curve))
 
 
 def first_betti(curve: TropicalCurve) -> int:
-    """First Betti number of the compactified parameterization graph."""
-    _require_simple(curve)
-    edges = _resolution_graph(curve)
-    parent: dict = {}
+    """First Betti number of the compactified parameterization graph.
+
+    Nodes are split into their two crossing branches: an edge at a node joins
+    the branch whose parallelogram sides are parallel to its dual segment.
+    Rays end in leaves and close no cycle, so b1 counts the bounded edges
+    that join two already connected branches.
+    """
+    _cell_weights(curve)  # NotSimpleError unless every cell is a triangle or a node
+    parent: dict[tuple[int, bool], tuple[int, bool]] = {}
 
     def find(x):
-        while parent[x] != x:
+        while parent.setdefault(x, x) != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
-    nodes = set()
-    for a, b in edges:
-        nodes.add(a)
-        nodes.add(b)
-    for node in nodes:
-        parent[node] = node
-    for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    components = len({find(x) for x in nodes})
-    return len(edges) - len(nodes) + components
+    def branch(v: int, dual: Segment) -> tuple[int, bool]:
+        cell = curve.dual_polygon(v)
+        if len(cell) == 3:
+            return (v, False)
+        a, b = dual
+        side = (cell[1][0] - cell[0][0], cell[1][1] - cell[0][1])
+        return (v, cross((b[0] - a[0], b[1] - a[1]), side) == 0)
+
+    cycles = 0
+    for edge in curve.bounded_edges:
+        x, y = find(branch(edge.v1, edge.dual)), find(branch(edge.v2, edge.dual))
+        if x == y:
+            cycles += 1
+        else:
+            parent[x] = y
+    return cycles
 
 
 def is_rational(curve: TropicalCurve) -> bool:

@@ -2,6 +2,8 @@
 
 All functions work on pairs of ints or Fractions and never touch floats.
 Lattice points are plain ``(i, j)`` tuples throughout the package.
+`triangle_weights` is the one lattice-triangle kernel, shared by the path
+counter's tilings and the dual triangles of extracted curves.
 """
 
 from __future__ import annotations
@@ -87,21 +89,18 @@ def normalized_area(polygon: list[Point]) -> int:
     return total
 
 
-def boundary_lattice_points(polygon: list[Point]) -> int:
-    """Number of lattice points on the boundary of a lattice polygon."""
-    n = len(polygon)
-    return sum(lattice_length(polygon[k], polygon[(k + 1) % n]) for k in range(n))
+def triangle_weights(a: Point, b: Point, c: Point) -> tuple[int, int]:
+    """Normalized area m (twice Euclidean) and Welschinger factor w of a triangle.
 
-
-def interior_lattice_points(polygon: list[Point]) -> int:
-    """Interior lattice point count by Pick's theorem: i = A - b/2 + 1.
-
-    With m = 2A the normalized area and b the boundary count this is
-    (m - b + 2) / 2, which is always an integer.
+    w is 0 for even m, else (-1) to the interior lattice point count, which by
+    Pick's theorem is (m - boundary + 2) / 2.
     """
-    m = abs(normalized_area(polygon))
-    b = boundary_lattice_points(polygon)
-    return (m - b + 2) // 2
+    m = abs(turn(a, b, c))
+    if m % 2 == 0:
+        return m, 0
+    boundary = lattice_length(a, b) + lattice_length(b, c) + lattice_length(c, a)
+    interior = (m - boundary + 2) // 2
+    return m, (-1 if interior % 2 else 1)
 
 
 def on_segment(p, a, b) -> bool:

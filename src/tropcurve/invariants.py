@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import BadDegreeError, CrossCheckMismatchError, EmptyTableError, NegativeNError
-from .paths import ORDER_XEY, count_both
+from .errors import CrossCheckMismatchError, EmptyTableError, NegativeNError
+from .paths import ORDER_XEY, check_degree, count_both
 
 
 def binomial(n: int, k: int) -> int:
@@ -30,15 +30,10 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def _check_degree(d: int) -> None:
-    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
-        raise BadDegreeError(f"degree must be a positive integer, got {d!r}")
-
-
 @lru_cache(maxsize=None)
 def km_count(d: int) -> int:
     """Rational plane curve count N_d by the Kontsevich-Manin recursion."""
-    _check_degree(d)
+    check_degree(d)
     if d == 1:
         return 1
     total = 0
@@ -52,7 +47,7 @@ def km_count(d: int) -> int:
 
 def factorial_bound_check(d: int, w: int) -> bool:
     """True iff 3*w >= d! (the real-count lower bound), exactly."""
-    _check_degree(d)
+    check_degree(d)
     return 3 * w >= math.factorial(d)
 
 
@@ -78,7 +73,7 @@ def build_table(dmax: int, order: str = ORDER_XEY) -> InvariantTable:
     Fails fast with CrossCheckMismatchError when the path total and the
     recursion disagree; that is an internal error, never a data condition.
     """
-    _check_degree(dmax)
+    check_degree(dmax)
     rows = []
     for d in range(1, dmax + 1):
         n_paths, w = count_both(d, order)

@@ -39,11 +39,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
-from math import gcd
 from typing import Iterator
 
 from .errors import BadDegreeError, InvalidPathError
-from .geometry import Point, cross, primitive
+from .geometry import Point, cross, lattice_length, primitive, triangle_weights, turn
 
 ORDER_XEY = "xey"  # x ascending, y descending: realizes x - eps*y
 ORDER_ROWMAJOR = "rowmajor"  # (d+1)*x + y ascending
@@ -88,14 +87,18 @@ class PathDomain:
 
 def _side_lattice_points(a: Point, b: Point) -> list[Point]:
     step = primitive((b[0] - a[0], b[1] - a[1]))
-    count = gcd(abs(b[0] - a[0]), abs(b[1] - a[1]))
-    return [(a[0] + k * step[0], a[1] + k * step[1]) for k in range(count + 1)]
+    return [(a[0] + k * step[0], a[1] + k * step[1]) for k in range(lattice_length(a, b) + 1)]
+
+
+def check_degree(d: int) -> None:
+    """Raise BadDegreeError unless d is a positive int (bools excluded)."""
+    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
+        raise BadDegreeError(f"degree must be a positive integer, got {d!r}")
 
 
 def path_domain(d: int, order: str = ORDER_XEY) -> PathDomain:
     """Lattice points of T_d under the chosen order, with boundary arcs."""
-    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
-        raise BadDegreeError(f"degree must be a positive integer, got {d!r}")
+    check_degree(d)
     pts = [(x, y) for x in range(d + 1) for y in range(d + 1 - x)]
     if order == ORDER_XEY:
         pts.sort(key=lambda pt: (pt[0], -pt[1]))
@@ -157,20 +160,6 @@ def validate_path(path, domain: PathDomain) -> tuple[Point, ...]:
     return pts
 
 
-def _triangle_weights(a: Point, b: Point, c: Point) -> tuple[int, int]:
-    """(complex, Welschinger) factors of one trivalent dual triangle."""
-    m = abs((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
-    if m % 2 == 0:
-        return m, 0
-    boundary = (
-        gcd(abs(b[0] - a[0]), abs(b[1] - a[1]))
-        + gcd(abs(c[0] - b[0]), abs(c[1] - b[1]))
-        + gcd(abs(a[0] - c[0]), abs(a[1] - c[1]))
-    )
-    interior = (m - boundary + 2) // 2
-    return m, (-1 if interior % 2 else 1)
-
-
 class _DivisionEngine:
     """Memoized connectivity-state division recursion for one domain."""
 
@@ -185,9 +174,7 @@ class _DivisionEngine:
     def _divisible_corner(self, pts: tuple[Point, ...], side: str):
         sign = self.signs[side]
         for k in range(1, len(pts) - 1):
-            a, b, c = pts[k - 1], pts[k], pts[k + 1]
-            t = (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0])
-            if sign * t > 0:
+            if sign * turn(pts[k - 1], pts[k], pts[k + 1]) > 0:
                 return k
         return None
 
@@ -203,7 +190,7 @@ class _DivisionEngine:
             result = _NO_STATES
         else:
             a, b, c = pts[j - 1], pts[j], pts[j + 1]
-            m, fw = _triangle_weights(a, b, c)
+            m, fw = triangle_weights(a, b, c)
             # cut: steps ab and bc join the component of step ac
             out = {
                 labels[:j] + labels[j - 1 :]: (m * mu, fw * nu)
@@ -353,8 +340,7 @@ def _totals(d: int, order: str) -> tuple[int, int]:
 
 def count_both(d: int, order: str = ORDER_XEY) -> tuple[int, int]:
     """(curve count, Welschinger invariant) from one enumeration pass."""
-    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
-        raise BadDegreeError(f"degree must be a positive integer, got {d!r}")
+    check_degree(d)
     if order not in (ORDER_XEY, ORDER_ROWMAJOR):
         raise ValueError(f"unknown order preset {order!r}")
     return _totals(d, order)

@@ -19,7 +19,10 @@ from typing import Iterable
 from .errors import DuplicateTermError, EmptySupportError, ParseError
 from .geometry import Point, convex_hull
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+# ASCII digits only: int() and Fraction() also accept "1_0" and non-ASCII
+# digits such as "\uff11", which would silently change what was written.
+_INTEGER_RE = re.compile(r"^[+-]?[0-9]+$")
+_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -48,6 +51,8 @@ class TropicalPolynomial:
         coeffs: dict[Point, Fraction] = {}
         for point, coeff in terms:
             key = (int(point[0]), int(point[1]))
+            if key != (point[0], point[1]):
+                raise ValueError(f"exponent {tuple(point)!r} is not integral")
             if key in coeffs:
                 raise DuplicateTermError(f"duplicate term at exponent {key}")
             coeffs[key] = Fraction(coeff)
@@ -148,11 +153,10 @@ def parse_term_table(text: str) -> TropicalPolynomial:
         fields = line.split()
         if len(fields) != 3:
             raise ParseError(f"expected `i j c`, got {raw.strip()!r}", line=lineno)
-        try:
-            i = int(fields[0])
-            j = int(fields[1])
-        except ValueError:
+        if not (_INTEGER_RE.match(fields[0]) and _INTEGER_RE.match(fields[1])):
             raise ParseError(f"exponents must be integers: {raw.strip()!r}", line=lineno)
+        i = int(fields[0])
+        j = int(fields[1])
         try:
             c = parse_rational(fields[2])
         except ValueError:
@@ -174,7 +178,7 @@ def render(poly: TropicalPolynomial) -> str:
 #
 # Variables may only carry integer slopes; the constant part is rational.
 
-_TOKEN_RE = re.compile(r"\s*(\d+|[()+\-*/,]|max|[xy])")
+_TOKEN_RE = re.compile(r"\s*([0-9]+|[()+\-*/,]|max|[xy])")
 
 
 def _tokenize(text: str) -> list[str]:

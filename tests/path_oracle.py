@@ -4,12 +4,37 @@ This is the direct reading of the lattice-path theorem: list every tiling of
 each side region, glue each plus tiling to each minus tiling, resolve nodes
 into their crossing branches, and keep the glued pairs that form one
 connected curve.  It is slow and memory-hungry, and serves only as the
-oracle that `tropcurve.paths` is compared against.
+oracle that `tropcurve.paths` is compared against.  Its triangle weights come
+from `brute_triangle_weights`, which counts lattice points one by one and
+shares no code with `tropcurve.geometry.triangle_weights`.
 """
 
 from __future__ import annotations
 
-from tropcurve.paths import SIDE_MINUS, SIDE_PLUS, PathDomain, _triangle_weights
+from tropcurve.paths import SIDE_MINUS, SIDE_PLUS, PathDomain
+
+
+def _orientation(p, q, r) -> int:
+    return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+
+
+def brute_triangle_weights(a, b, c) -> tuple[int, int]:
+    """(normalized area, Welschinger factor) of a lattice triangle by counting.
+
+    The factor is 0 for even area, else (-1) to the number of lattice points
+    strictly inside, found by scanning the triangle's bounding box.
+    """
+    m = abs(_orientation(a, b, c))
+    if m % 2 == 0:
+        return m, 0
+    interior = 0
+    for x in range(min(a[0], b[0], c[0]), max(a[0], b[0], c[0]) + 1):
+        for y in range(min(a[1], b[1], c[1]), max(a[1], b[1], c[1]) + 1):
+            p = (x, y)
+            sides = (_orientation(a, b, p), _orientation(b, c, p), _orientation(c, a, p))
+            if min(sides) > 0 or max(sides) < 0:
+                interior += 1
+    return m, (-1) ** interior
 
 # a tiling is a tuple of cells; a cell is a tuple of 3 (triangle) or 4
 # (parallelogram a, b, c, a+c-b in boundary order) lattice points
@@ -71,7 +96,7 @@ class TilingOracle:
         for cell in tiling:
             if len(cell) == 3:
                 a, b, c = cell
-                m, fw = _triangle_weights(a, b, c)
+                m, fw = brute_triangle_weights(a, b, c)
                 mu *= m
                 nu *= fw
                 sides = ((a, b), (b, c), (c, a))

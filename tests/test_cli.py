@@ -52,6 +52,17 @@ class TestCount:
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0
 
+    def test_out_of_memory_is_one_error_line(self, capsys, monkeypatch):
+        def exhausted(d, order):
+            raise MemoryError
+
+        monkeypatch.setattr(cli.pathsmod, "count_gw", exhausted)
+        code, out, err = run_cli(capsys, "count", "-d", "3", "--method", "both")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: out of memory")
+        assert err.count("\n") == 1
+
     def test_mismatch_exits_two(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "km_count", lambda d: 999)
         code, out, err = run_cli(capsys, "count", "-d", "2", "--method", "both")

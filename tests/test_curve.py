@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 import pytest
 
@@ -25,6 +26,7 @@ from tropcurve import (
     membership_oracle,
     node_count,
     parse_expression,
+    parse_term_table,
     point_on_curve,
     ray_census,
     vertex_multiplicity,
@@ -32,6 +34,7 @@ from tropcurve import (
 )
 from tropcurve.geometry import convex_hull, normalized_area
 
+from path_oracle import brute_triangle_weights
 from subdivision_oracle import triple_scan_cells
 
 WEST, SOUTH, NORTHEAST = (-1, 0), (0, -1), (1, 1)
@@ -59,6 +62,13 @@ def nodal_conic():
             ((1, 1), Fraction(-1)),
             ((0, 2), Fraction(-1)),
         ]
+    )
+
+
+def nodal_cubic():
+    """Rational cubic with one node: its cycle closes only through the node."""
+    return parse_term_table(
+        "0 0 -4\n0 1 4\n0 2 1\n0 3 -5\n1 0 1\n1 1 8\n1 2 -2\n2 0 5\n2 1 0\n3 0 0\n"
     )
 
 
@@ -452,6 +462,8 @@ class TestWelschingerSign:
             mult = curve_multiplicity(curve)
             assert abs(sign) <= 1
             assert (sign - mult) % 2 == 0
+            triangles = [c for c in curve.subdivision.cells if len(c) == 3]
+            assert sign == prod(brute_triangle_weights(*c)[1] for c in triangles)
             checked += 1
         assert checked >= 5
 
@@ -473,6 +485,16 @@ class TestRationality:
         curve = extract_curve(nodal_conic())
         assert first_betti(curve) == 0
         assert is_rational(curve)
+
+    def test_nodal_cubic_node_split_opens_the_cycle(self):
+        # unsplit, the node would close the cubic's one cycle (b1 = 1)
+        curve = extract_curve(nodal_cubic())
+        assert len(curve.subdivision.cells) == 8
+        assert node_count(curve) == 1
+        assert first_betti(curve) == 0
+        assert curve_multiplicity(curve) == 1
+        assert welschinger_sign(curve) == 1
+        assert degree(curve) == 3
 
 
 class TestMembership:

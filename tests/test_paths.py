@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import pytest
 
@@ -15,6 +16,7 @@ from tropcurve import (
     path_multiplicity,
     side_multiplicity,
 )
+from tropcurve.geometry import triangle_weights
 from tropcurve.paths import (
     KIND_COMPLEX,
     KIND_WELSCHINGER,
@@ -25,7 +27,7 @@ from tropcurve.paths import (
     clear_caches,
 )
 
-from path_oracle import TilingOracle
+from path_oracle import TilingOracle, brute_triangle_weights
 
 
 def side_product_total(dom):
@@ -294,3 +296,15 @@ class TestTilingOracle:
                 m.complex_total,
                 m.welschinger_total,
             ) == oracle.multiplicity(path)
+
+    def test_triangle_kernel_matches_brute_force(self):
+        points = [(x, y) for x in range(5) for y in range(5 - x)]
+        checked = 0
+        for a, b, c in combinations(points, 3):
+            expected = brute_triangle_weights(a, b, c)
+            if expected[0] == 0:
+                continue
+            assert triangle_weights(a, b, c) == expected
+            assert triangle_weights(a, c, b) == expected
+            checked += 1
+        assert checked == 455 - 48  # 48 collinear triples

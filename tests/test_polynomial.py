@@ -39,6 +39,14 @@ class TestConstruction:
         poly = make_polynomial([((2, 3), Fraction(5))])
         assert poly.support == [(2, 3)]
 
+    def test_non_integral_exponent_rejected(self):
+        with pytest.raises(ValueError, match=r"\(1\.5, 0\)"):
+            make_polynomial([((1.5, 0), Fraction(1)), ((0, 0), Fraction(0))])
+
+    def test_integral_fraction_exponent_accepted(self):
+        poly = make_polynomial([((Fraction(1), Fraction(4, 2)), Fraction(0))])
+        assert poly.support == [(1, 2)]
+
 
 class TestEvaluate:
     def test_line_values(self):
@@ -98,6 +106,14 @@ class TestTermTable:
         poly = parse_term_table("-1 -2 3")
         assert poly.support == [(-1, -2)]
 
+    @pytest.mark.parametrize(
+        "line", ["1_0 0 0", "0 1_0 0", "\uff11 0 0", "0 0 \uff11", "0 0 1/\uff12", "0 0 \u0661"]
+    )
+    def test_only_ascii_digits(self, line):
+        with pytest.raises(ParseError) as exc:
+            parse_term_table("0 1 0\n" + line)
+        assert exc.value.line == 2
+
 
 class TestExpression:
     def test_line(self):
@@ -134,6 +150,11 @@ class TestExpression:
     def test_trailing_garbage_rejected(self):
         with pytest.raises(ParseError):
             parse_expression("max(0, x) y")
+
+    @pytest.mark.parametrize("text", ["max(0, \uff13x, y)", "max(0, x, y + \u0661)"])
+    def test_only_ascii_digits(self, text):
+        with pytest.raises(ParseError, match="offset"):
+            parse_expression(text)
 
 
 class TestRender:
