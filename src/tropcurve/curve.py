@@ -184,11 +184,11 @@ def dual_subdivision(poly: TropicalPolynomial) -> Subdivision:
         key=lambda p: Fraction(lift[p] - lift[h0], lattice_length(h0, p)),
     )
     first = _facet_beyond(points, lifted[q], lifted[h0])
-    cell_sets = {first}
+    hulls = {first: tuple(convex_hull(first))}
     pending = [first]
     crossed: set[Segment] = set()
     while pending:
-        polygon = convex_hull(sorted(pending.pop()))
+        polygon = hulls[pending.pop()]
         for t, a in enumerate(polygon):
             b = polygon[(t + 1) % len(polygon)]
             seg: Segment = (a, b) if a < b else (b, a)
@@ -196,11 +196,10 @@ def dual_subdivision(poly: TropicalPolynomial) -> Subdivision:
                 continue
             crossed.add(seg)
             cell = _facet_beyond(points, lifted[a], lifted[b])
-            if cell is not None and cell not in cell_sets:
-                cell_sets.add(cell)
+            if cell is not None and cell not in hulls:
+                hulls[cell] = tuple(convex_hull(cell))
                 pending.append(cell)
-    ordered = sorted(cell_sets, key=sorted)
-    polygons = tuple(tuple(convex_hull(sorted(s))) for s in ordered)
+    polygons = tuple(hulls[s] for s in sorted(hulls, key=sorted))
 
     edge_cells: dict[Segment, list[int]] = {}
     edge_order: list[Segment] = []
@@ -243,24 +242,18 @@ def extract_curve(poly: TropicalPolynomial) -> TropicalCurve:
         CurveVertex(*_cell_vertex(poly, cell), dual_cell=idx)
         for idx, cell in enumerate(sub.cells)
     )
-
-    # Boundary edge orientation as traversed counterclockwise inside its cell;
-    # rotating that direction by -90 degrees points out of the Newton polygon.
-    boundary_dir: dict[Segment, tuple[int, int]] = {}
-    for polygon in sub.cells:
-        k = len(polygon)
-        for t in range(k):
-            a, b = polygon[t], polygon[(t + 1) % k]
-            seg: Segment = (a, b) if a < b else (b, a)
-            boundary_dir.setdefault(seg, (b[0] - a[0], b[1] - a[1]))
-
     bounded = []
     rays = []
     for edge in sub.edges:
         seg: Segment = (edge.a, edge.b)
         weight = lattice_length(edge.a, edge.b)
         if edge.is_boundary:
-            dx, dy = boundary_dir[seg]
+            # orient a -> b counterclockwise around its cell (the cell on the
+            # left); rotating by -90 degrees then points out of the polygon
+            dx, dy = edge.b[0] - edge.a[0], edge.b[1] - edge.a[1]
+            off = next(p for p in sub.cells[edge.cells[0]] if p not in seg)
+            if turn(edge.a, edge.b, off) < 0:
+                dx, dy = -dx, -dy
             rays.append(
                 Ray(
                     vertex=edge.cells[0],
@@ -344,8 +337,8 @@ def _is_parallelogram(cell: tuple[Point, ...]) -> bool:
 
 
 def node_count(curve: TropicalCurve) -> int:
-    """Number of 4-valent vertices whose dual cell is a parallelogram."""
-    return sum(1 for v in curve.vertices if _is_parallelogram(curve.dual_polygon(v.dual_cell)))
+    """Number of 4-valent vertices: dual cells that are parallelograms."""
+    return sum(1 for cell in curve.subdivision.cells if _is_parallelogram(cell))
 
 
 def is_simple(curve: TropicalCurve) -> bool:

@@ -32,9 +32,7 @@ def convex_hull(points: list[Point]) -> list[Point]:
     two endpoints of a segment.
     """
     pts = sorted(set(points))
-    if len(pts) == 1:
-        return pts
-    if len(pts) == 2:
+    if len(pts) < 3:
         return pts
 
     def half(seq):
@@ -47,13 +45,7 @@ def convex_hull(points: list[Point]) -> list[Point]:
 
     lower = half(pts)
     upper = half(reversed(pts))
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) == 2 and hull[0] == hull[1]:
-        return [hull[0]]
-    if len(set(hull)) == 2:
-        # all points collinear
-        return [min(pts), max(pts)]
-    return hull
+    return lower[:-1] + upper[:-1]
 
 
 def lattice_length(a: Point, b: Point) -> int:

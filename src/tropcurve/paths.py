@@ -77,9 +77,6 @@ class PathDomain:
     def rank(self) -> dict[Point, int]:
         return {pt: k for k, pt in enumerate(self.points)}
 
-    def contains(self, pt: Point) -> bool:
-        return pt[0] >= 0 and pt[1] >= 0 and pt[0] + pt[1] <= self.d
-
     def steps(self) -> int:
         """Step count of a top-level path."""
         return 3 * self.d - 1
@@ -139,8 +136,7 @@ def enumerate_paths(domain: PathDomain) -> Iterator[tuple[Point, ...]]:
 
 def path_census(domain: PathDomain) -> int:
     """Number of enumerated paths (counted, not formula-derived)."""
-    interior = domain.points[1:-1]
-    return sum(1 for _ in combinations(interior, domain.steps() - 1))
+    return sum(1 for _ in enumerate_paths(domain))
 
 
 def validate_path(path, domain: PathDomain) -> tuple[Point, ...]:
@@ -161,54 +157,49 @@ def validate_path(path, domain: PathDomain) -> tuple[Point, ...]:
 
 
 class _DivisionEngine:
-    """Memoized connectivity-state division recursion for one domain."""
+    """Memoized connectivity-state division recursion toward one boundary arc."""
 
-    def __init__(self, domain: PathDomain):
-        self.contains = domain.contains
-        self.arcs = {SIDE_PLUS: domain.left_arc, SIDE_MINUS: domain.right_arc}
-        self.signs = {SIDE_PLUS: 1, SIDE_MINUS: -1}
-        # each top-level path is asked for once per side: keep sub-paths only
+    def __init__(self, domain: PathDomain, side: str):
+        self.arc = domain.left_arc if side == SIDE_PLUS else domain.right_arc
+        self.sign = 1 if side == SIDE_PLUS else -1
+        self.rank = domain.rank
+        # each top-level path is asked for once: keep sub-paths only
         self.top_points = domain.steps() + 1
-        self.cache: dict[tuple[tuple[Point, ...], str], States] = {}
+        self.cache: dict[tuple[Point, ...], States] = {}
 
-    def _divisible_corner(self, pts: tuple[Point, ...], side: str):
-        sign = self.signs[side]
-        for k in range(1, len(pts) - 1):
-            if sign * turn(pts[k - 1], pts[k], pts[k + 1]) > 0:
-                return k
-        return None
-
-    def states(self, pts: tuple[Point, ...], side: str) -> States:
-        """Step partitions of pts over the tilings toward the side's arc."""
-        key = (pts, side)
-        cached = self.cache.get(key)
+    def states(self, pts: tuple[Point, ...]) -> States:
+        """Step partitions of pts over the tilings toward the arc."""
+        cached = self.cache.get(pts)
         if cached is not None:
             return cached
-        if pts == self.arcs[side]:
-            result: States = {tuple(range(len(pts) - 1)): (1, 1)}
-        elif (j := self._divisible_corner(pts, side)) is None:
-            result = _NO_STATES
+        result = _NO_STATES
+        if pts == self.arc:
+            result = {tuple(range(len(pts) - 1)): (1, 1)}
         else:
-            a, b, c = pts[j - 1], pts[j], pts[j + 1]
-            m, fw = triangle_weights(a, b, c)
-            # cut: steps ab and bc join the component of step ac
-            out = {
-                labels[:j] + labels[j - 1 :]: (m * mu, fw * nu)
-                for labels, (mu, nu) in self.states(pts[:j] + pts[j + 1 :], side).items()
-            }
-            v = (a[0] + c[0] - b[0], a[1] + c[1] - b[1])
-            if self.contains(v):
-                # swap: the parallelogram's branches cross, ab ~ vc and bc ~ av
-                refl = self.states(pts[:j] + (v,) + pts[j + 1 :], side)
-                for labels, (mu, nu) in refl.items():
-                    swapped = _canonical(
-                        labels[: j - 1] + (labels[j], labels[j - 1]) + labels[j + 1 :]
-                    )
-                    old_mu, old_nu = out.get(swapped, (0, 0))
-                    out[swapped] = (old_mu + mu, old_nu + nu)
-            result = out or _NO_STATES
+            for j in range(1, len(pts) - 1):
+                a, b, c = pts[j - 1], pts[j], pts[j + 1]
+                if self.sign * turn(a, b, c) <= 0:
+                    continue
+                # the first corner turning toward the arc
+                m, fw = triangle_weights(a, b, c)
+                # cut: steps ab and bc join the component of step ac
+                out = {
+                    labels[:j] + labels[j - 1 :]: (m * mu, fw * nu)
+                    for labels, (mu, nu) in self.states(pts[:j] + pts[j + 1 :]).items()
+                }
+                v = (a[0] + c[0] - b[0], a[1] + c[1] - b[1])
+                if v in self.rank:
+                    # swap: the parallelogram's branches cross, ab ~ vc and bc ~ av
+                    for labels, (mu, nu) in self.states(pts[:j] + (v,) + pts[j + 1 :]).items():
+                        swapped = _canonical(
+                            labels[: j - 1] + (labels[j], labels[j - 1]) + labels[j + 1 :]
+                        )
+                        old_mu, old_nu = out.get(swapped, (0, 0))
+                        out[swapped] = (old_mu + mu, old_nu + nu)
+                result = out or _NO_STATES
+                break
         if len(pts) < self.top_points:
-            self.cache[key] = result
+            self.cache[pts] = result
         return result
 
 
@@ -250,23 +241,24 @@ def _glued_totals(plus: States, minus: States) -> tuple[int, int]:
     return total_mu, total_nu
 
 
-_ENGINES: dict[tuple[int, str], _DivisionEngine] = {}
+_ENGINES: dict[tuple[int, str], dict[str, _DivisionEngine]] = {}
 
 
-def _engine(domain: PathDomain) -> _DivisionEngine:
+def _engines(domain: PathDomain) -> dict[str, _DivisionEngine]:
+    """The domain's division engine for each side."""
     key = (domain.d, domain.order)
-    engine = _ENGINES.get(key)
-    if engine is None:
-        engine = _DivisionEngine(domain)
-        _ENGINES[key] = engine
-    return engine
+    engines = _ENGINES.get(key)
+    if engines is None:
+        engines = {side: _DivisionEngine(domain, side) for side in (SIDE_PLUS, SIDE_MINUS)}
+        _ENGINES[key] = engines
+    return engines
 
 
 def clear_caches() -> dict[str, int]:
     """Drop every memoized engine and count; return the entries dropped."""
     dropped = {
         "engines": len(_ENGINES),
-        "states": sum(len(engine.cache) for engine in _ENGINES.values()),
+        "states": sum(len(e.cache) for engines in _ENGINES.values() for e in engines.values()),
         "totals": _totals.cache_info().currsize,
     }
     _ENGINES.clear()
@@ -298,16 +290,16 @@ def side_multiplicity(path, domain: PathDomain, side: str, kind: str) -> int:
         raise ValueError(f"side must be {SIDE_PLUS!r} or {SIDE_MINUS!r}")
     if kind not in (KIND_COMPLEX, KIND_WELSCHINGER):
         raise ValueError(f"kind must be {KIND_COMPLEX!r} or {KIND_WELSCHINGER!r}")
-    mu, nu = _side_values(_engine(domain).states(pts, side))
+    mu, nu = _side_values(_engines(domain)[side].states(pts))
     return mu if kind == KIND_COMPLEX else nu
 
 
 def path_multiplicity(path, domain: PathDomain) -> PathMultiplicity:
     """Side values and connected totals of one path."""
     pts = validate_path(path, domain)
-    engine = _engine(domain)
-    plus = engine.states(pts, SIDE_PLUS)
-    minus = engine.states(pts, SIDE_MINUS)
+    engines = _engines(domain)
+    plus = engines[SIDE_PLUS].states(pts)
+    minus = engines[SIDE_MINUS].states(pts)
     cp, wp = _side_values(plus)
     cm, wm = _side_values(minus)
     mu, nu = _glued_totals(plus, minus)
@@ -324,15 +316,16 @@ def path_multiplicity(path, domain: PathDomain) -> PathMultiplicity:
 @lru_cache(maxsize=None)
 def _totals(d: int, order: str) -> tuple[int, int]:
     domain = path_domain(d, order)
-    engine = _engine(domain)
+    engines = _engines(domain)
+    plus_states, minus_states = engines[SIDE_PLUS].states, engines[SIDE_MINUS].states
     total_mu = 0
     total_nu = 0
     for path in enumerate_paths(domain):
         # cheap rejection: a path with a dead side has no completions at all
-        plus = engine.states(path, SIDE_PLUS)
+        plus = plus_states(path)
         if not plus:
             continue
-        mu, nu = _glued_totals(plus, engine.states(path, SIDE_MINUS))
+        mu, nu = _glued_totals(plus, minus_states(path))
         total_mu += mu
         total_nu += nu
     return total_mu, total_nu
@@ -340,9 +333,7 @@ def _totals(d: int, order: str) -> tuple[int, int]:
 
 def count_both(d: int, order: str = ORDER_XEY) -> tuple[int, int]:
     """(curve count, Welschinger invariant) from one enumeration pass."""
-    check_degree(d)
-    if order not in (ORDER_XEY, ORDER_ROWMAJOR):
-        raise ValueError(f"unknown order preset {order!r}")
+    check_degree(d)  # before the cache: 5.0 must not share the entry of 5
     return _totals(d, order)
 
 

@@ -9,14 +9,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-DEFAULT_RAY_LENGTH = 2.0
+RAY_LENGTH = 2.0  # drawn length of each ray, also the viewport padding
+SCALE = 60.0  # pixels per unit
 
 
 def _fmt(value: float) -> str:
     return f"{value:.4f}"
 
 
-def render_svg(doc: dict, ray_length: float = DEFAULT_RAY_LENGTH, scale: float = 60.0) -> str:
+def render_svg(doc: dict) -> str:
     """Well-formed SVG for a curve document.
 
     The viewport is the bounding box of the vertices padded by the ray
@@ -27,19 +28,17 @@ def render_svg(doc: dict, ray_length: float = DEFAULT_RAY_LENGTH, scale: float =
     pts = [(x, -y) for x, y in vertices]
     xs = [p[0] for p in pts]
     ys = [p[1] for p in pts]
-    pad = ray_length
-    min_x, max_x = min(xs) - pad, max(xs) + pad
-    min_y, max_y = min(ys) - pad, max(ys) + pad
+    min_x, max_x = min(xs) - RAY_LENGTH, max(xs) + RAY_LENGTH
+    min_y, max_y = min(ys) - RAY_LENGTH, max(ys) + RAY_LENGTH
     width = max_x - min_x
     height = max_y - min_y
 
-    lines = []
-    lines.append(
+    lines = [
         '<svg xmlns="http://www.w3.org/2000/svg" '
         f'viewBox="{_fmt(min_x)} {_fmt(min_y)} {_fmt(width)} {_fmt(height)}" '
-        f'width="{_fmt(width * scale)}" height="{_fmt(height * scale)}">'
-    )
-    lines.append('<g stroke="black" stroke-linecap="round" fill="none">')
+        f'width="{_fmt(width * SCALE)}" height="{_fmt(height * SCALE)}">',
+        '<g stroke="black" stroke-linecap="round" fill="none">',
+    ]
     for edge in doc["edges"]:
         x1, y1 = pts[edge["from"]]
         x2, y2 = pts[edge["to"]]
@@ -52,14 +51,13 @@ def render_svg(doc: dict, ray_length: float = DEFAULT_RAY_LENGTH, scale: float =
         dx, dy = ray["dir"]
         dy = -dy
         norm = (dx * dx + dy * dy) ** 0.5
-        x2 = x1 + ray_length * dx / norm
-        y2 = y1 + ray_length * dy / norm
+        x2 = x1 + RAY_LENGTH * dx / norm
+        y2 = y1 + RAY_LENGTH * dy / norm
         lines.append(
             f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
             f'stroke-width="{_fmt(0.05 * ray["weight"])}"/>'
         )
     for x, y in pts:
         lines.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="0.07" fill="black"/>')
-    lines.append("</g>")
-    lines.append("</svg>")
+    lines += ["</g>", "</svg>"]
     return "\n".join(lines) + "\n"

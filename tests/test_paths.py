@@ -232,6 +232,10 @@ class TestCounts:
         with pytest.raises(BadDegreeError):
             count_welschinger(-1)
 
+    def test_unknown_order(self):
+        with pytest.raises(ValueError, match="'bogus'"):
+            count_both(3, "bogus")
+
     def test_reducible_excess_at_degree_four(self):
         # side products also count reducible degenerations; at d=4 these are a
         # line through 2 of the 11 points union a one-cycle cubic through the

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -156,6 +157,25 @@ class TestExpression:
         with pytest.raises(ParseError, match="offset"):
             parse_expression(text)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("max(0,", "unexpected end of expression"),
+            ("max(0 0)", "expected ')', got '0'"),
+            ("max(2*3)", "expected variable after '*'"),
+            ("max(,)", "expected a number"),
+            ("max(1/0)", "bad denominator '0'"),
+        ],
+    )
+    def test_malformed_rejected_with_message(self, text, message):
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse_expression(text)
+
+    @pytest.mark.parametrize("text", ["max(--1)", "max(0 - -1)"])
+    def test_signed_rational(self, text):
+        # rat := ["-"] digits, so a term or an operator may be followed by "-"
+        assert parse_expression(text).terms == {(0, 0): Fraction(1)}
+
 
 class TestRender:
     def test_line_sorted(self):
@@ -196,6 +216,12 @@ class TestStandardDegree:
     def test_non_triangle(self):
         poly = make_polynomial(
             [((0, 0), Fraction(0)), ((2, 0), Fraction(0)), ((1, 1), Fraction(0))]
+        )
+        assert poly.standard_degree() is None
+
+    def test_unequal_legs(self):
+        poly = make_polynomial(
+            [((0, 0), Fraction(0)), ((2, 0), Fraction(0)), ((0, 3), Fraction(0))]
         )
         assert poly.standard_degree() is None
 
