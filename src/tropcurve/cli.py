@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 user error, 2 internal consistency failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -75,7 +76,7 @@ def _load_polynomial(args):
     if args.expr is not None:
         return parse_expression(args.expr)
     try:
-        text = Path(args.poly).read_text(encoding="utf-8")
+        text = Path(args.poly).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{args.poly}: not UTF-8 text (byte {exc.start})") from None
     return parse_term_table(text)
@@ -193,6 +194,12 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
     except TropcurveError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USER
+    except BrokenPipeError:
+        # the reader left: point stdout at devnull so the flush at exit stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return EXIT_USER
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import CrossCheckMismatchError, EmptyTableError, NegativeNError
 from .paths import ORDER_XEY, check_degree, count_both
@@ -30,19 +29,19 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-@lru_cache(maxsize=None)
 def km_count(d: int) -> int:
-    """Rational plane curve count N_d by the Kontsevich-Manin recursion."""
+    """Rational plane curve count N_d by the Kontsevich-Manin recursion, bottom-up."""
     check_degree(d)
-    if d == 1:
-        return 1
-    total = 0
-    for a in range(1, d):
-        b = d - a
-        term = a * a * b * b * binomial(3 * d - 4, 3 * a - 2)
-        term -= a * a * a * b * binomial(3 * d - 4, 3 * a - 1)
-        total += km_count(a) * km_count(b) * term
-    return total
+    n = [0, 1]  # n[e] = N_e
+    for e in range(2, d + 1):
+        total = 0
+        for a in range(1, e):
+            b = e - a
+            term = a * a * b * b * binomial(3 * e - 4, 3 * a - 2)
+            term -= a * a * a * b * binomial(3 * e - 4, 3 * a - 1)
+            total += n[a] * n[b] * term
+        n.append(total)
+    return n[d]
 
 
 def factorial_bound_check(d: int, w: int) -> bool:

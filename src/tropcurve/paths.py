@@ -54,8 +54,9 @@ KIND_COMPLEX = "complex"
 KIND_WELSCHINGER = "welschinger"
 
 # A side's state map sends a partition of a path's steps into curve
-# components, as block labels numbered in order of first appearance, to the
-# summed (complex, Welschinger) weight of the side's tilings that induce it.
+# components, one block label per step, to the summed (complex, Welschinger)
+# weight of the tilings that induce it.  Labels are dense, 0..k-1 in no set
+# order, as `_connected` needs: arcs start as range, cuts copy, swaps exchange.
 States = dict[tuple[int, ...], tuple[int, int]]
 
 _NO_STATES: States = {}  # shared by every dead side; never mutated
@@ -191,9 +192,7 @@ class _DivisionEngine:
                 if v in self.rank:
                     # swap: the parallelogram's branches cross, ab ~ vc and bc ~ av
                     for labels, (mu, nu) in self.states(pts[:j] + (v,) + pts[j + 1 :]).items():
-                        swapped = _canonical(
-                            labels[: j - 1] + (labels[j], labels[j - 1]) + labels[j + 1 :]
-                        )
+                        swapped = labels[: j - 1] + (labels[j], labels[j - 1]) + labels[j + 1 :]
                         old_mu, old_nu = out.get(swapped, (0, 0))
                         out[swapped] = (old_mu + mu, old_nu + nu)
                 result = out or _NO_STATES
@@ -201,12 +200,6 @@ class _DivisionEngine:
         if len(pts) < self.top_points:
             self.cache[pts] = result
         return result
-
-
-def _canonical(labels: tuple[int, ...]) -> tuple[int, ...]:
-    """Relabel blocks 0, 1, 2, ... in order of first appearance."""
-    first: dict[int, int] = {}
-    return tuple(first.setdefault(x, len(first)) for x in labels)
 
 
 def _side_values(states: States) -> tuple[int, int]:

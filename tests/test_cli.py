@@ -187,6 +187,20 @@ class TestCurve:
         assert code == 1
         assert err.startswith("error:") and "UTF-8" in err
 
+    def test_byte_order_mark_is_accepted(self, capsys, tmp_path):
+        plain = tmp_path / "plain.txt"
+        marked = tmp_path / "marked.txt"
+        plain.write_text(CONIC_TABLE, encoding="utf-8")
+        marked.write_text(CONIC_TABLE, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        outputs = []
+        for table in (plain, marked):
+            out_json = tmp_path / f"{table.stem}.json"
+            code, _, err = run_cli(capsys, "curve", "--poly", str(table), "--json", str(out_json))
+            assert code == 0, err
+            outputs.append(out_json.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_missing_file_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "curve", "--poly", "/nonexistent/poly.txt")
         assert code == 1
@@ -220,3 +234,21 @@ def test_installed_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout.strip() == "1 1"
+
+
+def test_closed_stdout_ends_quietly():
+    # paths -d 5 writes far more than a pipe buffer holds, so the pipe really breaks
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tropcurve.cli", "paths", "-d", "5"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+    assert first.startswith(b"# path")
+    assert proc.returncode == 1
+    assert err == b""

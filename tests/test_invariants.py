@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -62,6 +63,26 @@ class TestRecursion:
     def test_bad_degree(self):
         with pytest.raises(BadDegreeError):
             km_count(0)
+
+    def test_published_degrees_six_to_eight(self):
+        assert [km_count(d) for d in (6, 7, 8)] == [
+            26312976,
+            14616808192,
+            13525751027392,
+        ]
+
+    def test_high_degree_needs_no_stack(self):
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth += 1
+            frame = frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 30)
+        try:
+            value = km_count(150)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert value > 0
 
 
 class TestFactorialBound:

@@ -16,6 +16,7 @@ from tropcurve import (
     path_multiplicity,
     side_multiplicity,
 )
+from tropcurve import paths
 from tropcurve.geometry import triangle_weights
 from tropcurve.paths import (
     KIND_COMPLEX,
@@ -266,6 +267,30 @@ class TestCounts:
         assert dropped["totals"] == 1
         assert clear_caches() == {"engines": 0, "states": 0, "totals": 0}
         assert count_both(3) == before
+
+    def test_cached_degree_rejects_float_and_bool(self):
+        # 3.0 == 3 and True == 1 hash alike, so the check must come before the cache
+        count_both(3)
+        count_both(1)
+        with pytest.raises(BadDegreeError):
+            count_both(3.0)
+        with pytest.raises(BadDegreeError):
+            count_both(True)
+
+    @pytest.mark.parametrize("order", [ORDER_XEY, ORDER_ROWMAJOR])
+    def test_state_labels_are_dense(self, order):
+        # no relabelling after a swap: _connected sizes its union-find by max + 1,
+        # so the k blocks of every state key must be labelled exactly 0..k-1
+        count_both(4, order)
+        assert paths._ENGINES
+        keys = 0
+        for engines in paths._ENGINES.values():
+            for engine in engines.values():
+                for states in engine.cache.values():
+                    for labels in states:
+                        assert set(labels) == set(range(max(labels) + 1)), labels
+                        keys += 1
+        assert keys > 0
 
 
 class TestSideSymmetry:
