@@ -12,7 +12,6 @@ from .curve import (
     CurveVertex,
     Ray,
     Subdivision,
-    SubdivisionEdge,
     TropicalCurve,
     check_balancing,
     curve_multiplicity,
@@ -33,6 +32,7 @@ from .curve import (
 from .document import curve_document, read_document, write_document
 from .errors import (
     BadDegreeError,
+    CensusTooLargeError,
     CrossCheckMismatchError,
     DegenerateSupportError,
     DuplicateTermError,
@@ -58,6 +58,7 @@ from .invariants import (
     km_count,
 )
 from .paths import (
+    CENSUS_LIMIT,
     KIND_COMPLEX,
     KIND_WELSCHINGER,
     ORDER_ROWMAJOR,
@@ -66,6 +67,7 @@ from .paths import (
     SIDE_PLUS,
     PathDomain,
     PathMultiplicity,
+    check_census,
     count_both,
     count_gw,
     count_welschinger,

@@ -103,9 +103,20 @@ def cmd_curve(args) -> int:
     return EXIT_OK
 
 
+def _print_int(n: int) -> None:
+    """Print n in full, past CPython's int-to-str digit limit (4300 by default),
+    and leave the limit as it was."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        print(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def cmd_count(args) -> int:
     if args.method == "recursion":
-        print(km_count(args.degree))
+        _print_int(km_count(args.degree))
         return EXIT_OK
     if args.method == "paths":
         print(pathsmod.count_gw(args.degree, args.lambda_order))
@@ -130,10 +141,11 @@ def _format_path(path) -> str:
 
 def cmd_paths(args) -> int:
     domain = pathsmod.path_domain(args.degree, args.lambda_order)
+    paths = pathsmod.enumerate_paths(domain)
     print("# path  mu+ mu- mu nu")
     total_mu = 0
     total_nu = 0
-    for path in pathsmod.enumerate_paths(domain):
+    for path in paths:
         m = pathsmod.path_multiplicity(path, domain)
         total_mu += m.complex_total
         total_nu += m.welschinger_total

@@ -4,7 +4,9 @@ A tropical polynomial induces a regular subdivision of its Newton polygon:
 lift each exponent (i, j) to height c(i, j) and project the upper faces of the
 lifted hull back down.  The tropical curve (the non-differentiability locus of
 the max) is dual to that subdivision: one curve vertex per 2-cell, one bounded
-edge per interior subdivision edge, one unbounded ray per boundary edge.
+edge per interior subdivision edge, one unbounded ray per boundary edge.  The
+cell list is the curve's one index: curve vertex k is dual to cell k, and the
+edges and rays are read straight off the cells' sides.
 
 The subdivision is computed over the integers: coefficients are rescaled by a
 common denominator (positive rescaling does not change the face structure).
@@ -51,28 +53,14 @@ NORTHEAST = (1, 1)
 
 
 @dataclass(frozen=True)
-class SubdivisionEdge:
-    """Lattice segment of the subdivision with its incident 2-cells."""
-
-    a: Point
-    b: Point
-    cells: tuple[int, ...]
-
-    @property
-    def is_boundary(self) -> bool:
-        return len(self.cells) == 1
-
-
-@dataclass(frozen=True)
 class Subdivision:
     """Regular subdivision of a Newton polygon.
 
     cells hold each 2-cell's hull vertices counterclockwise from the lex
-    minimum; edges are canonical segments (a < b) with incident cell indices.
+    minimum; curve vertex k of the extracted curve is dual to cell k.
     """
 
     cells: tuple[tuple[Point, ...], ...]
-    edges: tuple[SubdivisionEdge, ...]
     newton_polygon: tuple[Point, ...]
 
 
@@ -80,7 +68,6 @@ class Subdivision:
 class CurveVertex:
     x: Fraction
     y: Fraction
-    dual_cell: int
 
 
 @dataclass(frozen=True)
@@ -107,7 +94,7 @@ class TropicalCurve:
     subdivision: Subdivision
 
     def dual_polygon(self, vertex_index: int) -> tuple[Point, ...]:
-        return self.subdivision.cells[self.vertices[vertex_index].dual_cell]
+        return self.subdivision.cells[vertex_index]
 
 
 @dataclass(frozen=True)
@@ -199,23 +186,8 @@ def dual_subdivision(poly: TropicalPolynomial) -> Subdivision:
             if cell is not None and cell not in hulls:
                 hulls[cell] = tuple(convex_hull(cell))
                 pending.append(cell)
-    polygons = tuple(hulls[s] for s in sorted(hulls, key=sorted))
-
-    edge_cells: dict[Segment, list[int]] = {}
-    edge_order: list[Segment] = []
-    for idx, polygon in enumerate(polygons):
-        k = len(polygon)
-        for t in range(k):
-            a, b = polygon[t], polygon[(t + 1) % k]
-            seg: Segment = (a, b) if a < b else (b, a)
-            if seg not in edge_cells:
-                edge_cells[seg] = []
-                edge_order.append(seg)
-            edge_cells[seg].append(idx)
-    edges = tuple(
-        SubdivisionEdge(seg[0], seg[1], tuple(edge_cells[seg])) for seg in edge_order
-    )
-    return Subdivision(cells=polygons, edges=edges, newton_polygon=tuple(hull))
+    cells = tuple(hulls[s] for s in sorted(hulls, key=sorted))
+    return Subdivision(cells=cells, newton_polygon=tuple(hull))
 
 
 def _cell_vertex(poly: TropicalPolynomial, cell: tuple[Point, ...]) -> tuple[Fraction, Fraction]:
@@ -236,36 +208,30 @@ def _cell_vertex(poly: TropicalPolynomial, cell: tuple[Point, ...]) -> tuple[Fra
 
 
 def extract_curve(poly: TropicalPolynomial) -> TropicalCurve:
-    """Tropical curve dual to the polynomial's regular subdivision."""
+    """Tropical curve dual to the polynomial's regular subdivision.
+
+    Vertex k solves cell k.  Each cell side is met once per incident cell, in
+    cell order; a side of two cells is a bounded edge between their vertices,
+    a side of one cell is a ray out of its vertex.
+    """
     sub = dual_subdivision(poly)
-    vertices = tuple(
-        CurveVertex(*_cell_vertex(poly, cell), dual_cell=idx)
-        for idx, cell in enumerate(sub.cells)
-    )
+    vertices = tuple(CurveVertex(*_cell_vertex(poly, cell)) for cell in sub.cells)
+    # canonical segment (a < b) -> (first counterclockwise side seen, incident cells)
+    sides: dict[Segment, tuple[Segment, list[int]]] = {}
+    for idx, cell in enumerate(sub.cells):
+        for a, b in zip(cell, cell[1:] + cell[:1]):
+            seg: Segment = (a, b) if a < b else (b, a)
+            sides.setdefault(seg, ((a, b), []))[1].append(idx)
     bounded = []
     rays = []
-    for edge in sub.edges:
-        seg: Segment = (edge.a, edge.b)
-        weight = lattice_length(edge.a, edge.b)
-        if edge.is_boundary:
-            # orient a -> b counterclockwise around its cell (the cell on the
-            # left); rotating by -90 degrees then points out of the polygon
-            dx, dy = edge.b[0] - edge.a[0], edge.b[1] - edge.a[1]
-            off = next(p for p in sub.cells[edge.cells[0]] if p not in seg)
-            if turn(edge.a, edge.b, off) < 0:
-                dx, dy = -dx, -dy
-            rays.append(
-                Ray(
-                    vertex=edge.cells[0],
-                    direction=primitive((dy, -dx)),
-                    weight=weight,
-                    dual=seg,
-                )
-            )
+    for seg, ((a, b), cells) in sides.items():
+        weight = lattice_length(a, b)
+        if len(cells) == 2:
+            bounded.append(BoundedEdge(v1=cells[0], v2=cells[1], weight=weight, dual=seg))
         else:
-            bounded.append(
-                BoundedEdge(v1=edge.cells[0], v2=edge.cells[1], weight=weight, dual=seg)
-            )
+            # the cell lies left of a -> b; turning that by -90 degrees points out
+            direction = primitive((b[1] - a[1], a[0] - b[0]))
+            rays.append(Ray(vertex=cells[0], direction=direction, weight=weight, dual=seg))
     return TropicalCurve(
         vertices=vertices,
         bounded_edges=tuple(bounded),
@@ -443,9 +409,7 @@ def curve_stats(curve: TropicalCurve) -> CurveStats:
     except (NotStandardFormError, ImbalancedError):
         deg = None
     multiplicities = tuple(
-        vertex_multiplicity(curve, v)
-        for v in range(len(curve.vertices))
-        if len(curve.dual_polygon(v)) == 3
+        triangle_weights(*cell)[0] for cell in curve.subdivision.cells if len(cell) == 3
     )
     if is_simple(curve):
         b1: int | None = first_betti(curve)

@@ -22,9 +22,9 @@ def curve_document(curve: TropicalCurve) -> dict:
             {
                 "x": format_rational(v.x),
                 "y": format_rational(v.y),
-                "dual_cell": [[i, j] for (i, j) in curve.subdivision.cells[v.dual_cell]],
+                "dual_cell": [list(p) for p in cell],
             }
-            for v in curve.vertices
+            for v, cell in zip(curve.vertices, curve.subdivision.cells)
         ],
         "edges": [
             {

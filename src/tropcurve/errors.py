@@ -63,6 +63,10 @@ class NegativeNError(TropcurveError, ValueError):
     """binomial(n, k) requires n >= 0."""
 
 
+class CensusTooLargeError(TropcurveError):
+    """The lattice-path census of the degree is too large to enumerate."""
+
+
 class CrossCheckMismatchError(TropcurveError):
     """The lattice-path count and the recursion disagree."""
 

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import CrossCheckMismatchError, EmptyTableError, NegativeNError
-from .paths import ORDER_XEY, check_degree, count_both
+from .paths import ORDER_XEY, check_census, check_degree, count_both, path_domain
 
 
 def binomial(n: int, k: int) -> int:
@@ -71,8 +71,9 @@ def build_table(dmax: int, order: str = ORDER_XEY) -> InvariantTable:
 
     Fails fast with CrossCheckMismatchError when the path total and the
     recursion disagree; that is an internal error, never a data condition.
+    The census of dmax is checked before any row is computed.
     """
-    check_degree(dmax)
+    check_census(path_domain(dmax, order))
     rows = []
     for d in range(1, dmax + 1):
         n_paths, w = count_both(d, order)

@@ -39,9 +39,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
+from math import comb
 from typing import Iterator
 
-from .errors import BadDegreeError, InvalidPathError
+from .errors import BadDegreeError, CensusTooLargeError, InvalidPathError
 from .geometry import Point, cross, lattice_length, primitive, triangle_weights, turn
 
 ORDER_XEY = "xey"  # x ascending, y descending: realizes x - eps*y
@@ -52,6 +53,9 @@ SIDE_MINUS = "minus"
 
 KIND_COMPLEX = "complex"
 KIND_WELSCHINGER = "welschinger"
+
+# Most paths one census may enumerate: d = 6 has 5311735, d = 7 has 1855967520.
+CENSUS_LIMIT = 10**8
 
 # A side's state map sends a partition of a path's steps into curve
 # components, one block label per step, to the summed (complex, Welschinger)
@@ -122,17 +126,30 @@ def path_domain(d: int, order: str = ORDER_XEY) -> PathDomain:
     )
 
 
+def check_census(domain: PathDomain) -> int:
+    """The domain's path census C(|T_d| - 2, 3d - 2); CensusTooLargeError past
+    CENSUS_LIMIT, before any path is built."""
+    census = comb(len(domain.points) - 2, domain.steps() - 1)
+    if census > CENSUS_LIMIT:
+        raise CensusTooLargeError(
+            f"the degree-{domain.d} lattice-path census has {census} paths, over the "
+            f"limit of {CENSUS_LIMIT}; N_d at any degree: count --method recursion"
+        )
+    return census
+
+
 def enumerate_paths(domain: PathDomain) -> Iterator[tuple[Point, ...]]:
     """All strictly increasing point sequences p -> q with 3d - 1 steps.
 
     Any selection of 3d - 2 interior-order points works, so enumeration is a
-    plain combination scan; the order is deterministic.
+    plain combination scan; the order is deterministic.  The census is
+    checked when this is called, not when the first path is drawn.
     """
-    interior = domain.points[1:-1]
+    check_census(domain)
     head = (domain.p,)
     tail = (domain.q,)
-    for middle in combinations(interior, domain.steps() - 1):
-        yield head + middle + tail
+    middles = combinations(domain.points[1:-1], domain.steps() - 1)
+    return (head + middle + tail for middle in middles)
 
 
 def path_census(domain: PathDomain) -> int:

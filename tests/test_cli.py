@@ -69,6 +69,42 @@ class TestCount:
         assert code == 2
         assert out.strip() == "1 999"
 
+    def test_recursion_prints_past_the_digit_limit(self, capsys):
+        expected = str(invariants.km_count(150))  # 862 digits
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, _ = run_cli(capsys, "count", "-d", "150", "--method", "recursion")
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 0
+        assert out == expected + "\n"
+
+
+class TestCensusLimit:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "-d", "7"],
+            ["count", "-d", "7", "--method", "paths"],
+            ["welschinger", "-d", "7"],
+            ["paths", "-d", "7"],
+            ["report", "--max", "7"],
+        ],
+    )
+    def test_out_of_reach_is_one_error_line(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "1855967520" in err and "--method recursion" in err
+
+    def test_recursion_still_reaches_degree_seven(self, capsys):
+        code, out, _ = run_cli(capsys, "count", "-d", "7", "--method", "recursion")
+        assert code == 0
+        assert out == "14616808192\n"
+
 
 class TestWelschinger:
     @pytest.mark.parametrize("d,expected", [(1, "1"), (2, "1"), (3, "8")])

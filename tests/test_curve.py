@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -32,7 +33,9 @@ from tropcurve import (
     vertex_multiplicity,
     welschinger_sign,
 )
+from tropcurve.document import curve_document, write_document
 from tropcurve.geometry import convex_hull, normalized_area
+from tropcurve.svgout import render_svg
 
 from path_oracle import brute_triangle_weights
 from subdivision_oracle import triple_scan_cells
@@ -70,6 +73,31 @@ def nodal_cubic():
     return parse_term_table(
         "0 0 -4\n0 1 4\n0 2 1\n0 3 -5\n1 0 1\n1 1 8\n1 2 -2\n2 0 5\n2 1 0\n3 0 0\n"
     )
+
+
+def weight_two_triangle():
+    """One cell, the triangle (0,0),(2,0),(0,2): every ray has weight two."""
+    return make_polynomial(
+        [((0, 0), Fraction(0)), ((2, 0), Fraction(0)), ((0, 2), Fraction(0))]
+    )
+
+
+def pentagon_poly():
+    """One pentagonal cell: not simple, and not of standard degree."""
+    return make_polynomial(
+        [
+            ((0, 0), Fraction(0)),
+            ((2, 0), Fraction(0)),
+            ((2, 1), Fraction(0)),
+            ((1, 2), Fraction(0)),
+            ((0, 2), Fraction(0)),
+        ]
+    )
+
+
+def trapezoid_poly():
+    """One four-sided cell that is not a parallelogram: not simple."""
+    return parse_expression("max(0, 2x, x + y, y)")
 
 
 def random_quartic(rng):
@@ -295,13 +323,19 @@ class TestExtractCurve:
             curve = extract_curve(poly)
             sub = curve.subdivision
             assert len(curve.vertices) == len(sub.cells)
-            interior = [e for e in sub.edges if not e.is_boundary]
-            boundary = [e for e in sub.edges if e.is_boundary]
+            # a side shared by two cells is interior, a side of one cell is boundary
+            incidence = {}
+            for cell in sub.cells:
+                for t, a in enumerate(cell):
+                    side = frozenset((a, cell[(t + 1) % len(cell)]))
+                    incidence[side] = incidence.get(side, 0) + 1
+            interior = [s for s, n in incidence.items() if n == 2]
+            boundary = [s for s, n in incidence.items() if n == 1]
             assert len(curve.bounded_edges) == len(interior)
             assert len(curve.rays) == len(boundary)
             from tropcurve.geometry import lattice_length
 
-            assert sum(lattice_length(e.a, e.b) for e in boundary) == sum(
+            assert sum(lattice_length(*s) for s in boundary) == sum(
                 r.weight for r in curve.rays
             )
 
@@ -415,23 +449,16 @@ class TestNodesAndSimplicity:
         assert is_simple(curve)
 
     def test_pentagon_cell_not_simple(self):
-        poly = make_polynomial(
-            [
-                ((0, 0), Fraction(0)),
-                ((2, 0), Fraction(0)),
-                ((2, 1), Fraction(0)),
-                ((1, 2), Fraction(0)),
-                ((0, 2), Fraction(0)),
-            ]
-        )
-        curve = extract_curve(poly)
-        assert not is_simple(curve)
-        with pytest.raises(NotSimpleError):
-            curve_multiplicity(curve)
-        with pytest.raises(NotSimpleError):
-            welschinger_sign(curve)
-        with pytest.raises(NotSimpleError):
-            is_rational(curve)
+        # the trapezoid has four sides but is no parallelogram, so no node either
+        for poly in (pentagon_poly(), trapezoid_poly()):
+            curve = extract_curve(poly)
+            assert not is_simple(curve)
+            with pytest.raises(NotSimpleError):
+                curve_multiplicity(curve)
+            with pytest.raises(NotSimpleError):
+                welschinger_sign(curve)
+            with pytest.raises(NotSimpleError):
+                is_rational(curve)
 
 
 class TestWelschingerSign:
@@ -562,3 +589,41 @@ class TestStats:
         assert stats.node_count == 1
         assert stats.betti1 == 0
         assert stats.welschinger_sign == 1
+
+
+class TestGoldenBytes:
+    # sha256 of write_document + render_svg output per input, pinned so that a
+    # refactor of the curve layer has to keep every byte of both formats
+    GOLDEN = {
+        "concave-1": "69ecc5c3c6a2e5c0b3224ba0c9e0a16d14ce192019cd140dbd472835be3a9ccd",
+        "concave-2": "bbf1708546e0b200ad964cf67a838359f924323120b8b1d1df2bb5cad8c8c45b",
+        "concave-3": "c10379a65d84589bef5d31d35017965a7d0d80c4216278bbaf1050b729707ce7",
+        "concave-4": "e869d8c667199d93374b58d1ed618f60170e821b700651d31ddef4f518102f0b",
+        "concave-5": "dbede1518fc124f4f8d43a6b3559fd7830c87b36804d6b00fc35c142c6bce6ff",
+        "concave-6": "d4cc778f7bf0f2a00ce9581f91def321bbc3dc21c21a284ddb48bb0f2115e3b2",
+        "concave-7": "6c40c754c2bc2fa83ec0c731f018cb3decd340e9f37fc7f78693ebebb0e4e00a",
+        "concave-8": "9fa81ff854a87a8d7cc41bea106749efa0100b5f16875c38039a781b80095334",
+        "nodal-cubic": "95a462073b8a40315c12bbe9529de7cc38170af921822226762eba5c816fae6e",
+        "nodal-conic": "046c8e0681435966abdd3def215bf03c44b22bd6ff7f5a68f377269db2ea31a5",
+        "weight-two": "0697a87d76c8c373cfab870547060db74807e764aa2294fcaf1b67f6911a96d2",
+        "pentagon": "be5708c95c9b1c82af5133d5b5266c50affa68d4ebf5fe337bf8b2d14b33ff6a",
+        "trapezoid": "f5503181a1b356fb1bbdf6988cde345ec4d1d26f7be7587d23a10fe2b71d2b21",
+    }
+
+    @staticmethod
+    def corpus():
+        polys = {f"concave-{d}": concave_poly(d) for d in range(1, 9)}
+        polys["nodal-cubic"] = nodal_cubic()
+        polys["nodal-conic"] = nodal_conic()
+        polys["weight-two"] = weight_two_triangle()
+        polys["pentagon"] = pentagon_poly()
+        polys["trapezoid"] = trapezoid_poly()
+        return polys
+
+    def test_json_and_svg_bytes_are_pinned(self):
+        digests = {}
+        for name, poly in self.corpus().items():
+            doc = curve_document(extract_curve(poly))
+            text = write_document(doc) + render_svg(doc)
+            digests[name] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert digests == self.GOLDEN

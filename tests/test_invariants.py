@@ -5,6 +5,7 @@ import pytest
 
 from tropcurve import (
     BadDegreeError,
+    CensusTooLargeError,
     CrossCheckMismatchError,
     EmptyTableError,
     NegativeNError,
@@ -118,6 +119,14 @@ class TestTable:
         monkeypatch.setattr(invariants, "km_count", lambda d: 999)
         with pytest.raises(CrossCheckMismatchError):
             invariants.build_table(2)
+
+    def test_census_out_of_reach_checked_before_any_row(self, monkeypatch):
+        def no_rows(d, order):
+            raise AssertionError(f"row {d} computed")
+
+        monkeypatch.setattr(invariants, "count_both", no_rows)
+        with pytest.raises(CensusTooLargeError):
+            build_table(7)
 
 
 class TestAsymptotics:

@@ -4,8 +4,11 @@ from itertools import combinations
 import pytest
 
 from tropcurve import (
+    CENSUS_LIMIT,
     BadDegreeError,
+    CensusTooLargeError,
     InvalidPathError,
+    check_census,
     count_both,
     count_gw,
     count_welschinger,
@@ -101,6 +104,17 @@ class TestEnumeration:
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_census_matches_binomial(self, d):
         assert path_census(path_domain(d)) == census_formula(d)
+
+    @pytest.mark.parametrize("order", [ORDER_XEY, ORDER_ROWMAJOR])
+    def test_census_check_counts_the_paths(self, order):
+        for d in range(1, 6):
+            dom = path_domain(d, order)
+            assert check_census(dom) == path_census(dom)
+
+    def test_census_out_of_reach_fails_on_call(self):
+        assert check_census(path_domain(6)) <= CENSUS_LIMIT
+        with pytest.raises(CensusTooLargeError, match="1855967520"):
+            enumerate_paths(path_domain(7))  # raised before the first path is drawn
 
     def test_deterministic_order(self):
         first = list(enumerate_paths(path_domain(3)))
