@@ -115,7 +115,7 @@ def path_domain(d: int, order: str = ORDER_XEY) -> PathDomain:
     direct = tuple(_side_lattice_points(p, q))
     r_is_left = cross((q[0] - p[0], q[1] - p[1]), (r[0] - p[0], r[1] - p[1])) > 0
     left_arc, right_arc = (via_corner, direct) if r_is_left else (direct, via_corner)
-    return PathDomain(
+    domain = PathDomain(
         d=d,
         order=order,
         points=tuple(pts),
@@ -124,6 +124,10 @@ def path_domain(d: int, order: str = ORDER_XEY) -> PathDomain:
         left_arc=left_arc,
         right_arc=right_arc,
     )
+    # the engines find an arc by its point set, so each arc must be increasing
+    validate_path(left_arc, domain)
+    validate_path(right_arc, domain)
+    return domain
 
 
 def check_census(domain: PathDomain) -> int:
@@ -175,47 +179,79 @@ def validate_path(path, domain: PathDomain) -> tuple[Point, ...]:
 
 
 class _DivisionEngine:
-    """Memoized connectivity-state division recursion toward one boundary arc."""
+    """Memoized connectivity-state division recursion toward one boundary arc.
+
+    A sub-path is strictly increasing, so its point set names it: the cache
+    key is the bitmask of the points' ranks.  A cut clears b's bit; a swap
+    clears b's and sets v's, and v = a + c - b lies strictly between a and c
+    in the (linear) order.  Sub-paths with no tiling go in a set of keys.
+    """
 
     def __init__(self, domain: PathDomain, side: str):
-        self.arc = domain.left_arc if side == SIDE_PLUS else domain.right_arc
-        self.sign = 1 if side == SIDE_PLUS else -1
-        self.rank = domain.rank
+        arc = domain.left_arc if side == SIDE_PLUS else domain.right_arc
+        sign = 1 if side == SIDE_PLUS else -1
+        self.bit = {pt: 1 << k for pt, k in domain.rank.items()}
+        self.arc_mask = self.mask(arc)
         # each top-level path is asked for once: keep sub-paths only
         self.top_points = domain.steps() + 1
-        self.cache: dict[tuple[Point, ...], States] = {}
+        self.cache: dict[int, States] = {}
+        self.dead: set[int] = set()
+        # per triangle abc: its weights if the corner b turns toward the arc, else None
+        self.corner_weights = lru_cache(maxsize=None)(
+            lambda a, b, c: triangle_weights(a, b, c) if sign * turn(a, b, c) > 0 else None
+        )
+        # the last top-level path, for a second call on the same path
+        self.last: tuple[int, States] = (0, _NO_STATES)
+
+    def mask(self, pts: tuple[Point, ...]) -> int:
+        return sum(map(self.bit.__getitem__, pts))
 
     def states(self, pts: tuple[Point, ...]) -> States:
-        """Step partitions of pts over the tilings toward the arc."""
-        cached = self.cache.get(pts)
+        """Step partitions of an increasing path over the tilings toward the arc."""
+        mask = self.mask(pts)
+        if self.last[0] != mask:
+            self.last = (mask, self._states(pts, mask))
+        return self.last[1]
+
+    def _states(self, pts: tuple[Point, ...], mask: int) -> States:
+        cached = self.cache.get(mask)
         if cached is not None:
             return cached
+        if mask in self.dead:
+            return _NO_STATES
         result = _NO_STATES
-        if pts == self.arc:
+        if mask == self.arc_mask:
             result = {tuple(range(len(pts) - 1)): (1, 1)}
         else:
+            bit = self.bit
             for j in range(1, len(pts) - 1):
                 a, b, c = pts[j - 1], pts[j], pts[j + 1]
-                if self.sign * turn(a, b, c) <= 0:
+                weights = self.corner_weights(a, b, c)
+                if weights is None:
                     continue
                 # the first corner turning toward the arc
-                m, fw = triangle_weights(a, b, c)
+                m, fw = weights
+                without_b = mask ^ bit[b]
                 # cut: steps ab and bc join the component of step ac
                 out = {
                     labels[:j] + labels[j - 1 :]: (m * mu, fw * nu)
-                    for labels, (mu, nu) in self.states(pts[:j] + pts[j + 1 :]).items()
+                    for labels, (mu, nu) in self._states(pts[:j] + pts[j + 1 :], without_b).items()
                 }
                 v = (a[0] + c[0] - b[0], a[1] + c[1] - b[1])
-                if v in self.rank:
+                if v in bit:
                     # swap: the parallelogram's branches cross, ab ~ vc and bc ~ av
-                    for labels, (mu, nu) in self.states(pts[:j] + (v,) + pts[j + 1 :]).items():
+                    swap = pts[:j] + (v,) + pts[j + 1 :]
+                    for labels, (mu, nu) in self._states(swap, without_b | bit[v]).items():
                         swapped = labels[: j - 1] + (labels[j], labels[j - 1]) + labels[j + 1 :]
                         old_mu, old_nu = out.get(swapped, (0, 0))
                         out[swapped] = (old_mu + mu, old_nu + nu)
                 result = out or _NO_STATES
                 break
         if len(pts) < self.top_points:
-            self.cache[pts] = result
+            if result:
+                self.cache[mask] = result
+            else:
+                self.dead.add(mask)
         return result
 
 
@@ -268,7 +304,7 @@ def clear_caches() -> dict[str, int]:
     """Drop every memoized engine and count; return the entries dropped."""
     dropped = {
         "engines": len(_ENGINES),
-        "states": sum(len(e.cache) for engines in _ENGINES.values() for e in engines.values()),
+        "states": sum(len(e.cache) + len(e.dead) for es in _ENGINES.values() for e in es.values()),
         "totals": _totals.cache_info().currsize,
     }
     _ENGINES.clear()
@@ -323,19 +359,28 @@ def path_multiplicity(path, domain: PathDomain) -> PathMultiplicity:
     )
 
 
+def _corner_first(domain: PathDomain) -> tuple[str, str]:
+    """Both sides, first the one whose arc runs through the third corner (2d + 1
+    points against d + 1): few of its sub-paths reach the arc, so it rejects
+    most paths before the other side is built."""
+    if len(domain.left_arc) > len(domain.right_arc):
+        return SIDE_PLUS, SIDE_MINUS
+    return SIDE_MINUS, SIDE_PLUS
+
+
 @lru_cache(maxsize=None)
 def _totals(d: int, order: str) -> tuple[int, int]:
     domain = path_domain(d, order)
     engines = _engines(domain)
-    plus_states, minus_states = engines[SIDE_PLUS].states, engines[SIDE_MINUS].states
+    corner_states, other_states = (engines[side].states for side in _corner_first(domain))
     total_mu = 0
     total_nu = 0
     for path in enumerate_paths(domain):
         # cheap rejection: a path with a dead side has no completions at all
-        plus = plus_states(path)
-        if not plus:
+        states = corner_states(path)
+        if not states:
             continue
-        mu, nu = _glued_totals(plus, minus_states(path))
+        mu, nu = _glued_totals(states, other_states(path))
         total_mu += mu
         total_nu += nu
     return total_mu, total_nu

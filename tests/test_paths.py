@@ -306,6 +306,62 @@ class TestCounts:
                         keys += 1
         assert keys > 0
 
+    @pytest.mark.parametrize("order", [ORDER_XEY, ORDER_ROWMAJOR])
+    def test_engine_keys_are_proper_sub_paths(self, order):
+        # a key is the bitmask of a sub-path's points: p and q included, fewer
+        # points than a top-level path, live in `cache` or dead in `dead`
+        d = 4
+        clear_caches()
+        dom = path_domain(d, order)
+        count_both(d, order)
+        for path in enumerate_paths(dom):
+            path_multiplicity(path, dom)
+        everything = (1 << len(dom.points)) - 1
+        ends = 1 << dom.rank[dom.p] | 1 << dom.rank[dom.q]
+        for engine in paths._engines(dom).values():
+            assert engine.cache and engine.dead
+            assert not engine.cache.keys() & engine.dead
+            for key in [*engine.cache, *engine.dead]:
+                assert key & everything == key != everything
+                assert key & ends == ends
+                assert bin(key).count("1") < 3 * d
+
+    def test_triangle_memo_holds_each_triangle_once(self):
+        d = 4
+        clear_caches()
+        dom = path_domain(d)
+        count_both(d)
+        for path in enumerate_paths(dom):
+            path_multiplicity(path, dom)
+        for engine in paths._engines(dom).values():
+            memo = engine.corner_weights.cache_info()
+            assert 0 < memo.currsize <= math.comb(len(dom.points), 3) == math.comb(15, 3)
+            assert memo.hits > memo.currsize
+
+    def test_top_level_maps_are_reused(self):
+        dom = path_domain(3)
+        live = [p for p in enumerate_paths(dom) if path_multiplicity(p, dom).complex_total]
+        engines = paths._engines(dom)
+        for path in live[:5]:
+            side_multiplicity(path, dom, SIDE_PLUS, KIND_COMPLEX)
+            plus = engines[SIDE_PLUS].states(path)
+            assert plus and engines[SIDE_PLUS].states(path) is plus
+
+
+class TestSideChoice:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_corner_side_by_order(self, d):
+        # the corner arc runs through the corner that is neither p nor q
+        for order, side in ((ORDER_XEY, SIDE_MINUS), (ORDER_ROWMAJOR, SIDE_PLUS)):
+            dom = path_domain(d, order)
+            assert paths._corner_first(dom)[0] == side
+            arc = dom.left_arc if side == SIDE_PLUS else dom.right_arc
+            (corner,) = {(0, 0), (d, 0), (0, d)} - {dom.p, dom.q}
+            assert corner in arc
+
+    def test_degree_five_counts_agree_across_orders(self):
+        assert count_both(5, ORDER_ROWMAJOR) == count_both(5, ORDER_XEY) == (87304, 18264)
+
 
 class TestSideSymmetry:
     def test_minus_first_evaluation_same_totals(self):
