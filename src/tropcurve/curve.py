@@ -8,13 +8,16 @@ edge per interior subdivision edge, one unbounded ray per boundary edge.  The
 cell list is the curve's one index: curve vertex k is dual to cell k, and the
 edges and rays are read straight off the cells' sides.
 
-The subdivision is computed over the integers: coefficients are rescaled by a
-common denominator (positive rescaling does not change the face structure).
+The subdivision is computed over the integers, on the polynomial's integer
+lift: coefficients rescaled by a common denominator (positive rescaling does
+not change the face structure).
 Its cells are found by a gift-wrapping walk over the upper hull of the lifted
 points: from one facet next to the Newton polygon's boundary, each cell edge
 is crossed once by a linear scan of integer orientation signs, so the cost
 grows with the number of cells, not with the number of point triples.  Curve
-vertex coordinates are exact Fractions solved from term equalities.
+vertex coordinates are exact Fractions solved from term equalities.  A
+membership query puts the point and the vertices on one common denominator
+and compares ints.
 """
 
 from __future__ import annotations
@@ -109,16 +112,6 @@ class CurveStats:
     welschinger_sign: int | None
 
 
-def _integer_lift(poly: TropicalPolynomial) -> dict[Point, int]:
-    """Coefficients scaled by a common positive denominator.
-
-    Rescaling heights by a positive constant preserves the upper faces, so the
-    subdivision can be computed in pure integer arithmetic.
-    """
-    scale = lcm(*(c.denominator for c in poly.terms.values()))
-    return {p: int(c * scale) for p, c in poly.terms.items()}
-
-
 def _facet_beyond(points: list[Lifted], u: Lifted, v: Lifted) -> frozenset[Point] | None:
     """Support points of the upper facet across the lifted edge u -> v.
 
@@ -161,14 +154,13 @@ def dual_subdivision(poly: TropicalPolynomial) -> Subdivision:
         raise DegenerateSupportError(
             f"Newton polygon must be 2-dimensional, got hull {hull}"
         )
-    lift = _integer_lift(poly)
-    lifted = {p: (p[0], p[1], z) for p, z in lift.items()}
-    points = list(lifted.values())
+    points = list(poly.integer_lift)
+    lifted = {row[:2]: row for row in points}
     h0, h1 = hull[0], hull[1]
     # next vertex after h0 on the upper chain over the edge h0 -> h1
     q = max(
         (p for p in support if p != h0 and turn(h0, h1, p) == 0),
-        key=lambda p: Fraction(lift[p] - lift[h0], lattice_length(h0, p)),
+        key=lambda p: Fraction(lifted[p][2] - lifted[h0][2], lattice_length(h0, p)),
     )
     first = _facet_beyond(points, lifted[q], lifted[h0])
     hulls = {first: tuple(convex_hull(first))}
@@ -388,18 +380,27 @@ def membership_oracle(poly: TropicalPolynomial, point) -> bool:
 
 
 def point_on_curve(curve: TropicalCurve, point) -> bool:
-    """Exact geometric membership test against extracted edges and rays."""
-    p = (Fraction(point[0]), Fraction(point[1]))
-    for edge in curve.bounded_edges:
-        a = curve.vertices[edge.v1]
-        b = curve.vertices[edge.v2]
-        if on_segment(p, (a.x, a.y), (b.x, b.y)):
-            return True
-    for ray in curve.rays:
-        base = curve.vertices[ray.vertex]
-        if on_ray(p, (base.x, base.y), ray.direction):
-            return True
-    return False
+    """Exact geometric membership test against extracted edges and rays.
+
+    The point and the vertices are scaled by the lcm of all their
+    denominators, so the segment and ray tests compare ints.
+    """
+    px, py = Fraction(point[0]), Fraction(point[1])
+    den = lcm(
+        px.denominator,
+        py.denominator,
+        *(v.x.denominator for v in curve.vertices),
+        *(v.y.denominator for v in curve.vertices),
+    )
+
+    def scaled(x: Fraction, y: Fraction) -> Point:
+        return (x.numerator * (den // x.denominator), y.numerator * (den // y.denominator))
+
+    p = scaled(px, py)
+    vertices = [scaled(v.x, v.y) for v in curve.vertices]
+    return any(
+        on_segment(p, vertices[edge.v1], vertices[edge.v2]) for edge in curve.bounded_edges
+    ) or any(on_ray(p, vertices[ray.vertex], ray.direction) for ray in curve.rays)
 
 
 def curve_stats(curve: TropicalCurve) -> CurveStats:

@@ -6,14 +6,18 @@ coefficients c, representing the piecewise linear function
     (x, y)  ->  max over terms of  x*i + y*j + c.
 
 Ties are meaningful (they are where the tropical curve lives), so every
-comparison is exact: coefficients and evaluation points are Fractions and
-no float ever enters.
+comparison is exact and no float ever enters.  Coefficients, evaluation
+points and values are Fractions at the interface.  Inside, each polynomial
+keeps an integer lift, its coefficients times the lcm of their denominators,
+and a query puts the point on a common denominator too, so the terms are
+compared as Python ints.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 from typing import Iterable
 
 from .errors import DuplicateTermError, EmptySupportError, ParseError
@@ -45,7 +49,7 @@ def format_rational(value: Fraction) -> str:
 class TropicalPolynomial:
     """Immutable finite collection of tropical terms (i, j) -> coefficient."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_scale", "_lift")
 
     def __init__(self, terms: Iterable[tuple[Point, Fraction]]):
         coeffs: dict[Point, Fraction] = {}
@@ -59,11 +63,25 @@ class TropicalPolynomial:
         if not coeffs:
             raise EmptySupportError("polynomial needs at least one term")
         self._terms = coeffs
+        self._scale = lcm(*(c.denominator for c in coeffs.values()))
+        self._lift = tuple(
+            (i, j, c.numerator * (self._scale // c.denominator)) for (i, j), c in coeffs.items()
+        )
 
     @property
     def terms(self) -> dict[Point, Fraction]:
         """Exponent -> coefficient map.  Treat as read-only."""
         return self._terms
+
+    @property
+    def integer_lift(self) -> tuple[tuple[int, int, int], ...]:
+        """Rows (i, j, c * scale), in the order of `terms`, where scale is the
+        lcm of the coefficient denominators.
+
+        A positive scale keeps every comparison between terms and the upper
+        faces of the lifted support, so both can be computed on these ints.
+        """
+        return self._lift
 
     @property
     def support(self) -> list[Point]:
@@ -86,26 +104,30 @@ class TropicalPolynomial:
         )
         return f"TropicalPolynomial({{{parts}}})"
 
-    def evaluate(self, x, y) -> Fraction:
-        """Value max(x*i + y*j + c) at an exact rational point."""
+    def _scaled_values(self, x, y) -> tuple[list[int], int]:
+        """Each term's value at (x, y) times a positive int, and that int.
+
+        With x = a/b and y = e/f, the term x*i + y*j + c times b*f*scale is
+        i*(a*f*scale) + j*(e*b*scale) + (c*scale)*(b*f), all in ints.
+        """
         x = Fraction(x)
         y = Fraction(y)
-        return max(x * i + y * j + c for (i, j), c in self._terms.items())
+        scale = self._scale
+        xs = x.numerator * y.denominator * scale
+        ys = y.numerator * x.denominator * scale
+        zs = x.denominator * y.denominator
+        return [i * xs + j * ys + z * zs for i, j, z in self._lift], zs * scale
+
+    def evaluate(self, x, y) -> Fraction:
+        """Value max(x*i + y*j + c) at an exact rational point."""
+        values, den = self._scaled_values(x, y)
+        return Fraction(max(values), den)
 
     def argmax_terms(self, x, y) -> set[Point]:
         """All exponents whose term attains the maximum at (x, y)."""
-        x = Fraction(x)
-        y = Fraction(y)
-        best: Fraction | None = None
-        winners: set[Point] = set()
-        for (i, j), c in self._terms.items():
-            value = x * i + y * j + c
-            if best is None or value > best:
-                best = value
-                winners = {(i, j)}
-            elif value == best:
-                winners.add((i, j))
-        return winners
+        values, _ = self._scaled_values(x, y)
+        best = max(values)
+        return {p for p, value in zip(self._terms, values) if value == best}
 
     def newton_polygon(self) -> list[Point]:
         """Convex hull of the support, counterclockwise from the lex minimum."""

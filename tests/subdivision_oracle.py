@@ -9,7 +9,6 @@ only run on small supports.
 
 from __future__ import annotations
 
-from tropcurve.curve import _integer_lift
 from tropcurve.geometry import convex_hull
 
 
@@ -17,7 +16,7 @@ def triple_scan_cells(poly):
     """Cells of the regular subdivision, ordered and shaped as in
     `dual_subdivision(poly).cells`."""
     support = poly.support
-    lift = _integer_lift(poly)
+    lift = {(i, j): z for i, j, z in poly.integer_lift}
     n = len(support)
     cell_sets = set()
     for ia in range(n):

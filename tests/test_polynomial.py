@@ -282,6 +282,66 @@ class TestProperties:
         assert shifted.argmax_terms(*p) == poly.argmax_terms(*p)
 
 
+def fraction_values(poly, x, y):
+    """Each term's value x*i + y*j + c, written out in Fractions."""
+    x, y = Fraction(x), Fraction(y)
+    return {(i, j): x * i + y * j + c for (i, j), c in poly.terms.items()}
+
+
+# negative exponents, and coefficients whose denominators mix
+signed_supports = st.lists(
+    st.tuples(st.integers(min_value=-5, max_value=5), st.integers(min_value=-5, max_value=5)),
+    min_size=1,
+    max_size=10,
+    unique=True,
+)
+mixed_coefficients = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+query_fractions = st.fractions(min_value=-20, max_value=20, max_denominator=30)
+# a coordinate as a caller may give it: int, Fraction or "p/q" text
+query_values = st.one_of(
+    st.integers(min_value=-20, max_value=20),
+    query_fractions,
+    query_fractions.map(lambda f: f"{f.numerator}/{f.denominator}"),
+)
+
+
+@st.composite
+def signed_polynomials(draw):
+    support = draw(signed_supports)
+    coeffs = draw(st.lists(mixed_coefficients, min_size=len(support), max_size=len(support)))
+    return make_polynomial(list(zip(support, coeffs)))
+
+
+class TestIntegerQueries:
+    """`evaluate` and `argmax_terms` compare ints on a common denominator;
+    the reference here is the plain Fraction max."""
+
+    @given(signed_polynomials(), query_values, query_values, st.data())
+    @settings(max_examples=120)
+    def test_match_fraction_max(self, poly, x, y, data):
+        values = fraction_values(poly, x, y)
+        best = max(values.values())
+        value = poly.evaluate(x, y)
+        winners = poly.argmax_terms(x, y)
+        assert type(value) is Fraction and value == best
+        assert type(winners) is set
+        assert winners == {p for p, v in values.items() if v == best}
+        # raise one term's coefficient until it ties the max
+        lifted = data.draw(st.sampled_from(sorted(values)))
+        shift = best - values[lifted]
+        tied = make_polynomial(
+            (p, c + shift if p == lifted else c) for p, c in poly.terms.items()
+        )
+        assert tied.evaluate(x, y) == best
+        assert tied.argmax_terms(x, y) == winners | {lifted}
+
+    def test_integer_lift_rows(self):
+        poly = make_polynomial(
+            [((0, 0), Fraction(1, 4)), ((-2, 1), Fraction(-5, 6)), ((1, 3), Fraction(2))]
+        )
+        assert poly.integer_lift == ((0, 0, 3), (-2, 1, -10), (1, 3, 24))
+
+
 def test_parse_rational_rejects_junk():
     for bad in ("", "x", "1/", "/2", "1.5", "1/2/3", "1/0", "-3/00"):
         with pytest.raises(ValueError):
