@@ -96,9 +96,6 @@ class TropicalCurve:
     rays: tuple[Ray, ...]
     subdivision: Subdivision
 
-    def dual_polygon(self, vertex_index: int) -> tuple[Point, ...]:
-        return self.subdivision.cells[vertex_index]
-
 
 @dataclass(frozen=True)
 class CurveStats:
@@ -279,7 +276,7 @@ def degree(curve: TropicalCurve) -> int:
 
 def vertex_multiplicity(curve: TropicalCurve, vertex_index: int) -> int:
     """Normalized area (twice Euclidean) of the vertex's dual triangle."""
-    cell = curve.dual_polygon(vertex_index)
+    cell = curve.subdivision.cells[vertex_index]
     if len(cell) != 3:
         raise NotTrivalentError(
             f"vertex {vertex_index} has a {len(cell)}-gon dual cell"
@@ -352,7 +349,7 @@ def first_betti(curve: TropicalCurve) -> int:
         return x
 
     def branch(v: int, dual: Segment) -> tuple[int, bool]:
-        cell = curve.dual_polygon(v)
+        cell = curve.subdivision.cells[v]
         if len(cell) == 3:
             return (v, False)
         a, b = dual
@@ -412,10 +409,10 @@ def curve_stats(curve: TropicalCurve) -> CurveStats:
     multiplicities = tuple(
         triangle_weights(*cell)[0] for cell in curve.subdivision.cells if len(cell) == 3
     )
-    if is_simple(curve):
+    try:
         b1: int | None = first_betti(curve)
         sign: int | None = welschinger_sign(curve)
-    else:
+    except NotSimpleError:
         b1 = None
         sign = None
     return CurveStats(

@@ -82,6 +82,11 @@ class PathDomain:
     def rank(self) -> dict[Point, int]:
         return {pt: k for k, pt in enumerate(self.points)}
 
+    @cached_property
+    def engines(self) -> dict[str, _DivisionEngine]:
+        """The division engine of each side; their memo lives as long as the domain."""
+        return {side: _DivisionEngine(self, side) for side in (SIDE_PLUS, SIDE_MINUS)}
+
     def steps(self) -> int:
         """Step count of a top-level path."""
         return 3 * self.d - 1
@@ -185,6 +190,7 @@ class _DivisionEngine:
     key is the bitmask of the points' ranks.  A cut clears b's bit; a swap
     clears b's and sets v's, and v = a + c - b lies strictly between a and c
     in the (linear) order.  Sub-paths with no tiling go in a set of keys.
+    The memo lives as long as the domain that owns the engine.
     """
 
     def __init__(self, domain: PathDomain, side: str):
@@ -200,20 +206,15 @@ class _DivisionEngine:
         self.corner_weights = lru_cache(maxsize=None)(
             lambda a, b, c: triangle_weights(a, b, c) if sign * turn(a, b, c) > 0 else None
         )
-        # the last top-level path, for a second call on the same path
-        self.last: tuple[int, States] = (0, _NO_STATES)
 
     def mask(self, pts: tuple[Point, ...]) -> int:
         return sum(map(self.bit.__getitem__, pts))
 
-    def states(self, pts: tuple[Point, ...]) -> States:
-        """Step partitions of an increasing path over the tilings toward the arc."""
-        mask = self.mask(pts)
-        if self.last[0] != mask:
-            self.last = (mask, self._states(pts, mask))
-        return self.last[1]
-
-    def _states(self, pts: tuple[Point, ...], mask: int) -> States:
+    def states(self, pts: tuple[Point, ...], mask: int | None = None) -> States:
+        """Step partitions of an increasing path over the tilings toward the arc.
+        The recursion passes along the bitmask of `pts` as `mask`."""
+        if mask is None:
+            mask = self.mask(pts)
         cached = self.cache.get(mask)
         if cached is not None:
             return cached
@@ -235,13 +236,13 @@ class _DivisionEngine:
                 # cut: steps ab and bc join the component of step ac
                 out = {
                     labels[:j] + labels[j - 1 :]: (m * mu, fw * nu)
-                    for labels, (mu, nu) in self._states(pts[:j] + pts[j + 1 :], without_b).items()
+                    for labels, (mu, nu) in self.states(pts[:j] + pts[j + 1 :], without_b).items()
                 }
                 v = (a[0] + c[0] - b[0], a[1] + c[1] - b[1])
                 if v in bit:
                     # swap: the parallelogram's branches cross, ab ~ vc and bc ~ av
                     swap = pts[:j] + (v,) + pts[j + 1 :]
-                    for labels, (mu, nu) in self._states(swap, without_b | bit[v]).items():
+                    for labels, (mu, nu) in self.states(swap, without_b | bit[v]).items():
                         swapped = labels[: j - 1] + (labels[j], labels[j - 1]) + labels[j + 1 :]
                         old_mu, old_nu = out.get(swapped, (0, 0))
                         out[swapped] = (old_mu + mu, old_nu + nu)
@@ -287,31 +288,6 @@ def _glued_totals(plus: States, minus: States) -> tuple[int, int]:
     return total_mu, total_nu
 
 
-_ENGINES: dict[tuple[int, str], dict[str, _DivisionEngine]] = {}
-
-
-def _engines(domain: PathDomain) -> dict[str, _DivisionEngine]:
-    """The domain's division engine for each side."""
-    key = (domain.d, domain.order)
-    engines = _ENGINES.get(key)
-    if engines is None:
-        engines = {side: _DivisionEngine(domain, side) for side in (SIDE_PLUS, SIDE_MINUS)}
-        _ENGINES[key] = engines
-    return engines
-
-
-def clear_caches() -> dict[str, int]:
-    """Drop every memoized engine and count; return the entries dropped."""
-    dropped = {
-        "engines": len(_ENGINES),
-        "states": sum(len(e.cache) + len(e.dead) for es in _ENGINES.values() for e in es.values()),
-        "totals": _totals.cache_info().currsize,
-    }
-    _ENGINES.clear()
-    _totals.cache_clear()
-    return dropped
-
-
 @dataclass(frozen=True)
 class PathMultiplicity:
     """Division values of one path.
@@ -336,16 +312,15 @@ def side_multiplicity(path, domain: PathDomain, side: str, kind: str) -> int:
         raise ValueError(f"side must be {SIDE_PLUS!r} or {SIDE_MINUS!r}")
     if kind not in (KIND_COMPLEX, KIND_WELSCHINGER):
         raise ValueError(f"kind must be {KIND_COMPLEX!r} or {KIND_WELSCHINGER!r}")
-    mu, nu = _side_values(_engines(domain)[side].states(pts))
+    mu, nu = _side_values(domain.engines[side].states(pts))
     return mu if kind == KIND_COMPLEX else nu
 
 
 def path_multiplicity(path, domain: PathDomain) -> PathMultiplicity:
     """Side values and connected totals of one path."""
     pts = validate_path(path, domain)
-    engines = _engines(domain)
-    plus = engines[SIDE_PLUS].states(pts)
-    minus = engines[SIDE_MINUS].states(pts)
+    plus = domain.engines[SIDE_PLUS].states(pts)
+    minus = domain.engines[SIDE_MINUS].states(pts)
     cp, wp = _side_values(plus)
     cm, wm = _side_values(minus)
     mu, nu = _glued_totals(plus, minus)
@@ -368,11 +343,10 @@ def _corner_first(domain: PathDomain) -> tuple[str, str]:
     return SIDE_MINUS, SIDE_PLUS
 
 
-@lru_cache(maxsize=None)
-def _totals(d: int, order: str) -> tuple[int, int]:
+def count_both(d: int, order: str = ORDER_XEY) -> tuple[int, int]:
+    """(curve count, Welschinger invariant) from one enumeration pass."""
     domain = path_domain(d, order)
-    engines = _engines(domain)
-    corner_states, other_states = (engines[side].states for side in _corner_first(domain))
+    corner_states, other_states = (domain.engines[side].states for side in _corner_first(domain))
     total_mu = 0
     total_nu = 0
     for path in enumerate_paths(domain):
@@ -384,12 +358,6 @@ def _totals(d: int, order: str) -> tuple[int, int]:
         total_mu += mu
         total_nu += nu
     return total_mu, total_nu
-
-
-def count_both(d: int, order: str = ORDER_XEY) -> tuple[int, int]:
-    """(curve count, Welschinger invariant) from one enumeration pass."""
-    check_degree(d)  # before the cache: 5.0 must not share the entry of 5
-    return _totals(d, order)
 
 
 def count_gw(d: int, order: str = ORDER_XEY) -> int:

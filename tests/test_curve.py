@@ -424,7 +424,7 @@ class TestMultiplicities:
     def test_node_is_not_trivalent(self):
         curve = extract_curve(nodal_conic())
         node_vertex = next(
-            v for v in range(len(curve.vertices)) if len(curve.dual_polygon(v)) == 4
+            v for v in range(len(curve.vertices)) if len(curve.subdivision.cells[v]) == 4
         )
         with pytest.raises(NotTrivalentError):
             vertex_multiplicity(curve, node_vertex)

@@ -1,3 +1,4 @@
+import gc
 import math
 from itertools import combinations
 
@@ -28,7 +29,6 @@ from tropcurve.paths import (
     ORDER_XEY,
     SIDE_MINUS,
     SIDE_PLUS,
-    clear_caches,
 )
 
 from path_oracle import TilingOracle, brute_triangle_weights
@@ -250,6 +250,8 @@ class TestCounts:
     def test_unknown_order(self):
         with pytest.raises(ValueError, match="'bogus'"):
             count_both(3, "bogus")
+        with pytest.raises(ValueError, match=r"\['xey'\]"):
+            count_both(3, ["xey"])
 
     def test_reducible_excess_at_degree_four(self):
         # side products also count reducible degenerations; at d=4 these are a
@@ -272,18 +274,8 @@ class TestCounts:
         b = count_both(3)
         assert a == b
 
-    def test_clear_caches(self):
-        clear_caches()
-        before = count_both(3)
-        dropped = clear_caches()
-        assert dropped["engines"] == 1
-        assert dropped["states"] > 0
-        assert dropped["totals"] == 1
-        assert clear_caches() == {"engines": 0, "states": 0, "totals": 0}
-        assert count_both(3) == before
-
     def test_cached_degree_rejects_float_and_bool(self):
-        # 3.0 == 3 and True == 1 hash alike, so the check must come before the cache
+        # 3.0 == 3 and True == 1: a degree that merely equals an int is still refused
         count_both(3)
         count_both(1)
         with pytest.raises(BadDegreeError):
@@ -295,15 +287,15 @@ class TestCounts:
     def test_state_labels_are_dense(self, order):
         # no relabelling after a swap: _connected sizes its union-find by max + 1,
         # so the k blocks of every state key must be labelled exactly 0..k-1
-        count_both(4, order)
-        assert paths._ENGINES
+        dom = path_domain(4, order)
+        for path in enumerate_paths(dom):
+            path_multiplicity(path, dom)
         keys = 0
-        for engines in paths._ENGINES.values():
-            for engine in engines.values():
-                for states in engine.cache.values():
-                    for labels in states:
-                        assert set(labels) == set(range(max(labels) + 1)), labels
-                        keys += 1
+        for engine in dom.engines.values():
+            for states in engine.cache.values():
+                for labels in states:
+                    assert set(labels) == set(range(max(labels) + 1)), labels
+                    keys += 1
         assert keys > 0
 
     @pytest.mark.parametrize("order", [ORDER_XEY, ORDER_ROWMAJOR])
@@ -311,14 +303,12 @@ class TestCounts:
         # a key is the bitmask of a sub-path's points: p and q included, fewer
         # points than a top-level path, live in `cache` or dead in `dead`
         d = 4
-        clear_caches()
         dom = path_domain(d, order)
-        count_both(d, order)
         for path in enumerate_paths(dom):
             path_multiplicity(path, dom)
         everything = (1 << len(dom.points)) - 1
         ends = 1 << dom.rank[dom.p] | 1 << dom.rank[dom.q]
-        for engine in paths._engines(dom).values():
+        for engine in dom.engines.values():
             assert engine.cache and engine.dead
             assert not engine.cache.keys() & engine.dead
             for key in [*engine.cache, *engine.dead]:
@@ -327,25 +317,23 @@ class TestCounts:
                 assert bin(key).count("1") < 3 * d
 
     def test_triangle_memo_holds_each_triangle_once(self):
-        d = 4
-        clear_caches()
-        dom = path_domain(d)
-        count_both(d)
+        dom = path_domain(4)
         for path in enumerate_paths(dom):
             path_multiplicity(path, dom)
-        for engine in paths._engines(dom).values():
+        for engine in dom.engines.values():
             memo = engine.corner_weights.cache_info()
             assert 0 < memo.currsize <= math.comb(len(dom.points), 3) == math.comb(15, 3)
             assert memo.hits > memo.currsize
 
-    def test_top_level_maps_are_reused(self):
-        dom = path_domain(3)
-        live = [p for p in enumerate_paths(dom) if path_multiplicity(p, dom).complex_total]
-        engines = paths._engines(dom)
-        for path in live[:5]:
-            side_multiplicity(path, dom, SIDE_PLUS, KIND_COMPLEX)
-            plus = engines[SIDE_PLUS].states(path)
-            assert plus and engines[SIDE_PLUS].states(path) is plus
+    def test_engines_live_on_their_domain(self):
+        # count_both leaves no engine behind; each domain builds its own, once
+        count_both(4)
+        gc.collect()
+        assert not [obj for obj in gc.get_objects() if isinstance(obj, paths._DivisionEngine)]
+        dom = path_domain(4)
+        assert dom.engines is dom.engines
+        other = path_domain(4).engines
+        assert all(other[side] is not dom.engines[side] for side in (SIDE_PLUS, SIDE_MINUS))
 
 
 class TestSideChoice:
