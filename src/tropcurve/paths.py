@@ -32,6 +32,11 @@ parallelogram's branches cross, so ab takes the block of vc and bc that of av.
 Join: a plus and a minus partition glue to a connected curve exactly when
 their join is one block.  Side values are the sums of the map's weights.  No
 component escapes the partitions: every cell branch owns a step of its path.
+
+The counts do not scan the census.  Few paths have a tiling toward the arc
+through the third corner of the triangle (1833 of 27132 at d = 5), and a
+reverse search (Avis-Fukuda) grows exactly those out of that arc by the
+recursion's moves run backwards; only they meet the other side's engine.
 """
 
 from __future__ import annotations
@@ -256,6 +261,60 @@ class _DivisionEngine:
         return result
 
 
+def _live_paths(domain: PathDomain, side: str) -> set[tuple[Point, ...]]:
+    """The top-level paths with a tiling toward the side's arc, by reverse search.
+
+    The recursion peels a live path at its first corner turning toward the
+    arc, to a live path that is shorter (cut) or as long (swap).  Run it
+    backwards from the arc, level by level in the number of points: insert b
+    between consecutive a and c (inverse cut), or replace v between a and c by
+    b = a + c - v (inverse swap), where a < b < c in the order.  The result is
+    live iff b is its first corner turning toward the arc.
+    """
+    toward = domain.engines[side].corner_weights
+    rank = domain.rank
+
+    def turns(a, b, c):
+        return toward(a, b, c) is not None
+
+    def reach(path):
+        # a move puts b at j <= reach: the path's corners 1..j-2 stay, and none may turn
+        turning = (j for j in range(1, len(path) - 1) if turns(*path[j - 1 : j + 2]))
+        return next(turning, len(path) - 1) + 1
+
+    def keeps(path, j, b, c):
+        # b lands at j, between path[j - 1] and c: is its corner the first that turns?
+        return turns(path[j - 1], b, c) and (j == 1 or not turns(path[j - 2], path[j - 1], b))
+
+    def closed_under_swaps(level):
+        work = list(level)
+        while work:
+            path = work.pop()
+            for j in range(1, min(reach(path), len(path) - 2) + 1):
+                a, v, c = path[j - 1 : j + 2]
+                # the order is linear, so b lies between a and c as v does
+                b = (a[0] + c[0] - v[0], a[1] + c[1] - v[1])
+                if b in rank and keeps(path, j, b, c):
+                    swapped = path[:j] + (b,) + path[j + 1 :]
+                    if swapped not in level:
+                        level.add(swapped)
+                        work.append(swapped)
+        return level
+
+    arc = domain.left_arc if side == SIDE_PLUS else domain.right_arc
+    level = closed_under_swaps({arc})
+    for _ in range(domain.steps() + 1 - len(arc)):  # one round of cuts per point the arc lacks
+        cuts = {
+            path[:j] + (b,) + path[j:]
+            for path in level
+            for j in range(1, min(reach(path), len(path) - 1) + 1)
+            for b in domain.points[rank[path[j - 1]] + 1 : rank[path[j]]]
+            if keeps(path, j, b, path[j])
+        }
+        level = closed_under_swaps(cuts)
+    return level
+
+
 def _side_values(states: States) -> tuple[int, int]:
     return sum(mu for mu, _ in states.values()), sum(nu for _, nu in states.values())
 
@@ -336,25 +395,24 @@ def path_multiplicity(path, domain: PathDomain) -> PathMultiplicity:
 
 def _corner_first(domain: PathDomain) -> tuple[str, str]:
     """Both sides, first the one whose arc runs through the third corner (2d + 1
-    points against d + 1): few of its sub-paths reach the arc, so it rejects
-    most paths before the other side is built."""
+    points against d + 1): few paths have a tiling toward that arc, so the
+    counts generate those paths and build the other side for them alone."""
     if len(domain.left_arc) > len(domain.right_arc):
         return SIDE_PLUS, SIDE_MINUS
     return SIDE_MINUS, SIDE_PLUS
 
 
 def count_both(d: int, order: str = ORDER_XEY) -> tuple[int, int]:
-    """(curve count, Welschinger invariant) from one enumeration pass."""
+    """(curve count, Welschinger invariant) from one pass over the paths live on
+    the corner side; a path dead there has no completions at all."""
     domain = path_domain(d, order)
-    corner_states, other_states = (domain.engines[side].states for side in _corner_first(domain))
+    check_census(domain)
+    corner, other = _corner_first(domain)
+    corner_states, other_states = domain.engines[corner].states, domain.engines[other].states
     total_mu = 0
     total_nu = 0
-    for path in enumerate_paths(domain):
-        # cheap rejection: a path with a dead side has no completions at all
-        states = corner_states(path)
-        if not states:
-            continue
-        mu, nu = _glued_totals(states, other_states(path))
+    for path in _live_paths(domain, corner):
+        mu, nu = _glued_totals(corner_states(path), other_states(path))
         total_mu += mu
         total_nu += nu
     return total_mu, total_nu

@@ -110,8 +110,11 @@ class TropicalPolynomial:
         With x = a/b and y = e/f, the term x*i + y*j + c times b*f*scale is
         i*(a*f*scale) + j*(e*b*scale) + (c*scale)*(b*f), all in ints.
         """
-        x = Fraction(x)
-        y = Fraction(y)
+        # points are mostly Fractions already; Fraction() would copy them
+        if not isinstance(x, Fraction):
+            x = Fraction(x)
+        if not isinstance(y, Fraction):
+            y = Fraction(y)
         scale = self._scale
         xs = x.numerator * y.denominator * scale
         ys = y.numerator * x.denominator * scale

@@ -19,6 +19,7 @@ from tropcurve import (
     path_domain,
     path_multiplicity,
     side_multiplicity,
+    validate_path,
 )
 from tropcurve import paths
 from tropcurve.geometry import triangle_weights
@@ -349,6 +350,28 @@ class TestSideChoice:
 
     def test_degree_five_counts_agree_across_orders(self):
         assert count_both(5, ORDER_ROWMAJOR) == count_both(5, ORDER_XEY) == (87304, 18264)
+
+
+class TestReverseSearch:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("order", [ORDER_XEY, ORDER_ROWMAJOR])
+    def test_live_paths_equal_the_census_filter(self, d, order):
+        dom = path_domain(d, order)
+        corner = paths._corner_first(dom)[0]
+        live = list(paths._live_paths(dom, corner))
+        assert len(live) == len(set(live))
+        for path in live:
+            assert validate_path(path, dom) == path
+        # the filter runs on its own domain, so it shares no memo with the search
+        ref = path_domain(d, order)
+        census_live = {path for path in enumerate_paths(ref) if ref.engines[corner].states(path)}
+        assert set(live) == census_live
+        assert len(live) == {1: 1, 2: 1, 3: 5, 4: 69, 5: 1833}[d]
+
+    def test_count_checks_the_census_first(self):
+        # count_both builds no census, so it must apply the census gate itself
+        with pytest.raises(CensusTooLargeError, match="1855967520"):
+            count_both(7)
 
 
 class TestSideSymmetry:
