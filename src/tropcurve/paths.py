@@ -30,7 +30,11 @@ induce it.  Arc: every step is its own block.  Cut: steps ab and bc take the
 block of step ac of the shorter path, times the triangle's weights.  Swap: a
 parallelogram's branches cross, so ab takes the block of vc and bc that of av.
 Join: a plus and a minus partition glue to a connected curve exactly when
-their join is one block.  Side values are the sums of the map's weights.  No
+their join is one block, that is, when one partition's blocks, merged along
+a spanning forest of the other (each step linked to the previous step of its
+block), form one component.  A top-level partition has one block per arc
+step, so the forest of the corner side's 2d blocks has d - 1 edges over the
+other side's d blocks.  Side values are the sums of the map's weights.  No
 component escapes the partitions: every cell branch owns a step of its path.
 
 The counts do not scan the census.  Few paths have a tiling toward the arc
@@ -207,6 +211,7 @@ class _DivisionEngine:
         self.top_points = domain.steps() + 1
         self.cache: dict[int, States] = {}
         self.dead: set[int] = set()
+        self.interned: dict[tuple[int, ...], tuple[int, ...]] = {}
         # per triangle abc: its weights if the corner b turns toward the arc, else None
         self.corner_weights = lru_cache(maxsize=None)(
             lambda a, b, c: triangle_weights(a, b, c) if sign * turn(a, b, c) > 0 else None
@@ -255,7 +260,9 @@ class _DivisionEngine:
                 break
         if len(pts) < self.top_points:
             if result:
-                self.cache[mask] = result
+                # many maps share label tuples and weight pairs: keep one copy of each
+                one = self.interned.setdefault
+                result = self.cache[mask] = {one(k, k): one(v, v) for k, v in result.items()}
             else:
                 self.dead.add(mask)
         return result
@@ -319,13 +326,26 @@ def _side_values(states: States) -> tuple[int, int]:
     return sum(mu for mu, _ in states.values()), sum(nu for _, nu in states.values())
 
 
-def _connected(plus: tuple[int, ...], minus: tuple[int, ...]) -> bool:
-    """Whether the join of two step partitions is a single block."""
-    offset = max(plus) + 1
-    parent = list(range(offset + max(minus) + 1))
+def _forest(labels: tuple[int, ...]) -> list[tuple[int, int]]:
+    """A spanning forest of a step partition: each step linked to the previous
+    step of its block."""
+    last: dict[int, int] = {}
+    edges = []
+    for step, block in enumerate(labels):
+        if block in last:
+            edges.append((last[block], step))
+        last[block] = step
+    return edges
+
+
+def _connected(forest: list[tuple[int, int]], labels: tuple[int, ...]) -> bool:
+    """Whether a partition's blocks, merged along the edges of a spanning forest
+    of another partition, form one component: whether the two partitions' join
+    is a single block."""
+    parent = list(range(max(labels) + 1))
     blocks = len(parent)
-    for x, y in zip(plus, minus):
-        y += offset
+    for i, j in forest:
+        x, y = labels[i], labels[j]
         while parent[x] != x:
             x = parent[x]
         while parent[y] != y:
@@ -336,14 +356,19 @@ def _connected(plus: tuple[int, ...], minus: tuple[int, ...]) -> bool:
     return blocks == 1
 
 
-def _glued_totals(plus: States, minus: States) -> tuple[int, int]:
-    """(complex, Welschinger) sums over glued pairs forming a connected curve."""
+def _glued_totals(corner: States, other: States) -> tuple[int, int]:
+    """(complex, Welschinger) sums over glued pairs forming a connected curve.
+
+    Each corner-side partition's forest is built once.  The corner side has
+    more blocks, so its forest is the shorter one, and the union-find runs
+    over the other side's fewer blocks."""
     total_mu = total_nu = 0
-    for labels_p, (mu_p, nu_p) in plus.items():
-        for labels_m, (mu_m, nu_m) in minus.items():
-            if _connected(labels_p, labels_m):
-                total_mu += mu_p * mu_m
-                total_nu += nu_p * nu_m
+    for labels_c, (mu_c, nu_c) in corner.items():
+        forest = _forest(labels_c)
+        for labels_o, (mu_o, nu_o) in other.items():
+            if _connected(forest, labels_o):
+                total_mu += mu_c * mu_o
+                total_nu += nu_c * nu_o
     return total_mu, total_nu
 
 
@@ -382,7 +407,8 @@ def path_multiplicity(path, domain: PathDomain) -> PathMultiplicity:
     minus = domain.engines[SIDE_MINUS].states(pts)
     cp, wp = _side_values(plus)
     cm, wm = _side_values(minus)
-    mu, nu = _glued_totals(plus, minus)
+    corner, other = (plus, minus) if _corner_first(domain)[0] == SIDE_PLUS else (minus, plus)
+    mu, nu = _glued_totals(corner, other)
     return PathMultiplicity(
         complex_plus=cp,
         complex_minus=cm,

@@ -6,7 +6,9 @@ into their crossing branches, and keep the glued pairs that form one
 connected curve.  It is slow and memory-hungry, and serves only as the
 oracle that `tropcurve.paths` is compared against.  Its triangle weights come
 from `brute_triangle_weights`, which counts lattice points one by one and
-shares no code with `tropcurve.geometry.triangle_weights`.
+shares no code with `tropcurve.geometry.triangle_weights`.  `join_totals`
+glues two state maps by a union-find over every step, the reference for the
+forest test in `tropcurve.paths`.
 """
 
 from __future__ import annotations
@@ -153,6 +155,29 @@ class TilingOracle:
             total_mu,
             total_nu,
         )
+
+
+def joined(plus, minus) -> bool:
+    """Whether the join of two step partitions is a single block, by a
+    union-find over every step of both (one node per block of each)."""
+    offset = max(plus) + 1
+    parent = list(range(offset + max(minus) + 1))
+    merged = len(parent)
+    for x, y in zip(plus, minus):
+        merged -= _union(parent, x, y + offset)
+    return merged == 1
+
+
+def join_totals(plus, minus) -> tuple[int, int]:
+    """(complex, Welschinger) sums over the pairs of two state maps whose join
+    is a single block."""
+    total_mu = total_nu = 0
+    for labels_p, (mu_p, nu_p) in plus.items():
+        for labels_m, (mu_m, nu_m) in minus.items():
+            if joined(labels_p, labels_m):
+                total_mu += mu_p * mu_m
+                total_nu += nu_p * nu_m
+    return total_mu, total_nu
 
 
 def _find(parent, x):

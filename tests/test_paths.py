@@ -1,5 +1,6 @@
 import gc
 import math
+import random
 from itertools import combinations
 
 import pytest
@@ -32,7 +33,7 @@ from tropcurve.paths import (
     SIDE_PLUS,
 )
 
-from path_oracle import TilingOracle, brute_triangle_weights
+from path_oracle import TilingOracle, brute_triangle_weights, join_totals
 
 
 def side_product_total(dom):
@@ -286,8 +287,9 @@ class TestCounts:
 
     @pytest.mark.parametrize("order", [ORDER_XEY, ORDER_ROWMAJOR])
     def test_state_labels_are_dense(self, order):
-        # no relabelling after a swap: _connected sizes its union-find by max + 1,
-        # so the k blocks of every state key must be labelled exactly 0..k-1
+        # no relabelling after a swap: the glue sizes its union-find over the
+        # other side's blocks by max + 1, so the k blocks of every state key
+        # must be labelled exactly 0..k-1
         dom = path_domain(4, order)
         for path in enumerate_paths(dom):
             path_multiplicity(path, dom)
@@ -350,6 +352,62 @@ class TestSideChoice:
 
     def test_degree_five_counts_agree_across_orders(self):
         assert count_both(5, ORDER_ROWMAJOR) == count_both(5, ORDER_XEY) == (87304, 18264)
+
+
+def random_states(rng, steps, entries):
+    """A state map of dense partitions with arbitrary block counts, 1..steps."""
+    states = {}
+    for _ in range(entries):
+        blocks = rng.randint(1, steps)
+        labels = list(range(blocks)) + [rng.randrange(blocks) for _ in range(steps - blocks)]
+        rng.shuffle(labels)
+        states[tuple(labels)] = (rng.randint(-9, 9), rng.randint(-9, 9))
+    return states
+
+
+class TestGlue:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_forest_test_equals_the_join_on_random_partitions(self, seed):
+        rng = random.Random(seed)
+        steps = rng.randint(1, 17)
+        first = random_states(rng, steps, rng.randint(1, 30))
+        second = random_states(rng, steps, rng.randint(1, 30))
+        assert paths._glued_totals(first, second) == join_totals(first, second)
+        assert paths._glued_totals(second, first) == join_totals(first, second)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("order", [ORDER_XEY, ORDER_ROWMAJOR])
+    def test_forest_test_equals_the_join_on_every_live_path(self, d, order):
+        dom = path_domain(d, order)
+        corner, other = (dom.engines[side].states for side in paths._corner_first(dom))
+        glued = 0
+        for path in enumerate_paths(dom):
+            corner_states, other_states = corner(path), other(path)
+            if corner_states and other_states:
+                expected = join_totals(corner_states, other_states)
+                assert paths._glued_totals(corner_states, other_states) == expected
+                glued += 1
+        assert glued == {1: 1, 2: 1, 3: 5, 4: 63}[d]
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("order", [ORDER_XEY, ORDER_ROWMAJOR])
+    def test_top_level_partitions_have_one_block_per_arc_step(self, d, order):
+        # the arc gives each step its own block, cuts copy labels and swaps
+        # exchange them, so a top-level partition has one block per arc step: 2d
+        # on the corner side and d on the other.  The glue builds its forest on
+        # the side with more blocks: 3d - 1 - 2d = d - 1 edges over the other
+        # side's d blocks
+        dom = path_domain(d, order)
+        corner, _ = paths._corner_first(dom)
+        for side in (SIDE_PLUS, SIDE_MINUS):
+            arc = dom.left_arc if side == SIDE_PLUS else dom.right_arc
+            assert len(arc) - 1 == (2 * d if side == corner else d)
+            checked = 0
+            for path in enumerate_paths(dom):
+                for labels in dom.engines[side].states(path):
+                    assert max(labels) + 1 == len(arc) - 1
+                    checked += 1
+            assert checked > 0
 
 
 class TestReverseSearch:
