@@ -69,8 +69,6 @@ from .paths import (
     PathMultiplicity,
     check_census,
     count_both,
-    count_gw,
-    count_welschinger,
     enumerate_paths,
     path_census,
     path_domain,

@@ -118,10 +118,10 @@ def cmd_count(args) -> int:
     if args.method == "recursion":
         _print_int(km_count(args.degree))
         return EXIT_OK
+    n_paths = pathsmod.count_both(args.degree, args.lambda_order)[0]
     if args.method == "paths":
-        print(pathsmod.count_gw(args.degree, args.lambda_order))
+        print(n_paths)
         return EXIT_OK
-    n_paths = pathsmod.count_gw(args.degree, args.lambda_order)
     n_rec = km_count(args.degree)
     print(f"{n_paths} {n_rec}")
     if n_paths != n_rec:
@@ -131,7 +131,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_welschinger(args) -> int:
-    print(pathsmod.count_welschinger(args.degree, args.lambda_order))
+    print(pathsmod.count_both(args.degree, args.lambda_order)[1])
     return EXIT_OK
 
 

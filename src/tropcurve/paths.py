@@ -93,8 +93,14 @@ class PathDomain:
 
     @cached_property
     def engines(self) -> dict[str, _DivisionEngine]:
-        """The division engine of each side; their memo lives as long as the domain."""
-        return {side: _DivisionEngine(self, side) for side in (SIDE_PLUS, SIDE_MINUS)}
+        """The division engine of each side; their memo lives as long as the domain.
+
+        The corner side comes first: its arc runs through the third corner (2d + 1
+        points against d + 1).  Few paths have a tiling toward that arc, so the
+        counts generate those paths and build the other side for them alone."""
+        plus_first = len(self.left_arc) > len(self.right_arc)
+        sides = (SIDE_PLUS, SIDE_MINUS) if plus_first else (SIDE_MINUS, SIDE_PLUS)
+        return {side: _DivisionEngine(self, side) for side in sides}
 
     def steps(self) -> int:
         """Step count of a top-level path."""
@@ -176,20 +182,20 @@ def path_census(domain: PathDomain) -> int:
 
 
 def validate_path(path, domain: PathDomain) -> tuple[Point, ...]:
-    for v in path:
-        if v[0] != int(v[0]) or v[1] != int(v[1]):
-            raise InvalidPathError(f"path points must be lattice points, got {v!r}")
-    pts = tuple((int(v[0]), int(v[1])) for v in path)
-    if len(pts) < 2 or pts[0] != domain.p or pts[-1] != domain.q:
-        raise InvalidPathError(f"path must run from {domain.p} to {domain.q}")
+    """The path's points as int pairs of the domain.  A coordinate equal to an
+    int (float, Fraction) hashes like it, so it finds that point's rank."""
     rank = domain.rank
-    for v in pts:
-        if v not in rank:
-            raise InvalidPathError(f"point {v} outside the triangle of side {domain.d}")
-    ranks = [rank[v] for v in pts]
+    ranks = []
+    for v in path:
+        k = rank.get((v[0], v[1]))
+        if k is None:
+            raise InvalidPathError(f"{v!r} is no lattice point of the side-{domain.d} triangle")
+        ranks.append(k)
+    if len(ranks) < 2 or ranks[0] != 0 or ranks[-1] != len(domain.points) - 1:
+        raise InvalidPathError(f"path must run from {domain.p} to {domain.q}")
     if any(a >= b for a, b in zip(ranks, ranks[1:])):
         raise InvalidPathError("path is not strictly increasing in the point order")
-    return pts
+    return tuple(domain.points[k] for k in ranks)
 
 
 class _DivisionEngine:
@@ -198,19 +204,18 @@ class _DivisionEngine:
     A sub-path is strictly increasing, so its point set names it: the cache
     key is the bitmask of the points' ranks.  A cut clears b's bit; a swap
     clears b's and sets v's, and v = a + c - b lies strictly between a and c
-    in the (linear) order.  Sub-paths with no tiling go in a set of keys.
+    in the (linear) order.  A sub-path with no tiling maps to `_NO_STATES`.
     The memo lives as long as the domain that owns the engine.
     """
 
     def __init__(self, domain: PathDomain, side: str):
-        arc = domain.left_arc if side == SIDE_PLUS else domain.right_arc
+        self.arc = domain.left_arc if side == SIDE_PLUS else domain.right_arc
         sign = 1 if side == SIDE_PLUS else -1
         self.bit = {pt: 1 << k for pt, k in domain.rank.items()}
-        self.arc_mask = self.mask(arc)
+        self.arc_mask = self.mask(self.arc)
         # each top-level path is asked for once: keep sub-paths only
         self.top_points = domain.steps() + 1
         self.cache: dict[int, States] = {}
-        self.dead: set[int] = set()
         self.interned: dict[tuple[int, ...], tuple[int, ...]] = {}
         # per triangle abc: its weights if the corner b turns toward the arc, else None
         self.corner_weights = lru_cache(maxsize=None)(
@@ -228,8 +233,6 @@ class _DivisionEngine:
         cached = self.cache.get(mask)
         if cached is not None:
             return cached
-        if mask in self.dead:
-            return _NO_STATES
         result = _NO_STATES
         if mask == self.arc_mask:
             result = {tuple(range(len(pts) - 1)): (1, 1)}
@@ -259,17 +262,15 @@ class _DivisionEngine:
                 result = out or _NO_STATES
                 break
         if len(pts) < self.top_points:
-            if result:
-                # many maps share label tuples and weight pairs: keep one copy of each
-                one = self.interned.setdefault
-                result = self.cache[mask] = {one(k, k): one(v, v) for k, v in result.items()}
-            else:
-                self.dead.add(mask)
+            # many maps share label tuples and weight pairs: keep one copy of each
+            one = self.interned.setdefault
+            interned = {one(k, k): one(v, v) for k, v in result.items()}
+            result = self.cache[mask] = interned or _NO_STATES
         return result
 
 
-def _live_paths(domain: PathDomain, side: str) -> set[tuple[Point, ...]]:
-    """The top-level paths with a tiling toward the side's arc, by reverse search.
+def _live_paths(domain: PathDomain) -> set[tuple[Point, ...]]:
+    """The top-level paths with a tiling toward the corner side's arc, by reverse search.
 
     The recursion peels a live path at its first corner turning toward the
     arc, to a live path that is shorter (cut) or as long (swap).  Run it
@@ -278,7 +279,8 @@ def _live_paths(domain: PathDomain, side: str) -> set[tuple[Point, ...]]:
     b = a + c - v (inverse swap), where a < b < c in the order.  The result is
     live iff b is its first corner turning toward the arc.
     """
-    toward = domain.engines[side].corner_weights
+    corner = next(iter(domain.engines.values()))
+    toward = corner.corner_weights
     rank = domain.rank
 
     def turns(a, b, c):
@@ -308,9 +310,9 @@ def _live_paths(domain: PathDomain, side: str) -> set[tuple[Point, ...]]:
                         work.append(swapped)
         return level
 
-    arc = domain.left_arc if side == SIDE_PLUS else domain.right_arc
-    level = closed_under_swaps({arc})
-    for _ in range(domain.steps() + 1 - len(arc)):  # one round of cuts per point the arc lacks
+    level = closed_under_swaps({corner.arc})
+    # one round of cuts per point the arc lacks
+    for _ in range(domain.steps() + 1 - len(corner.arc)):
         cuts = {
             path[:j] + (b,) + path[j:]
             for path in level
@@ -403,12 +405,10 @@ def side_multiplicity(path, domain: PathDomain, side: str, kind: str) -> int:
 def path_multiplicity(path, domain: PathDomain) -> PathMultiplicity:
     """Side values and connected totals of one path."""
     pts = validate_path(path, domain)
-    plus = domain.engines[SIDE_PLUS].states(pts)
-    minus = domain.engines[SIDE_MINUS].states(pts)
-    cp, wp = _side_values(plus)
-    cm, wm = _side_values(minus)
-    corner, other = (plus, minus) if _corner_first(domain)[0] == SIDE_PLUS else (minus, plus)
-    mu, nu = _glued_totals(corner, other)
+    states = {side: engine.states(pts) for side, engine in domain.engines.items()}
+    cp, wp = _side_values(states[SIDE_PLUS])
+    cm, wm = _side_values(states[SIDE_MINUS])
+    mu, nu = _glued_totals(*states.values())
     return PathMultiplicity(
         complex_plus=cp,
         complex_minus=cm,
@@ -419,36 +419,16 @@ def path_multiplicity(path, domain: PathDomain) -> PathMultiplicity:
     )
 
 
-def _corner_first(domain: PathDomain) -> tuple[str, str]:
-    """Both sides, first the one whose arc runs through the third corner (2d + 1
-    points against d + 1): few paths have a tiling toward that arc, so the
-    counts generate those paths and build the other side for them alone."""
-    if len(domain.left_arc) > len(domain.right_arc):
-        return SIDE_PLUS, SIDE_MINUS
-    return SIDE_MINUS, SIDE_PLUS
-
-
 def count_both(d: int, order: str = ORDER_XEY) -> tuple[int, int]:
     """(curve count, Welschinger invariant) from one pass over the paths live on
     the corner side; a path dead there has no completions at all."""
     domain = path_domain(d, order)
     check_census(domain)
-    corner, other = _corner_first(domain)
-    corner_states, other_states = domain.engines[corner].states, domain.engines[other].states
-    total_mu = 0
-    total_nu = 0
-    for path in _live_paths(domain, corner):
-        mu, nu = _glued_totals(corner_states(path), other_states(path))
+    corner, other = (engine.states for engine in domain.engines.values())
+    total_mu = total_nu = 0
+    for path in _live_paths(domain):
+        mu, nu = _glued_totals(corner(path), other(path))
         total_mu += mu
         total_nu += nu
     return total_mu, total_nu
 
-
-def count_gw(d: int, order: str = ORDER_XEY) -> int:
-    """Count of irreducible rational degree-d curves via weighted lattice paths."""
-    return count_both(d, order)[0]
-
-
-def count_welschinger(d: int, order: str = ORDER_XEY) -> int:
-    """Welschinger invariant via signed lattice-path weights."""
-    return count_both(d, order)[1]

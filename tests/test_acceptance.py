@@ -14,8 +14,6 @@ from tropcurve import (
     check_balancing,
     cli,
     count_both,
-    count_gw,
-    count_welschinger,
     degree,
     extract_curve,
     factorial_bound_check,
@@ -57,7 +55,7 @@ def test_criterion_01_km_recursion():
 
 def test_criterion_02_oracle_equivalence():
     start = time.perf_counter()
-    pairs = [(count_gw(d, ORDER_XEY), km_count(d)) for d in (1, 2, 3, 4, 5)]
+    pairs = [(count_both(d, ORDER_XEY)[0], km_count(d)) for d in (1, 2, 3, 4, 5)]
     elapsed = time.perf_counter() - start
     ok = all(a == b for a, b in pairs) and elapsed < 60.0
     _report(
@@ -68,7 +66,7 @@ def test_criterion_02_oracle_equivalence():
 
 
 def test_criterion_03_welschinger_values():
-    values = [count_welschinger(d) for d in (1, 2, 3)]
+    values = [count_both(d)[1] for d in (1, 2, 3)]
     ok = values == [1, 1, 8]
     _report(3, ok, f"Welschinger invariants W_1..W_3 = {values}")
 

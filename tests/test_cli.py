@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -56,7 +57,7 @@ class TestCount:
         def exhausted(d, order):
             raise MemoryError
 
-        monkeypatch.setattr(cli.pathsmod, "count_gw", exhausted)
+        monkeypatch.setattr(cli.pathsmod, "count_both", exhausted)
         code, out, err = run_cli(capsys, "count", "-d", "3", "--method", "both")
         assert code == 1
         assert out == ""
@@ -260,6 +261,23 @@ class TestReport:
         code, _, err = run_cli(capsys, "report", "--max", "2")
         assert code == 2
         assert "error" in err
+
+
+class TestGoldenBytes:
+    # sha256 of stdout per command, pinned so that a refactor of the path
+    # counter has to keep every byte of every row, not only the footers
+    GOLDEN = {
+        "paths -d 4 --lambda xey": "6164dfa789cf422cc1ea1d117c271b1fe793d4ff95ad06161893bab487f40105",
+        "paths -d 4 --lambda rowmajor": "e51991318af0a7dfd0ae985cf70e361757083bda87a128932723397c32730e96",
+        "paths -d 5 --nonzero-only": "86b01deca0430373499174b30f750daea3e0ec9fecc8f9abac188eed72b0c088",
+        "report --max 5": "683c69bd12a25f03c5028a0f75573234c538d6a1e64ec3ac7d9f44c398b25387",
+    }
+
+    @pytest.mark.parametrize("command", sorted(GOLDEN))
+    def test_stdout_bytes_are_pinned(self, capsys, command):
+        code, out, _ = run_cli(capsys, *command.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == self.GOLDEN[command]
 
 
 def test_installed_entry_point():

@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -12,8 +13,6 @@ from tropcurve import (
     InvalidPathError,
     check_census,
     count_both,
-    count_gw,
-    count_welschinger,
     enumerate_paths,
     km_count,
     path_census,
@@ -186,6 +185,18 @@ class TestPathValidation:
         with pytest.raises(InvalidPathError):
             path_multiplicity(((0, 2), (3, 3), (2, 0)), dom)
 
+    @pytest.mark.parametrize("bad", [("a", 1), (math.nan, 1), (math.inf, 1), (0.5, 1)])
+    def test_no_lattice_point(self, bad):
+        dom = path_domain(2)
+        with pytest.raises(InvalidPathError):
+            validate_path(((0, 2), bad, (2, 0)), dom)
+
+    def test_int_valued_coordinates_are_accepted(self):
+        dom = path_domain(2)
+        pts = validate_path(((0, 2.0), (Fraction(0), 1), (1.0, Fraction(2, 2)), (2, 0)), dom)
+        assert pts == ((0, 2), (0, 1), (1, 1), (2, 0))
+        assert all(type(c) is int for pt in pts for c in pt)
+
 
 class TestMultiplicity:
     def test_degree_one(self):
@@ -227,11 +238,11 @@ class TestMultiplicity:
 
 class TestCounts:
     def test_known_values(self):
-        assert [count_gw(d) for d in (1, 2, 3, 4)] == [1, 1, 12, 620]
-        assert [count_welschinger(d) for d in (1, 2, 3)] == [1, 1, 8]
+        assert [count_both(d)[0] for d in (1, 2, 3, 4)] == [1, 1, 12, 620]
+        assert [count_both(d)[1] for d in (1, 2, 3)] == [1, 1, 8]
 
     def test_degree_four_welschinger(self):
-        assert count_welschinger(4) == 240
+        assert count_both(4)[1] == 240
 
     def test_order_invariance(self):
         for d in (1, 2, 3, 4):
@@ -245,9 +256,9 @@ class TestCounts:
 
     def test_bad_degree(self):
         with pytest.raises(BadDegreeError):
-            count_gw(0)
+            count_both(0)
         with pytest.raises(BadDegreeError):
-            count_welschinger(-1)
+            count_both(-1)
 
     def test_unknown_order(self):
         with pytest.raises(ValueError, match="'bogus'"):
@@ -261,7 +272,7 @@ class TestCounts:
         # other 9, contributing C(11,2) = 55 units over the true count
         dom = path_domain(4)
         naive = side_product_total(dom)
-        assert naive - count_gw(4) == math.comb(11, 2)
+        assert naive - count_both(4)[0] == math.comb(11, 2)
 
     def test_reducible_excess_at_degree_five(self):
         # a line through 2 of the 14 points with a 2-nodal quartic through the
@@ -304,7 +315,8 @@ class TestCounts:
     @pytest.mark.parametrize("order", [ORDER_XEY, ORDER_ROWMAJOR])
     def test_engine_keys_are_proper_sub_paths(self, order):
         # a key is the bitmask of a sub-path's points: p and q included, fewer
-        # points than a top-level path, live in `cache` or dead in `dead`
+        # points than a top-level path; a dead sub-path maps to the shared
+        # `_NO_STATES`, so one memo holds both kinds
         d = 4
         dom = path_domain(d, order)
         for path in enumerate_paths(dom):
@@ -312,12 +324,13 @@ class TestCounts:
         everything = (1 << len(dom.points)) - 1
         ends = 1 << dom.rank[dom.p] | 1 << dom.rank[dom.q]
         for engine in dom.engines.values():
-            assert engine.cache and engine.dead
-            assert not engine.cache.keys() & engine.dead
-            for key in [*engine.cache, *engine.dead]:
+            for key in engine.cache:
                 assert key & everything == key != everything
                 assert key & ends == ends
                 assert bin(key).count("1") < 3 * d
+            dead = [states for states in engine.cache.values() if not states]
+            assert dead and len(dead) < len(engine.cache)
+            assert all(states is paths._NO_STATES for states in dead)
 
     def test_triangle_memo_holds_each_triangle_once(self):
         dom = path_domain(4)
@@ -342,11 +355,14 @@ class TestCounts:
 class TestSideChoice:
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_corner_side_by_order(self, d):
-        # the corner arc runs through the corner that is neither p nor q
-        for order, side in ((ORDER_XEY, SIDE_MINUS), (ORDER_ROWMAJOR, SIDE_PLUS)):
+        # the corner arc runs through the corner that is neither p nor q, and
+        # its engine comes first
+        expected = {ORDER_XEY: [SIDE_MINUS, SIDE_PLUS], ORDER_ROWMAJOR: [SIDE_PLUS, SIDE_MINUS]}
+        for order, sides in expected.items():
             dom = path_domain(d, order)
-            assert paths._corner_first(dom)[0] == side
-            arc = dom.left_arc if side == SIDE_PLUS else dom.right_arc
+            assert list(dom.engines) == sides
+            arc = dom.left_arc if sides[0] == SIDE_PLUS else dom.right_arc
+            assert dom.engines[sides[0]].arc == arc
             (corner,) = {(0, 0), (d, 0), (0, d)} - {dom.p, dom.q}
             assert corner in arc
 
@@ -379,7 +395,7 @@ class TestGlue:
     @pytest.mark.parametrize("order", [ORDER_XEY, ORDER_ROWMAJOR])
     def test_forest_test_equals_the_join_on_every_live_path(self, d, order):
         dom = path_domain(d, order)
-        corner, other = (dom.engines[side].states for side in paths._corner_first(dom))
+        corner, other = (engine.states for engine in dom.engines.values())
         glued = 0
         for path in enumerate_paths(dom):
             corner_states, other_states = corner(path), other(path)
@@ -398,7 +414,7 @@ class TestGlue:
         # the side with more blocks: 3d - 1 - 2d = d - 1 edges over the other
         # side's d blocks
         dom = path_domain(d, order)
-        corner, _ = paths._corner_first(dom)
+        corner = next(iter(dom.engines))
         for side in (SIDE_PLUS, SIDE_MINUS):
             arc = dom.left_arc if side == SIDE_PLUS else dom.right_arc
             assert len(arc) - 1 == (2 * d if side == corner else d)
@@ -415,8 +431,8 @@ class TestReverseSearch:
     @pytest.mark.parametrize("order", [ORDER_XEY, ORDER_ROWMAJOR])
     def test_live_paths_equal_the_census_filter(self, d, order):
         dom = path_domain(d, order)
-        corner = paths._corner_first(dom)[0]
-        live = list(paths._live_paths(dom, corner))
+        corner = next(iter(dom.engines))
+        live = list(paths._live_paths(dom))
         assert len(live) == len(set(live))
         for path in live:
             assert validate_path(path, dom) == path
