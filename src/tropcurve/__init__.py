@@ -70,6 +70,7 @@ from .paths import (
     check_census,
     count_both,
     enumerate_paths,
+    live_paths,
     path_census,
     path_domain,
     path_multiplicity,

@@ -141,7 +141,9 @@ def _format_path(path) -> str:
 
 def cmd_paths(args) -> int:
     domain = pathsmod.path_domain(args.degree, args.lambda_order)
-    paths = pathsmod.enumerate_paths(domain)
+    # a nonzero total needs a tiling toward the corner arc: list only those paths
+    listed = pathsmod.live_paths if args.nonzero_only else pathsmod.enumerate_paths
+    paths = listed(domain)
     print("# path  mu+ mu- mu nu")
     total_mu = 0
     total_nu = 0

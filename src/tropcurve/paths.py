@@ -37,10 +37,11 @@ step, so the forest of the corner side's 2d blocks has d - 1 edges over the
 other side's d blocks.  Side values are the sums of the map's weights.  No
 component escapes the partitions: every cell branch owns a step of its path.
 
-The counts do not scan the census.  Few paths have a tiling toward the arc
-through the third corner of the triangle (1833 of 27132 at d = 5), and a
-reverse search (Avis-Fukuda) grows exactly those out of that arc by the
-recursion's moves run backwards; only they meet the other side's engine.
+The counts and the listing of nonzero paths do not scan the census.  Few
+paths have a tiling toward the arc through the third corner of the triangle
+(1833 of 27132 at d = 5), and a reverse search (Avis-Fukuda) grows exactly
+those out of that arc by the recursion's moves run backwards; only they meet
+the other side's engine.  A path with a nonzero total is one of them.
 """
 
 from __future__ import annotations
@@ -269,8 +270,9 @@ class _DivisionEngine:
         return result
 
 
-def _live_paths(domain: PathDomain) -> set[tuple[Point, ...]]:
-    """The top-level paths with a tiling toward the corner side's arc, by reverse search.
+def live_paths(domain: PathDomain) -> list[tuple[Point, ...]]:
+    """The top-level paths with a tiling toward the corner side's arc, by reverse
+    search, in the order `enumerate_paths` yields them.  Checks the census first.
 
     The recursion peels a live path at its first corner turning toward the
     arc, to a live path that is shorter (cut) or as long (swap).  Run it
@@ -279,6 +281,7 @@ def _live_paths(domain: PathDomain) -> set[tuple[Point, ...]]:
     b = a + c - v (inverse swap), where a < b < c in the order.  The result is
     live iff b is its first corner turning toward the arc.
     """
+    check_census(domain)
     corner = next(iter(domain.engines.values()))
     toward = corner.corner_weights
     rank = domain.rank
@@ -321,7 +324,7 @@ def _live_paths(domain: PathDomain) -> set[tuple[Point, ...]]:
             if keeps(path, j, b, path[j])
         }
         level = closed_under_swaps(cuts)
-    return level
+    return sorted(level, key=lambda path: [rank[pt] for pt in path])
 
 
 def _side_values(states: States) -> tuple[int, int]:
@@ -423,10 +426,9 @@ def count_both(d: int, order: str = ORDER_XEY) -> tuple[int, int]:
     """(curve count, Welschinger invariant) from one pass over the paths live on
     the corner side; a path dead there has no completions at all."""
     domain = path_domain(d, order)
-    check_census(domain)
     corner, other = (engine.states for engine in domain.engines.values())
     total_mu = total_nu = 0
-    for path in _live_paths(domain):
+    for path in live_paths(domain):
         mu, nu = _glued_totals(corner(path), other(path))
         total_mu += mu
         total_nu += nu

@@ -92,6 +92,7 @@ class TestCensusLimit:
             ["welschinger", "-d", "7"],
             ["paths", "-d", "7"],
             ["report", "--max", "7"],
+            ["paths", "-d", "7", "--nonzero-only"],
         ],
     )
     def test_out_of_reach_is_one_error_line(self, capsys, argv):
@@ -147,6 +148,18 @@ class TestPaths:
         assert code == 0
         rows = out.strip().splitlines()[1:-1]
         assert len(rows) == 1
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("order", ["xey", "rowmajor"])
+    def test_nonzero_listing_is_the_full_listing_filtered(self, capsys, d, order):
+        # the two listings walk different path sources: the census and the search
+        code, full, _ = run_cli(capsys, "paths", "-d", str(d), "--lambda", order)
+        assert code == 0
+        code, nonzero, _ = run_cli(capsys, "paths", "-d", str(d), "--lambda", order, "--nonzero-only")
+        assert code == 0
+        full, nonzero = full.splitlines(), nonzero.splitlines()
+        assert nonzero[0] == full[0] and nonzero[-1] == full[-1]
+        assert nonzero[1:-1] == [row for row in full[1:-1] if row.split()[-2] != "0"]
 
 
 class TestCurve:
@@ -270,6 +283,7 @@ class TestGoldenBytes:
         "paths -d 4 --lambda xey": "6164dfa789cf422cc1ea1d117c271b1fe793d4ff95ad06161893bab487f40105",
         "paths -d 4 --lambda rowmajor": "e51991318af0a7dfd0ae985cf70e361757083bda87a128932723397c32730e96",
         "paths -d 5 --nonzero-only": "86b01deca0430373499174b30f750daea3e0ec9fecc8f9abac188eed72b0c088",
+        "paths -d 5 --nonzero-only --lambda rowmajor": "aaff7e222b073b442bedc8daf2ad1d6e22a9a13ac0f5df80aeb56f03e9385492",
         "report --max 5": "683c69bd12a25f03c5028a0f75573234c538d6a1e64ec3ac7d9f44c398b25387",
     }
 
