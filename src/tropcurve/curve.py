@@ -15,8 +15,9 @@ Its cells are found by a gift-wrapping walk over the upper hull of the lifted
 points: from one facet next to the Newton polygon's boundary, each cell edge
 is crossed once by a linear scan of integer orientation signs, so the cost
 grows with the number of cells, not with the number of point triples.  Curve
-vertex coordinates are exact Fractions solved from term equalities.  A
-membership query puts the point and the vertices on one common denominator
+vertex coordinates are exact Fractions solved from term equalities.  Each
+curve puts its vertices on one common denominator once, and keeps every edge
+and ray as integer line data; a membership query scales the point to match
 and compares ints.
 """
 
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm, prod
 
 from .errors import (
@@ -38,10 +40,7 @@ from .geometry import (
     convex_hull,
     cross,
     lattice_length,
-    on_ray,
-    on_segment,
     primitive,
-    primitive_from_rational,
     triangle_weights,
     turn,
 )
@@ -95,6 +94,30 @@ class TropicalCurve:
     bounded_edges: tuple[BoundedEdge, ...]
     rays: tuple[Ray, ...]
     subdivision: Subdivision
+
+    @cached_property
+    def _lines(self) -> tuple[int, list[tuple[int, ...]], list[tuple[int, ...]]]:
+        """The curve's integer geometry, built once: (den, edges, rays).
+
+        den is the lcm of the vertex denominators; a and b below are vertices
+        times den.  A bounded edge a..b is (dx, dy, cross(d, a), dot(d, a),
+        dot(d, b)) with d = primitive(b - a), and a ray from a is (dx, dy,
+        cross(d, a), dot(d, a)) with d its direction.  A zero-length edge
+        raises ValueError.
+        """
+        den = lcm(*(lcm(v.x.denominator, v.y.denominator) for v in self.vertices))
+        q = [(v.x.numerator * den // v.x.denominator, v.y.numerator * den // v.y.denominator)
+             for v in self.vertices]
+        edges = []
+        for edge in self.bounded_edges:
+            (ax, ay), (bx, by) = q[edge.v1], q[edge.v2]
+            dx, dy = primitive((bx - ax, by - ay))
+            edges.append((dx, dy, dx * ay - dy * ax, dx * ax + dy * ay, dx * bx + dy * by))
+        rays = []
+        for ray in self.rays:
+            (ax, ay), (dx, dy) = q[ray.vertex], ray.direction
+            rays.append((dx, dy, dx * ay - dy * ax, dx * ax + dy * ay))
+        return den, edges, rays
 
 
 @dataclass(frozen=True)
@@ -236,14 +259,12 @@ def check_balancing(curve: TropicalCurve) -> list[tuple[int, tuple[int, int]]]:
     internal inconsistency, not bad user input.
     """
     sums = [[0, 0] for _ in curve.vertices]
-    for edge in curve.bounded_edges:
-        p1 = curve.vertices[edge.v1]
-        p2 = curve.vertices[edge.v2]
-        d = primitive_from_rational((p2.x - p1.x, p2.y - p1.y))
-        sums[edge.v1][0] += edge.weight * d[0]
-        sums[edge.v1][1] += edge.weight * d[1]
-        sums[edge.v2][0] -= edge.weight * d[0]
-        sums[edge.v2][1] -= edge.weight * d[1]
+    # the vertices scale by den > 0, which keeps each primitive direction
+    for edge, (dx, dy, *_) in zip(curve.bounded_edges, curve._lines[1]):
+        sums[edge.v1][0] += edge.weight * dx
+        sums[edge.v1][1] += edge.weight * dy
+        sums[edge.v2][0] -= edge.weight * dx
+        sums[edge.v2][1] -= edge.weight * dy
     for ray in curve.rays:
         sums[ray.vertex][0] += ray.weight * ray.direction[0]
         sums[ray.vertex][1] += ray.weight * ray.direction[1]
@@ -373,31 +394,35 @@ def is_rational(curve: TropicalCurve) -> bool:
 
 def membership_oracle(poly: TropicalPolynomial, point) -> bool:
     """True iff the max is attained at least twice at the point."""
-    return len(poly.argmax_terms(point[0], point[1])) >= 2
+    values, _ = poly._scaled_values(point[0], point[1])
+    return values.count(max(values)) >= 2
 
 
 def point_on_curve(curve: TropicalCurve, point) -> bool:
     """Exact geometric membership test against extracted edges and rays.
 
-    The point and the vertices are scaled by the lcm of all their
-    denominators, so the segment and ray tests compare ints.
+    With x = a/b and y = e/f, s = b*f and Q = (a*f*den, e*b*den) is the
+    point times s*den, where den scales the vertices to ints (`_lines`).  The
+    point is on the line through a along d iff cross(d, Q) == s*cross(d, a),
+    and on the edge iff also s*dot(d, a) <= dot(d, Q) <= s*dot(d, b) (a ray
+    has no upper bound).
     """
-    px, py = Fraction(point[0]), Fraction(point[1])
-    den = lcm(
-        px.denominator,
-        py.denominator,
-        *(v.x.denominator for v in curve.vertices),
-        *(v.y.denominator for v in curve.vertices),
-    )
-
-    def scaled(x: Fraction, y: Fraction) -> Point:
-        return (x.numerator * (den // x.denominator), y.numerator * (den // y.denominator))
-
-    p = scaled(px, py)
-    vertices = [scaled(v.x, v.y) for v in curve.vertices]
-    return any(
-        on_segment(p, vertices[edge.v1], vertices[edge.v2]) for edge in curve.bounded_edges
-    ) or any(on_ray(p, vertices[ray.vertex], ray.direction) for ray in curve.rays)
+    x, y = point[0], point[1]
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    if not isinstance(y, Fraction):
+        y = Fraction(y)
+    den, edges, rays = curve._lines
+    s = x.denominator * y.denominator
+    qx = x.numerator * y.denominator * den
+    qy = y.numerator * x.denominator * den
+    for dx, dy, c, lo, hi in edges:
+        if dx * qy - dy * qx == s * c and s * lo <= dx * qx + dy * qy <= s * hi:
+            return True
+    for dx, dy, c, lo in rays:
+        if dx * qy - dy * qx == s * c and dx * qx + dy * qy >= s * lo:
+            return True
+    return False
 
 
 def curve_stats(curve: TropicalCurve) -> CurveStats:

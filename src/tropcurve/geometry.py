@@ -1,4 +1,4 @@
-"""Exact lattice and rational plane geometry helpers.
+"""Exact lattice plane geometry helpers.
 
 All functions work on pairs of ints or Fractions and never touch floats.
 Lattice points are plain ``(i, j)`` tuples throughout the package.
@@ -8,7 +8,6 @@ counter's tilings and the dual triangles of extracted curves.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 Point = tuple[int, int]
@@ -61,15 +60,6 @@ def primitive(v: tuple[int, int]) -> tuple[int, int]:
     return (v[0] // g, v[1] // g)
 
 
-def primitive_from_rational(v) -> tuple[int, int]:
-    """Primitive integer vector parallel to a Fraction-valued vector."""
-    x, y = Fraction(v[0]), Fraction(v[1])
-    if x == 0 and y == 0:
-        raise ValueError("zero vector has no primitive direction")
-    scale = x.denominator * y.denominator // gcd(x.denominator, y.denominator)
-    return primitive((int(x * scale), int(y * scale)))
-
-
 def normalized_area(polygon: list[Point]) -> int:
     """Twice the Euclidean area of a lattice polygon (shoelace, CCW positive)."""
     total = 0
@@ -94,20 +84,3 @@ def triangle_weights(a: Point, b: Point, c: Point) -> tuple[int, int]:
     interior = (m - boundary + 2) // 2
     return m, (-1 if interior % 2 else 1)
 
-
-def on_segment(p, a, b) -> bool:
-    """Exact test: does p lie on the closed segment [a, b]?"""
-    d = (b[0] - a[0], b[1] - a[1])
-    w = (p[0] - a[0], p[1] - a[1])
-    if cross(d, w) != 0:
-        return False
-    t = w[0] * d[0] + w[1] * d[1]
-    return 0 <= t <= d[0] * d[0] + d[1] * d[1]
-
-
-def on_ray(p, base, direction) -> bool:
-    """Exact test: does p lie on the ray from base along an integer direction?"""
-    w = (p[0] - base[0], p[1] - base[1])
-    if cross(direction, w) != 0:
-        return False
-    return w[0] * direction[0] + w[1] * direction[1] >= 0

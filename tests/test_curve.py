@@ -2,11 +2,12 @@ import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import prod
+from math import lcm, prod
 
 import pytest
 
 from tropcurve import (
+    BoundedEdge,
     DegenerateSupportError,
     ImbalancedError,
     NotSimpleError,
@@ -34,7 +35,7 @@ from tropcurve import (
     welschinger_sign,
 )
 from tropcurve.document import curve_document, write_document
-from tropcurve.geometry import convex_hull, normalized_area, on_ray, on_segment
+from tropcurve.geometry import convex_hull, cross, normalized_area
 from tropcurve.svgout import render_svg
 
 from path_oracle import brute_triangle_weights
@@ -119,8 +120,12 @@ def oracle_cells(poly):
     """Independent subdivision oracle: solve term-equalizing points and read
     off the argmax sets there.  Every 2-cell is the argmax set at its dual
     vertex, so scanning all affinely independent support triples finds all of
-    them.  This goes through evaluation only, not through the lift."""
+    them.  This goes through evaluation only, not through the lift: the
+    heights are the coefficients times the lcm of their denominators, taken
+    here from the Fractions, so each vertex is solved in ints."""
     support = poly.support
+    scale = lcm(*(c.denominator for c in poly.terms.values()))
+    height = {p: c.numerator * (scale // c.denominator) for p, c in poly.terms.items()}
     found = set()
     for a, b, c in combinations(support, 3):
         det = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
@@ -129,9 +134,9 @@ def oracle_cells(poly):
         # solve a-term = b-term = c-term
         a11, a12 = a[0] - b[0], a[1] - b[1]
         a21, a22 = a[0] - c[0], a[1] - c[1]
-        r1 = poly.terms[b] - poly.terms[a]
-        r2 = poly.terms[c] - poly.terms[a]
-        den = a11 * a22 - a12 * a21
+        r1 = height[b] - height[a]
+        r2 = height[c] - height[a]
+        den = (a11 * a22 - a12 * a21) * scale
         x = Fraction(r1 * a22 - r2 * a12, den)
         y = Fraction(a11 * r2 - a21 * r1, den)
         winners = poly.argmax_terms(x, y)
@@ -143,7 +148,7 @@ def oracle_cells(poly):
 def assert_matches_oracles(poly):
     """The hull walk equals the triple scan, cell for cell and in order, and
     the argmax oracle as a set.  The argmax oracle makes O(n^4) integer
-    operations (about 0.5 s at 45 terms, 1.7 s at 66), so it only runs up to
+    operations (about 0.2 s at 45 terms, 0.9 s at 66), so it only runs up to
     66 terms: concave lifts with d <= 8 and wide lifts with d <= 10."""
     cells = dual_subdivision(poly).cells
     assert cells == triple_scan_cells(poly)
@@ -560,6 +565,24 @@ class TestMembership:
                 assert membership_oracle(poly, p) == point_on_curve(curve, p)
 
 
+def on_segment(p, a, b):
+    """Exact test: does p lie on the closed segment [a, b]?"""
+    d = (b[0] - a[0], b[1] - a[1])
+    w = (p[0] - a[0], p[1] - a[1])
+    if cross(d, w) != 0:
+        return False
+    t = w[0] * d[0] + w[1] * d[1]
+    return 0 <= t <= d[0] * d[0] + d[1] * d[1]
+
+
+def on_ray(p, base, direction):
+    """Exact test: does p lie on the ray from base along an integer direction?"""
+    w = (p[0] - base[0], p[1] - base[1])
+    if cross(direction, w) != 0:
+        return False
+    return w[0] * direction[0] + w[1] * direction[1] >= 0
+
+
 def fraction_point_on_curve(curve, point):
     """Reference membership test: the segment and ray tests run on the
     curve's Fraction vertices, with no common denominator."""
@@ -635,6 +658,106 @@ class TestPointOnCurve:
         assert point_on_curve(curve, (3, "10/3"))
         assert not point_on_curve(curve, (3, 3))
         assert not point_on_curve(curve, (0, 0))
+
+    @staticmethod
+    def assert_both_tests(poly, curve, point, given):
+        """The edge test equals the Fraction reference, and the argmax oracle
+        equals "the argmax set has two or more terms", for the point as given."""
+        assert point_on_curve(curve, given) == fraction_point_on_curve(curve, point)
+        assert membership_oracle(poly, given) == (len(poly.argmax_terms(*point)) >= 2)
+
+    def test_tie_heavy_quartics(self):
+        """Heights in -1..1 put the vertices on lattice points, where several
+        edges meet and three or more terms tie."""
+        rng = random.Random(8128)
+        corners = {(0, 0), (4, 0), (0, 4)}
+        ties = {True: 0, False: 0}
+        multi = 0
+        for _ in range(12):
+            support = corners | {p for p in triangle(4) if rng.random() < 0.7}
+            poly = make_polynomial([(p, Fraction(rng.randint(-1, 1))) for p in support])
+            curve = extract_curve(poly)
+            points = self.probes(curve, rng)
+            points += [(v.x, v.y) for v in curve.vertices]
+            points += [(Fraction(i, 2), Fraction(j, 2)) for i in range(-8, 9) for j in range(-8, 9)]
+            for point in points:
+                self.assert_both_tests(poly, curve, point, point)
+                winners = len(poly.argmax_terms(*point))
+                ties[winners >= 2] += 1
+                multi += winners >= 3
+        assert min(ties.values()) > 300
+        assert multi > 100
+
+    def test_hand_built_curve_never_queried(self):
+        """Curves built directly from a queried one, with edges and rays
+        dropped, answer from their own edges and rays.  With one edge and no
+        rays, both closed ends of that edge are found by that edge alone."""
+        curve = extract_curve(nodal_cubic())
+        points = self.probes(curve, random.Random(1729))
+        assert len(curve.bounded_edges) > 1
+        assert any(point_on_curve(curve, p) for p in points)
+        for edges, rays in ((curve.bounded_edges[1:], curve.rays[:-1]), (curve.bounded_edges[:1], ())):
+            built = TropicalCurve(
+                vertices=curve.vertices,
+                bounded_edges=edges,
+                rays=rays,
+                subdivision=curve.subdivision,
+            )
+            differ = 0
+            for point in points:
+                want = fraction_point_on_curve(built, point)
+                assert point_on_curve(built, point) == want
+                differ += want != point_on_curve(curve, point)
+            assert differ > 0
+            assert check_balancing(built)
+        for v in (edges[0].v1, edges[0].v2):
+            assert point_on_curve(built, (curve.vertices[v].x, curve.vertices[v].y))
+
+    def test_zero_length_edge_is_refused(self):
+        """An edge whose ends coincide has no line; it is not taken to hold
+        every point."""
+        curve = extract_curve(concave_poly(2))
+        edge = curve.bounded_edges[0]
+        built = TropicalCurve(
+            vertices=curve.vertices,
+            bounded_edges=(BoundedEdge(edge.v1, edge.v1, edge.weight, edge.dual),),
+            rays=curve.rays,
+            subdivision=curve.subdivision,
+        )
+        with pytest.raises(ValueError):
+            point_on_curve(built, (100, -100))
+        with pytest.raises(ValueError):
+            check_balancing(built)
+
+    def test_points_as_floats_and_lists(self):
+        """Dyadic points given as floats (0.5, -0.25) and as 2-lists."""
+        line = line_poly()
+        line_curve = extract_curve(line)
+        assert point_on_curve(line_curve, (0.5, 0.5))
+        assert point_on_curve(line_curve, [-0.25, 0.0])
+        assert not point_on_curve(line_curve, (0.5, -0.25))
+        assert point_on_curve(line_curve, [0, -0.25])
+        assert membership_oracle(line, [0.5, 0.5])
+        assert not membership_oracle(line, (0.5, -0.25))
+        rng = random.Random(4096)
+        polys = [nodal_conic()] + [random_quartic(rng) for _ in range(6)]
+        seen = {True: 0, False: 0}
+        for poly in polys:
+            curve = extract_curve(poly)
+            points = self.probes(curve, rng)
+            points += [
+                (Fraction(rng.randint(-40, 40), 2 ** rng.randint(0, 3)),
+                 Fraction(rng.randint(-40, 40), 2 ** rng.randint(0, 3)))
+                for _ in range(100)
+            ]
+            for point in points:
+                if any(c.denominator & (c.denominator - 1) for c in point):
+                    continue  # not dyadic: no exact float
+                x, y = float(point[0]), float(point[1])
+                seen[fraction_point_on_curve(curve, point)] += 1
+                for given in ((x, y), [x, y], [point[0], y], list(point)):
+                    self.assert_both_tests(poly, curve, point, given)
+        assert min(seen.values()) > 20
 
 
 class TestStats:
