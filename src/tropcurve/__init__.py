@@ -20,16 +20,12 @@ from .curve import (
     dual_subdivision,
     extract_curve,
     first_betti,
-    is_rational,
-    is_simple,
     membership_oracle,
     node_count,
     point_on_curve,
-    ray_census,
-    vertex_multiplicity,
     welschinger_sign,
 )
-from .document import curve_document, read_document, write_document
+from .document import curve_document, write_document
 from .errors import (
     BadDegreeError,
     CensusTooLargeError,
@@ -40,10 +36,8 @@ from .errors import (
     EmptyTableError,
     ImbalancedError,
     InvalidPathError,
-    NegativeNError,
     NotSimpleError,
     NotStandardFormError,
-    NotTrivalentError,
     ParseError,
     TropcurveError,
 )
@@ -52,7 +46,6 @@ from .invariants import (
     InvariantTable,
     TableRow,
     asymptotic_report,
-    binomial,
     build_table,
     factorial_bound_check,
     km_count,
@@ -71,7 +64,6 @@ from .paths import (
     count_both,
     enumerate_paths,
     live_paths,
-    path_census,
     path_domain,
     path_multiplicity,
     side_multiplicity,
@@ -80,11 +72,9 @@ from .paths import (
 from .polynomial import (
     TropicalPolynomial,
     format_rational,
-    make_polynomial,
     parse_expression,
     parse_rational,
     parse_term_table,
-    render,
 )
 from .svgout import render_svg
 

@@ -14,7 +14,13 @@ from pathlib import Path
 from . import curve as curvemod
 from . import paths as pathsmod
 from .document import curve_document, write_document
-from .errors import CrossCheckMismatchError, ImbalancedError, ParseError, TropcurveError
+from .errors import (
+    CensusTooLargeError,
+    CrossCheckMismatchError,
+    ImbalancedError,
+    ParseError,
+    TropcurveError,
+)
 from .invariants import asymptotic_report, build_table, km_count
 from .polynomial import parse_expression, parse_term_table
 from .svgout import render_svg
@@ -141,6 +147,12 @@ def _format_path(path) -> str:
 
 def cmd_paths(args) -> int:
     domain = pathsmod.path_domain(args.degree, args.lambda_order)
+    census = pathsmod.check_census(domain)
+    if not args.nonzero_only and census > pathsmod.LISTING_LIMIT:
+        raise CensusTooLargeError(
+            f"the degree-{domain.d} full listing has {census} paths, over the limit of "
+            f"{pathsmod.LISTING_LIMIT}; list the nonzero paths alone with --nonzero-only"
+        )
     # a nonzero total needs a tiling toward the corner arc: list only those paths
     listed = pathsmod.live_paths if args.nonzero_only else pathsmod.enumerate_paths
     paths = listed(domain)

@@ -33,7 +33,6 @@ from .errors import (
     ImbalancedError,
     NotSimpleError,
     NotStandardFormError,
-    NotTrivalentError,
 )
 from .geometry import (
     Point,
@@ -271,21 +270,15 @@ def check_balancing(curve: TropicalCurve) -> list[tuple[int, tuple[int, int]]]:
     return [(v, (s[0], s[1])) for v, s in enumerate(sums) if s != [0, 0]]
 
 
-def ray_census(curve: TropicalCurve) -> dict[tuple[int, int], int]:
-    """Total ray weight per primitive direction."""
-    census: dict[tuple[int, int], int] = {}
-    for ray in curve.rays:
-        census[ray.direction] = census.get(ray.direction, 0) + ray.weight
-    return census
-
-
 def degree(curve: TropicalCurve) -> int:
     """Weighted ray count in each of the West/South/North-East directions.
 
     The three counts must agree; anything else is reported loudly instead of
     guessing.
     """
-    census = ray_census(curve)
+    census: dict[tuple[int, int], int] = {}
+    for ray in curve.rays:
+        census[ray.direction] = census.get(ray.direction, 0) + ray.weight
     extra = set(census) - {WEST, SOUTH, NORTHEAST}
     if extra:
         raise NotStandardFormError(f"rays in non-standard directions: {sorted(extra)}")
@@ -293,16 +286,6 @@ def degree(curve: TropicalCurve) -> int:
     if len(set(counts.values())) != 1:
         raise ImbalancedError(f"directional ray counts differ: {counts}")
     return counts[WEST]
-
-
-def vertex_multiplicity(curve: TropicalCurve, vertex_index: int) -> int:
-    """Normalized area (twice Euclidean) of the vertex's dual triangle."""
-    cell = curve.subdivision.cells[vertex_index]
-    if len(cell) != 3:
-        raise NotTrivalentError(
-            f"vertex {vertex_index} has a {len(cell)}-gon dual cell"
-        )
-    return triangle_weights(*cell)[0]
 
 
 def _is_parallelogram(cell: tuple[Point, ...]) -> bool:
@@ -315,13 +298,6 @@ def _is_parallelogram(cell: tuple[Point, ...]) -> bool:
 def node_count(curve: TropicalCurve) -> int:
     """Number of 4-valent vertices: dual cells that are parallelograms."""
     return sum(1 for cell in curve.subdivision.cells if _is_parallelogram(cell))
-
-
-def is_simple(curve: TropicalCurve) -> bool:
-    """True when every dual cell is a triangle or a parallelogram."""
-    return all(
-        len(cell) == 3 or _is_parallelogram(cell) for cell in curve.subdivision.cells
-    )
 
 
 def _cell_weights(curve: TropicalCurve) -> list[tuple[int, int]]:
@@ -387,14 +363,9 @@ def first_betti(curve: TropicalCurve) -> int:
     return cycles
 
 
-def is_rational(curve: TropicalCurve) -> bool:
-    """True when the curve is the image of an immersed tree."""
-    return first_betti(curve) == 0
-
-
 def membership_oracle(poly: TropicalPolynomial, point) -> bool:
     """True iff the max is attained at least twice at the point."""
-    values, _ = poly._scaled_values(point[0], point[1])
+    values = poly._scaled_values(point[0], point[1])
     return values.count(max(values)) >= 2
 
 

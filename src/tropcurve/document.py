@@ -56,7 +56,3 @@ def curve_document(curve: TropicalCurve) -> dict:
 def write_document(doc: dict) -> str:
     """Canonical JSON text for a curve document."""
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def read_document(text: str) -> dict:
-    return json.loads(text)

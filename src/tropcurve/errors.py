@@ -35,10 +35,6 @@ class DegenerateSupportError(TropcurveError):
     """Newton polygon is a point or a segment; no curve to extract."""
 
 
-class NotTrivalentError(TropcurveError):
-    """Vertex multiplicity is only defined for trivalent vertices."""
-
-
 class NotSimpleError(TropcurveError):
     """Operation needs a simple curve (dual cells all triangles/parallelograms)."""
 
@@ -57,10 +53,6 @@ class BadDegreeError(TropcurveError, ValueError):
 
 class InvalidPathError(TropcurveError):
     """Point sequence is not a valid increasing lattice path for the domain."""
-
-
-class NegativeNError(TropcurveError, ValueError):
-    """binomial(n, k) requires n >= 0."""
 
 
 class CensusTooLargeError(TropcurveError):

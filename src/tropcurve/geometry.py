@@ -60,17 +60,6 @@ def primitive(v: tuple[int, int]) -> tuple[int, int]:
     return (v[0] // g, v[1] // g)
 
 
-def normalized_area(polygon: list[Point]) -> int:
-    """Twice the Euclidean area of a lattice polygon (shoelace, CCW positive)."""
-    total = 0
-    n = len(polygon)
-    for k in range(n):
-        a = polygon[k]
-        b = polygon[(k + 1) % n]
-        total += a[0] * b[1] - a[1] * b[0]
-    return total
-
-
 def triangle_weights(a: Point, b: Point, c: Point) -> tuple[int, int]:
     """Normalized area m (twice Euclidean) and Welschinger factor w of a triangle.
 

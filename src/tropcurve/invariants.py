@@ -16,17 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import CrossCheckMismatchError, EmptyTableError, NegativeNError
+from .errors import CrossCheckMismatchError, EmptyTableError
 from .paths import ORDER_XEY, check_census, check_degree, count_both, path_domain
-
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k), with 0 for k outside 0..n; n must be nonnegative."""
-    if n < 0:
-        raise NegativeNError(f"binomial needs n >= 0, got {n}")
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
 
 
 def km_count(d: int) -> int:
@@ -37,8 +28,9 @@ def km_count(d: int) -> int:
         total = 0
         for a in range(1, e):
             b = e - a
-            term = a * a * b * b * binomial(3 * e - 4, 3 * a - 2)
-            term -= a * a * a * b * binomial(3 * e - 4, 3 * a - 1)
+            # 1 <= 3a - 2 < 3a - 1 <= 3e - 4: no binomial falls outside its range
+            term = a * a * b * b * math.comb(3 * e - 4, 3 * a - 2)
+            term -= a * a * a * b * math.comb(3 * e - 4, 3 * a - 1)
             total += n[a] * n[b] * term
         n.append(total)
     return n[d]

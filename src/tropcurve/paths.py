@@ -66,6 +66,9 @@ KIND_WELSCHINGER = "welschinger"
 
 # Most paths one census may enumerate: d = 6 has 5311735, d = 7 has 1855967520.
 CENSUS_LIMIT = 10**8
+# Most paths the full listing may print, each with its own per-path division:
+# d = 5 has 27132; at d = 6 the engines' memos outgrow 1 GiB long before the end.
+LISTING_LIMIT = 10**6
 
 # A side's state map sends a partition of a path's steps into curve
 # components, one block label per step, to the summed (complex, Welschinger)
@@ -175,11 +178,6 @@ def enumerate_paths(domain: PathDomain) -> Iterator[tuple[Point, ...]]:
     tail = (domain.q,)
     middles = combinations(domain.points[1:-1], domain.steps() - 1)
     return (head + middle + tail for middle in middles)
-
-
-def path_census(domain: PathDomain) -> int:
-    """Number of enumerated paths (counted, not formula-derived)."""
-    return sum(1 for _ in enumerate_paths(domain))
 
 
 def validate_path(path, domain: PathDomain) -> tuple[Point, ...]:
@@ -381,15 +379,14 @@ def _glued_totals(corner: States, other: States) -> tuple[int, int]:
 class PathMultiplicity:
     """Division values of one path.
 
-    The side values are the raw recursion results; the totals sum only over
-    glued completions forming an irreducible (connected) curve, so for d >= 4
-    the total can be smaller than the product of the sides.
+    The side values are the raw complex recursion results (the Welschinger
+    ones come from `side_multiplicity`); the totals sum only over glued
+    completions forming an irreducible (connected) curve, so for d >= 4 the
+    total can be smaller than the product of the sides.
     """
 
     complex_plus: int
     complex_minus: int
-    welschinger_plus: int
-    welschinger_minus: int
     complex_total: int
     welschinger_total: int
 
@@ -409,14 +406,10 @@ def path_multiplicity(path, domain: PathDomain) -> PathMultiplicity:
     """Side values and connected totals of one path."""
     pts = validate_path(path, domain)
     states = {side: engine.states(pts) for side, engine in domain.engines.items()}
-    cp, wp = _side_values(states[SIDE_PLUS])
-    cm, wm = _side_values(states[SIDE_MINUS])
     mu, nu = _glued_totals(*states.values())
     return PathMultiplicity(
-        complex_plus=cp,
-        complex_minus=cm,
-        welschinger_plus=wp,
-        welschinger_minus=wm,
+        complex_plus=_side_values(states[SIDE_PLUS])[0],
+        complex_minus=_side_values(states[SIDE_MINUS])[0],
         complex_total=mu,
         welschinger_total=nu,
     )

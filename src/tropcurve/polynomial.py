@@ -6,8 +6,8 @@ coefficients c, representing the piecewise linear function
     (x, y)  ->  max over terms of  x*i + y*j + c.
 
 Ties are meaningful (they are where the tropical curve lives), so every
-comparison is exact and no float ever enters.  Coefficients, evaluation
-points and values are Fractions at the interface.  Inside, each polynomial
+comparison is exact and no float ever enters.  Coefficients and query
+points are Fractions at the interface.  Inside, each polynomial
 keeps an integer lift, its coefficients times the lcm of their denominators,
 and a query puts the point on a common denominator too, so the terms are
 compared as Python ints.
@@ -21,7 +21,7 @@ from math import lcm
 from typing import Iterable
 
 from .errors import DuplicateTermError, EmptySupportError, ParseError
-from .geometry import Point, convex_hull
+from .geometry import Point
 
 # ASCII digits only: int() and Fraction() also accept "1_0" and non-ASCII
 # digits such as "\uff11", which would silently change what was written.
@@ -104,8 +104,8 @@ class TropicalPolynomial:
         )
         return f"TropicalPolynomial({{{parts}}})"
 
-    def _scaled_values(self, x, y) -> tuple[list[int], int]:
-        """Each term's value at (x, y) times a positive int, and that int.
+    def _scaled_values(self, x, y) -> list[int]:
+        """Each term's value at (x, y), times one positive int for all terms.
 
         With x = a/b and y = e/f, the term x*i + y*j + c times b*f*scale is
         i*(a*f*scale) + j*(e*b*scale) + (c*scale)*(b*f), all in ints.
@@ -119,37 +119,13 @@ class TropicalPolynomial:
         xs = x.numerator * y.denominator * scale
         ys = y.numerator * x.denominator * scale
         zs = x.denominator * y.denominator
-        return [i * xs + j * ys + z * zs for i, j, z in self._lift], zs * scale
-
-    def evaluate(self, x, y) -> Fraction:
-        """Value max(x*i + y*j + c) at an exact rational point."""
-        values, den = self._scaled_values(x, y)
-        return Fraction(max(values), den)
+        return [i * xs + j * ys + z * zs for i, j, z in self._lift]
 
     def argmax_terms(self, x, y) -> set[Point]:
         """All exponents whose term attains the maximum at (x, y)."""
-        values, _ = self._scaled_values(x, y)
+        values = self._scaled_values(x, y)
         best = max(values)
         return {p for p, value in zip(self._terms, values) if value == best}
-
-    def newton_polygon(self) -> list[Point]:
-        """Convex hull of the support, counterclockwise from the lex minimum."""
-        return convex_hull(self.support)
-
-    def standard_degree(self) -> int | None:
-        """d when the Newton polygon is the triangle (0,0),(d,0),(0,d), else None."""
-        hull = self.newton_polygon()
-        if len(hull) != 3 or hull[0] != (0, 0):
-            return None
-        d = hull[1][0]
-        if d >= 1 and hull[1] == (d, 0) and hull[2] == (0, d):
-            return d
-        return None
-
-    def translate(self, offset) -> "TropicalPolynomial":
-        """New polynomial with `offset` added to every coefficient."""
-        shift = Fraction(offset)
-        return TropicalPolynomial((p, c + shift) for p, c in self._terms.items())
 
     def render(self) -> str:
         """Term-table text, one `i j c` line per term, sorted by (i, j)."""
@@ -157,11 +133,6 @@ class TropicalPolynomial:
             f"{i} {j} {format_rational(c)}" for (i, j), c in sorted(self._terms.items())
         ]
         return "\n".join(lines)
-
-
-def make_polynomial(terms: Iterable[tuple[Point, Fraction]]) -> TropicalPolynomial:
-    """Build a polynomial from (exponent, coefficient) pairs."""
-    return TropicalPolynomial(terms)
 
 
 def parse_term_table(text: str) -> TropicalPolynomial:
@@ -188,10 +159,6 @@ def parse_term_table(text: str) -> TropicalPolynomial:
             raise ParseError(f"bad coefficient {fields[2]!r}", line=lineno)
         terms.append(((i, j), c))
     return TropicalPolynomial(terms)
-
-
-def render(poly: TropicalPolynomial) -> str:
-    return poly.render()
 
 
 # --- expression parser ------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Triple-scan regular subdivision, kept as an oracle for the hull walk.
+"""Triple-scan regular subdivision, kept as an oracle for the hull walk, and
+the shoelace area that checks cells add up to their Newton polygon.
 
 Every affinely independent triple of support points spans a candidate facet
 plane of the lifted point set; the triple lies on an upper facet exactly when
@@ -47,3 +48,14 @@ def triple_scan_cells(poly):
                 if upper:
                     cell_sets.add(frozenset(members))
     return tuple(tuple(convex_hull(sorted(s))) for s in sorted(cell_sets, key=sorted))
+
+
+def normalized_area(polygon):
+    """Twice the Euclidean area of a lattice polygon (shoelace, CCW positive)."""
+    total = 0
+    n = len(polygon)
+    for k in range(n):
+        a = polygon[k]
+        b = polygon[(k + 1) % n]
+        total += a[0] * b[1] - a[1] * b[0]
+    return total

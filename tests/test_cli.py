@@ -2,11 +2,12 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
 from tropcurve import cli, invariants
-from tropcurve.document import read_document, write_document
+from tropcurve.document import write_document
 
 CONIC_TABLE = """\
 # concave-lift conic
@@ -161,6 +162,19 @@ class TestPaths:
         assert nonzero[0] == full[0] and nonzero[-1] == full[-1]
         assert nonzero[1:-1] == [row for row in full[1:-1] if row.split()[-2] != "0"]
 
+    @pytest.mark.parametrize("order", ["xey", "rowmajor"])
+    def test_degree_six_full_listing_refused_up_front(self, capsys, order):
+        # 5311735 paths would outgrow 1 GiB after about a minute; the nonzero listing fits
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "paths", "-d", "6", "--lambda", order)
+        elapsed = time.perf_counter() - start
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "5311735" in err and "--nonzero-only" in err
+        assert "Traceback" not in err
+        assert elapsed < 1.0
+
 
 class TestCurve:
     def test_line_to_stdout(self, capsys):
@@ -198,7 +212,7 @@ class TestCurve:
         run_cli(capsys, "curve", "--expr", "max(0,x,y)", "--json", str(a))
         run_cli(capsys, "curve", "--expr", "max(0,x,y)", "--json", str(b))
         assert a.read_bytes() == b.read_bytes()
-        doc = read_document(a.read_text(encoding="utf-8"))
+        doc = json.loads(a.read_text(encoding="utf-8"))
         assert write_document(doc) == a.read_text(encoding="utf-8")
 
     def test_svg_line_count_and_determinism(self, capsys, tmp_path):

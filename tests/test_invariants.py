@@ -8,33 +8,12 @@ from tropcurve import (
     CensusTooLargeError,
     CrossCheckMismatchError,
     EmptyTableError,
-    NegativeNError,
     asymptotic_report,
-    binomial,
     build_table,
     factorial_bound_check,
     km_count,
 )
 from tropcurve import invariants
-
-
-class TestBinomial:
-    def test_small_values(self):
-        assert binomial(2, 1) == 2
-        assert binomial(8, 4) == 70
-
-    def test_out_of_range_is_zero(self):
-        assert binomial(5, 7) == 0
-        assert binomial(5, -1) == 0
-
-    def test_negative_n_rejected(self):
-        with pytest.raises(NegativeNError):
-            binomial(-1, 0)
-
-    def test_pascal_identity(self):
-        for n in range(1, 25):
-            for k in range(0, n + 1):
-                assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
 
 
 class TestRecursion:

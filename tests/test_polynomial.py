@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropcurve import (
+    DegenerateSupportError,
     DuplicateTermError,
     EmptySupportError,
     ParseError,
-    make_polynomial,
+    TropicalPolynomial,
+    dual_subdivision,
     parse_expression,
     parse_rational,
     parse_term_table,
@@ -19,7 +21,7 @@ LINE_TERMS = [((0, 0), Fraction(0)), ((1, 0), Fraction(0)), ((0, 1), Fraction(0)
 
 
 def line_poly():
-    return make_polynomial(LINE_TERMS)
+    return TropicalPolynomial(LINE_TERMS)
 
 
 class TestConstruction:
@@ -30,38 +32,23 @@ class TestConstruction:
 
     def test_duplicate_rejected(self):
         with pytest.raises(DuplicateTermError):
-            make_polynomial([((0, 0), Fraction(0)), ((0, 0), Fraction(1))])
+            TropicalPolynomial([((0, 0), Fraction(0)), ((0, 0), Fraction(1))])
 
     def test_empty_rejected(self):
         with pytest.raises(EmptySupportError):
-            make_polynomial([])
+            TropicalPolynomial([])
 
     def test_single_term(self):
-        poly = make_polynomial([((2, 3), Fraction(5))])
+        poly = TropicalPolynomial([((2, 3), Fraction(5))])
         assert poly.support == [(2, 3)]
 
     def test_non_integral_exponent_rejected(self):
         with pytest.raises(ValueError, match=r"\(1\.5, 0\)"):
-            make_polynomial([((1.5, 0), Fraction(1)), ((0, 0), Fraction(0))])
+            TropicalPolynomial([((1.5, 0), Fraction(1)), ((0, 0), Fraction(0))])
 
     def test_integral_fraction_exponent_accepted(self):
-        poly = make_polynomial([((Fraction(1), Fraction(4, 2)), Fraction(0))])
+        poly = TropicalPolynomial([((Fraction(1), Fraction(4, 2)), Fraction(0))])
         assert poly.support == [(1, 2)]
-
-
-class TestEvaluate:
-    def test_line_values(self):
-        poly = line_poly()
-        assert poly.evaluate(2, 1) == 2
-        assert poly.evaluate(0, 0) == 0
-
-    def test_single_term(self):
-        poly = make_polynomial([((2, 3), Fraction(5))])
-        assert poly.evaluate(1, 1) == 10
-
-    def test_exact_fractions(self):
-        poly = line_poly()
-        assert poly.evaluate(Fraction(1, 3), Fraction(1, 7)) == Fraction(1, 3)
 
 
 class TestArgmax:
@@ -177,53 +164,33 @@ class TestExpression:
         assert parse_expression(text).terms == {(0, 0): Fraction(1)}
 
 
+class TestNewtonPolygon:
+    """The polygon the subdivision records, which names it when degenerate."""
+
+    def test_line(self):
+        assert dual_subdivision(line_poly()).newton_polygon == ((0, 0), (1, 0), (0, 1))
+
+    def test_collinear_support_is_segment(self):
+        poly = TropicalPolynomial([((0, 0), Fraction(0)), ((1, 0), Fraction(0)), ((2, 0), Fraction(0))])
+        with pytest.raises(DegenerateSupportError, match=re.escape("[(0, 0), (2, 0)]")):
+            dual_subdivision(poly)
+
+    def test_full_quadratic_support(self):
+        poly = TropicalPolynomial(
+            [((i, j), Fraction(0)) for i in range(3) for j in range(3 - i)]
+        )
+        assert dual_subdivision(poly).newton_polygon == ((0, 0), (2, 0), (0, 2))
+
+
 class TestRender:
     def test_line_sorted(self):
         assert line_poly().render() == "0 0 0\n0 1 0\n1 0 0"
 
     def test_single_term(self):
-        assert make_polynomial([((2, 3), Fraction(5))]).render() == "2 3 5"
+        assert TropicalPolynomial([((2, 3), Fraction(5))]).render() == "2 3 5"
 
     def test_fraction_form(self):
-        assert make_polynomial([((0, 0), Fraction(-1, 2))]).render() == "0 0 -1/2"
-
-
-class TestNewtonPolygon:
-    def test_line(self):
-        assert line_poly().newton_polygon() == [(0, 0), (1, 0), (0, 1)]
-
-    def test_collinear_support_is_segment(self):
-        poly = make_polynomial([((0, 0), Fraction(0)), ((1, 0), Fraction(0)), ((2, 0), Fraction(0))])
-        assert poly.newton_polygon() == [(0, 0), (2, 0)]
-
-    def test_full_quadratic_support(self):
-        poly = make_polynomial(
-            [((i, j), Fraction(0)) for i in range(3) for j in range(3 - i)]
-        )
-        assert poly.newton_polygon() == [(0, 0), (2, 0), (0, 2)]
-
-
-class TestStandardDegree:
-    def test_line(self):
-        assert line_poly().standard_degree() == 1
-
-    def test_full_cubic_support(self):
-        poly = make_polynomial(
-            [((i, j), Fraction(0)) for i in range(4) for j in range(4 - i)]
-        )
-        assert poly.standard_degree() == 3
-
-    def test_non_triangle(self):
-        poly = make_polynomial(
-            [((0, 0), Fraction(0)), ((2, 0), Fraction(0)), ((1, 1), Fraction(0))]
-        )
-        assert poly.standard_degree() is None
-
-    def test_unequal_legs(self):
-        poly = make_polynomial(
-            [((0, 0), Fraction(0)), ((2, 0), Fraction(0)), ((0, 3), Fraction(0))]
-        )
-        assert poly.standard_degree() is None
+        assert TropicalPolynomial([((0, 0), Fraction(-1, 2))]).render() == "0 0 -1/2"
 
 
 coefficients = st.fractions(
@@ -247,7 +214,13 @@ def polynomials(draw):
     coeffs = draw(
         st.lists(coefficients, min_size=len(support), max_size=len(support))
     )
-    return make_polynomial(list(zip(support, coeffs)))
+    return TropicalPolynomial(list(zip(support, coeffs)))
+
+
+def fraction_values(poly, x, y):
+    """Each term's value x*i + y*j + c, written out in Fractions."""
+    x, y = Fraction(x), Fraction(y)
+    return {(i, j): x * i + y * j + c for (i, j), c in poly.terms.items()}
 
 
 class TestProperties:
@@ -255,37 +228,18 @@ class TestProperties:
     def test_render_parse_round_trip(self, poly):
         assert parse_term_table(poly.render()) == poly
 
-    @given(polynomials(), rational_points, rational_points)
-    @settings(max_examples=60)
-    def test_midpoint_convexity(self, poly, p, q):
-        mid = ((p[0] + q[0]) / 2, (p[1] + q[1]) / 2)
-        lhs = poly.evaluate(*mid)
-        rhs = (poly.evaluate(*p) + poly.evaluate(*q)) / 2
-        assert lhs <= rhs
-
     @given(polynomials(), rational_points)
     @settings(max_examples=60)
     def test_domination_with_equality_on_argmax(self, poly, p):
-        value = poly.evaluate(*p)
-        winners = poly.argmax_terms(*p)
-        assert winners
-        for (i, j), c in poly.terms.items():
-            term = p[0] * i + p[1] * j + c
-            assert value >= term
-            assert (term == value) == ((i, j) in winners)
+        values = fraction_values(poly, *p)
+        best = max(values.values())
+        assert poly.argmax_terms(*p) == {q for q, v in values.items() if v == best}
 
     @given(polynomials(), rational_points, coefficients)
     @settings(max_examples=60)
     def test_translation_covariance(self, poly, p, shift):
-        shifted = poly.translate(shift)
-        assert shifted.evaluate(*p) == poly.evaluate(*p) + shift
+        shifted = TropicalPolynomial((q, c + shift) for q, c in poly.terms.items())
         assert shifted.argmax_terms(*p) == poly.argmax_terms(*p)
-
-
-def fraction_values(poly, x, y):
-    """Each term's value x*i + y*j + c, written out in Fractions."""
-    x, y = Fraction(x), Fraction(y)
-    return {(i, j): x * i + y * j + c for (i, j), c in poly.terms.items()}
 
 
 # negative exponents, and coefficients whose denominators mix
@@ -309,34 +263,31 @@ query_values = st.one_of(
 def signed_polynomials(draw):
     support = draw(signed_supports)
     coeffs = draw(st.lists(mixed_coefficients, min_size=len(support), max_size=len(support)))
-    return make_polynomial(list(zip(support, coeffs)))
+    return TropicalPolynomial(list(zip(support, coeffs)))
 
 
 class TestIntegerQueries:
-    """`evaluate` and `argmax_terms` compare ints on a common denominator;
-    the reference here is the plain Fraction max."""
+    """`argmax_terms` compares ints on a common denominator; the reference
+    here is the plain Fraction max."""
 
     @given(signed_polynomials(), query_values, query_values, st.data())
     @settings(max_examples=120)
     def test_match_fraction_max(self, poly, x, y, data):
         values = fraction_values(poly, x, y)
         best = max(values.values())
-        value = poly.evaluate(x, y)
         winners = poly.argmax_terms(x, y)
-        assert type(value) is Fraction and value == best
         assert type(winners) is set
         assert winners == {p for p, v in values.items() if v == best}
         # raise one term's coefficient until it ties the max
         lifted = data.draw(st.sampled_from(sorted(values)))
         shift = best - values[lifted]
-        tied = make_polynomial(
+        tied = TropicalPolynomial(
             (p, c + shift if p == lifted else c) for p, c in poly.terms.items()
         )
-        assert tied.evaluate(x, y) == best
         assert tied.argmax_terms(x, y) == winners | {lifted}
 
     def test_integer_lift_rows(self):
-        poly = make_polynomial(
+        poly = TropicalPolynomial(
             [((0, 0), Fraction(1, 4)), ((-2, 1), Fraction(-5, 6)), ((1, 3), Fraction(2))]
         )
         assert poly.integer_lift == ((0, 0, 3), (-2, 1, -10), (1, 3, 24))
@@ -355,4 +306,4 @@ def test_repr_mentions_terms():
 def test_equality_and_hash():
     assert line_poly() == parse_expression("max(0, x, y)")
     assert hash(line_poly()) == hash(parse_expression("max(0, x, y)"))
-    assert line_poly() != make_polynomial([((0, 0), Fraction(1))])
+    assert line_poly() != TropicalPolynomial([((0, 0), Fraction(1))])
