@@ -34,22 +34,26 @@ their join is one block, that is, when one partition's blocks, merged along
 a spanning forest of the other (each step linked to the previous step of its
 block), form one component.  A top-level partition has one block per arc
 step, so the forest of the corner side's 2d blocks has d - 1 edges over the
-other side's d blocks.  Side values are the sums of the map's weights.  No
-component escapes the partitions: every cell branch owns a step of its path.
+other side's d blocks.  Few distinct labellings of the forest's edge ends
+occur (189 at d = 5, 3605 at d = 6), so the domain memoizes the merges each
+makes.  Side values are the sums of the map's weights.  No component escapes
+the partitions: every cell branch owns a step of its path.
 
 The counts and the listing of nonzero paths do not scan the census.  Few
 paths have a tiling toward the arc through the third corner of the triangle
 (1833 of 27132 at d = 5), and a reverse search (Avis-Fukuda) grows exactly
 those out of that arc by the recursion's moves run backwards; only they meet
 the other side's engine.  A path with a nonzero total is one of them.
+Inside, a path is the tuple of its points' ranks in the domain's order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from itertools import combinations
+from functools import cached_property
+from itertools import combinations, compress
 from math import comb
+from operator import eq, itemgetter
 from typing import Iterator
 
 from .errors import BadDegreeError, CensusTooLargeError, InvalidPathError
@@ -73,7 +77,7 @@ LISTING_LIMIT = 10**6
 # A side's state map sends a partition of a path's steps into curve
 # components, one block label per step, to the summed (complex, Welschinger)
 # weight of the tilings that induce it.  Labels are dense, 0..k-1 in no set
-# order, as `_connected` needs: arcs start as range, cuts copy, swaps exchange.
+# order, as the glue needs: arcs start as range, cuts copy, swaps exchange.
 States = dict[tuple[int, ...], tuple[int, int]]
 
 _NO_STATES: States = {}  # shared by every dead side; never mutated
@@ -105,6 +109,10 @@ class PathDomain:
         plus_first = len(self.left_arc) > len(self.right_arc)
         sides = (SIDE_PLUS, SIDE_MINUS) if plus_first else (SIDE_MINUS, SIDE_PLUS)
         return {side: _DivisionEngine(self, side) for side in sides}
+
+    @cached_property
+    def merges(self) -> _Merges:
+        return _Merges()
 
     def steps(self) -> int:
         """Step count of a top-level path."""
@@ -180,87 +188,114 @@ def enumerate_paths(domain: PathDomain) -> Iterator[tuple[Point, ...]]:
     return (head + middle + tail for middle in middles)
 
 
-def validate_path(path, domain: PathDomain) -> tuple[Point, ...]:
-    """The path's points as int pairs of the domain.  A coordinate equal to an
-    int (float, Fraction) hashes like it, so it finds that point's rank."""
-    rank = domain.rank
+def census_ranks(domain: PathDomain) -> Iterator[tuple[int, ...]]:
+    """`enumerate_paths` as rank tuples, in the same order."""
+    check_census(domain)
+    last = len(domain.points) - 1
+    middles = combinations(range(1, last), domain.steps() - 1)
+    return ((0,) + middle + (last,) for middle in middles)
+
+
+def _ranks(path, domain: PathDomain) -> tuple[int, ...]:
+    """The ranks of a path's points; InvalidPathError unless it is a path of the domain."""
     ranks = []
     for v in path:
-        k = rank.get((v[0], v[1]))
-        if k is None:
-            raise InvalidPathError(f"{v!r} is no lattice point of the side-{domain.d} triangle")
-        ranks.append(k)
+        try:
+            x, y = v  # a pair, not the head of a longer sequence
+            ranks.append(domain.rank[x, y])
+        except (KeyError, TypeError, ValueError):
+            msg = f"{v!r} is no lattice point of the side-{domain.d} triangle"
+            raise InvalidPathError(msg) from None
     if len(ranks) < 2 or ranks[0] != 0 or ranks[-1] != len(domain.points) - 1:
         raise InvalidPathError(f"path must run from {domain.p} to {domain.q}")
     if any(a >= b for a, b in zip(ranks, ranks[1:])):
         raise InvalidPathError("path is not strictly increasing in the point order")
-    return tuple(domain.points[k] for k in ranks)
+    return tuple(ranks)
+
+
+def validate_path(path, domain: PathDomain) -> tuple[Point, ...]:
+    """The path's points as int pairs of the domain.  A coordinate equal to an
+    int (float, Fraction) hashes like it, so it finds that point's rank."""
+    return tuple(map(domain.points.__getitem__, _ranks(path, domain)))
+
+
+class _Relabels(dict):
+    """(s, j) -> the label maps of a corner at step j of a path with s steps: a
+    cut reads the shorter path's labels with ab and bc both taking ac's, a swap
+    exchanges ab's and bc's."""
+
+    def __missing__(self, key: tuple[int, int]) -> tuple[itemgetter, itemgetter]:
+        s, j = key
+        cut = itemgetter(*range(j), *range(j - 1, s - 1))
+        swap = itemgetter(*range(j - 1), j, j - 1, *range(j + 1, s))
+        self[key] = cut, swap
+        return cut, swap
 
 
 class _DivisionEngine:
     """Memoized connectivity-state division recursion toward one boundary arc.
 
     A sub-path is strictly increasing, so its point set names it: the cache
-    key is the bitmask of the points' ranks.  A cut clears b's bit; a swap
-    clears b's and sets v's, and v = a + c - b lies strictly between a and c
-    in the (linear) order.  A sub-path with no tiling maps to `_NO_STATES`.
-    The memo lives as long as the domain that owns the engine.
+    key is the bitmask of its ranks.  A cut clears b's bit; a swap clears b's
+    and sets v's, and v = a + c - b lies strictly between a and c in the
+    (linear) order.  A sub-path with no tiling maps to `_NO_STATES`.  The memo
+    lives as long as the domain that owns the engine.
     """
 
     def __init__(self, domain: PathDomain, side: str):
-        self.arc = domain.left_arc if side == SIDE_PLUS else domain.right_arc
         sign = 1 if side == SIDE_PLUS else -1
-        self.bit = {pt: 1 << k for pt, k in domain.rank.items()}
-        self.arc_mask = self.mask(self.arc)
+        rank, points = domain.rank, domain.points
+        arc = domain.left_arc if side == SIDE_PLUS else domain.right_arc
+        self.arc = tuple(map(rank.__getitem__, arc))
+        self.arc_mask = sum(map((1).__lshift__, self.arc))
         # each top-level path is asked for once: keep sub-paths only
         self.top_points = domain.steps() + 1
         self.cache: dict[int, States] = {}
         self.interned: dict[tuple[int, ...], tuple[int, ...]] = {}
-        # per triangle abc: its weights if the corner b turns toward the arc, else None
-        self.corner_weights = lru_cache(maxsize=None)(
-            lambda a, b, c: triangle_weights(a, b, c) if sign * turn(a, b, c) > 0 else None
-        )
+        self.relabel = _Relabels()
+        # rank triple a < b < c whose corner b turns toward the arc -> the
+        # triangle's weights and the rank of v, or -1 when v is outside T_d
+        self.toward: dict[tuple[int, int, int], tuple[int, int, int]] = {}
+        for abc in combinations(range(len(points)), 3):
+            a, b, c = map(points.__getitem__, abc)
+            if sign * turn(a, b, c) > 0:
+                v = rank.get((a[0] + c[0] - b[0], a[1] + c[1] - b[1]), -1)
+                self.toward[abc] = (*triangle_weights(a, b, c), v)
 
-    def mask(self, pts: tuple[Point, ...]) -> int:
-        return sum(map(self.bit.__getitem__, pts))
-
-    def states(self, pts: tuple[Point, ...], mask: int | None = None) -> States:
+    def states(self, path: tuple[int, ...], mask: int | None = None) -> States:
         """Step partitions of an increasing path over the tilings toward the arc.
-        The recursion passes along the bitmask of `pts` as `mask`."""
+        The recursion passes along the bitmask of `path` as `mask`."""
         if mask is None:
-            mask = self.mask(pts)
+            mask = sum(map((1).__lshift__, path))
         cached = self.cache.get(mask)
         if cached is not None:
             return cached
         result = _NO_STATES
         if mask == self.arc_mask:
-            result = {tuple(range(len(pts) - 1)): (1, 1)}
+            result = {tuple(range(len(path) - 1)): (1, 1)}
         else:
-            bit = self.bit
-            for j in range(1, len(pts) - 1):
-                a, b, c = pts[j - 1], pts[j], pts[j + 1]
-                weights = self.corner_weights(a, b, c)
-                if weights is None:
+            toward = self.toward
+            for j, abc in enumerate(zip(path, path[1:], path[2:]), 1):
+                corner = toward.get(abc)
+                if corner is None:
                     continue
                 # the first corner turning toward the arc
-                m, fw = weights
-                without_b = mask ^ bit[b]
+                m, fw, v = corner
+                cut, swap = self.relabel[len(path) - 1, j]
+                without_b = mask ^ 1 << path[j]
                 # cut: steps ab and bc join the component of step ac
-                out = {
-                    labels[:j] + labels[j - 1 :]: (m * mu, fw * nu)
-                    for labels, (mu, nu) in self.states(pts[:j] + pts[j + 1 :], without_b).items()
-                }
-                v = (a[0] + c[0] - b[0], a[1] + c[1] - b[1])
-                if v in bit:
+                shorter = self.states(path[:j] + path[j + 1 :], without_b)
+                out = {cut(labels): (m * mu, fw * nu) for labels, (mu, nu) in shorter.items()}
+                if v >= 0:
                     # swap: the parallelogram's branches cross, ab ~ vc and bc ~ av
-                    swap = pts[:j] + (v,) + pts[j + 1 :]
-                    for labels, (mu, nu) in self.states(swap, without_b | bit[v]).items():
-                        swapped = labels[: j - 1] + (labels[j], labels[j - 1]) + labels[j + 1 :]
-                        old_mu, old_nu = out.get(swapped, (0, 0))
-                        out[swapped] = (old_mu + mu, old_nu + nu)
+                    swapped = path[:j] + (v,) + path[j + 1 :]
+                    for labels, (mu, nu) in self.states(swapped, without_b | 1 << v).items():
+                        key = swap(labels)
+                        old_mu, old_nu = out.get(key, (0, 0))
+                        out[key] = (old_mu + mu, old_nu + nu)
                 result = out or _NO_STATES
                 break
-        if len(pts) < self.top_points:
+        if len(path) < self.top_points:
             # many maps share label tuples and weight pairs: keep one copy of each
             one = self.interned.setdefault
             interned = {one(k, k): one(v, v) for k, v in result.items()}
@@ -268,9 +303,9 @@ class _DivisionEngine:
         return result
 
 
-def live_paths(domain: PathDomain) -> list[tuple[Point, ...]]:
+def live_ranks(domain: PathDomain) -> list[tuple[int, ...]]:
     """The top-level paths with a tiling toward the corner side's arc, by reverse
-    search, in the order `enumerate_paths` yields them.  Checks the census first.
+    search, as sorted rank tuples.  Checks the census first.
 
     The recursion peels a live path at its first corner turning toward the
     arc, to a live path that is shorter (cut) or as long (swap).  Run it
@@ -281,30 +316,31 @@ def live_paths(domain: PathDomain) -> list[tuple[Point, ...]]:
     """
     check_census(domain)
     corner = next(iter(domain.engines.values()))
-    toward = corner.corner_weights
-    rank = domain.rank
-
-    def turns(a, b, c):
-        return toward(a, b, c) is not None
+    toward = corner.toward
+    # the b whose corner between a and c turns, and the b a swap turned into v
+    between: dict[tuple[int, int], list[int]] = {}
+    unswap: dict[tuple[int, int, int], int] = {}
+    for (a, b, c), (_, _, v) in toward.items():
+        between.setdefault((a, c), []).append(b)
+        if v >= 0:
+            unswap[a, v, c] = b
 
     def reach(path):
         # a move puts b at j <= reach: the path's corners 1..j-2 stay, and none may turn
-        turning = (j for j in range(1, len(path) - 1) if turns(*path[j - 1 : j + 2]))
-        return next(turning, len(path) - 1) + 1
+        corners = enumerate(zip(path, path[1:], path[2:]), 1)
+        return next((j for j, abc in corners if abc in toward), len(path) - 1) + 1
 
-    def keeps(path, j, b, c):
-        # b lands at j, between path[j - 1] and c: is its corner the first that turns?
-        return turns(path[j - 1], b, c) and (j == 1 or not turns(path[j - 2], path[j - 1], b))
+    def keeps(path, j, b):
+        # b, whose corner turns, lands at j: does no corner before it turn?
+        return j == 1 or (path[j - 2], path[j - 1], b) not in toward
 
     def closed_under_swaps(level):
         work = list(level)
         while work:
             path = work.pop()
             for j in range(1, min(reach(path), len(path) - 2) + 1):
-                a, v, c = path[j - 1 : j + 2]
-                # the order is linear, so b lies between a and c as v does
-                b = (a[0] + c[0] - v[0], a[1] + c[1] - v[1])
-                if b in rank and keeps(path, j, b, c):
+                b = unswap.get(path[j - 1 : j + 2])
+                if b is not None and keeps(path, j, b):
                     swapped = path[:j] + (b,) + path[j + 1 :]
                     if swapped not in level:
                         level.add(swapped)
@@ -318,60 +354,70 @@ def live_paths(domain: PathDomain) -> list[tuple[Point, ...]]:
             path[:j] + (b,) + path[j:]
             for path in level
             for j in range(1, min(reach(path), len(path) - 1) + 1)
-            for b in domain.points[rank[path[j - 1]] + 1 : rank[path[j]]]
-            if keeps(path, j, b, path[j])
+            for b in between.get(path[j - 1 : j + 1], ())
+            if keeps(path, j, b)
         }
         level = closed_under_swaps(cuts)
-    return sorted(level, key=lambda path: [rank[pt] for pt in path])
+    return sorted(level)
+
+
+def live_paths(domain: PathDomain) -> list[tuple[Point, ...]]:
+    """`live_ranks` as points, in the order `enumerate_paths` yields them."""
+    points = domain.points
+    return [tuple(map(points.__getitem__, path)) for path in live_ranks(domain)]
 
 
 def _side_values(states: States) -> tuple[int, int]:
     return sum(mu for mu, _ in states.values()), sum(nu for _, nu in states.values())
 
 
-def _forest(labels: tuple[int, ...]) -> list[tuple[int, int]]:
-    """A spanning forest of a step partition: each step linked to the previous
-    step of its block."""
+def _forest_ends(labels: tuple[int, ...]) -> itemgetter:
+    """A getter of the ends of a step partition's spanning forest (each step linked
+    to the previous step of its block), flattened; with no edge, a loop at 0."""
     last: dict[int, int] = {}
-    edges = []
+    ends: list[int] = []
     for step, block in enumerate(labels):
         if block in last:
-            edges.append((last[block], step))
+            ends += last[block], step
         last[block] = step
-    return edges
+    return itemgetter(*(ends or (0, 0)))
 
 
-def _connected(forest: list[tuple[int, int]], labels: tuple[int, ...]) -> bool:
-    """Whether a partition's blocks, merged along the edges of a spanning forest
-    of another partition, form one component: whether the two partitions' join
-    is a single block."""
-    parent = list(range(max(labels) + 1))
-    blocks = len(parent)
-    for i, j in forest:
-        x, y = labels[i], labels[j]
-        while parent[x] != x:
-            x = parent[x]
-        while parent[y] != y:
-            y = parent[y]
-        if x != y:
-            parent[x] = y
-            blocks -= 1
-    return blocks == 1
+class _Merges(dict):
+    """The glue's memo: a tuple of block labels -> how many merges a union-find
+    makes along its pairs ends[0:2], ends[2:4], ..."""
+
+    def __missing__(self, ends: tuple[int, ...]) -> int:
+        parent = list(range(max(ends) + 1))
+        merged = 0
+        for x, y in zip(ends[::2], ends[1::2]):
+            while parent[x] != x:
+                x = parent[x]
+            while parent[y] != y:
+                y = parent[y]
+            if x != y:
+                parent[x] = y
+                merged += 1
+        self[ends] = merged
+        return merged
 
 
-def _glued_totals(corner: States, other: States) -> tuple[int, int]:
+def _glued_totals(corner: States, other: States, merges: _Merges) -> tuple[int, int]:
     """(complex, Welschinger) sums over glued pairs forming a connected curve.
 
-    Each corner-side partition's forest is built once.  The corner side has
-    more blocks, so its forest is the shorter one, and the union-find runs
-    over the other side's fewer blocks."""
+    Each corner-side partition's forest is built once.  An other-side partition
+    of k blocks joins it to one block iff its labels on the forest's ends make
+    k - 1 = max(labels) merges; `merges` memoizes the count per end labelling."""
+    keys = list(other)
+    needed = list(map(max, keys))
+    mus = [mu for mu, _ in other.values()]
+    nus = [nu for _, nu in other.values()]
     total_mu = total_nu = 0
-    for labels_c, (mu_c, nu_c) in corner.items():
-        forest = _forest(labels_c)
-        for labels_o, (mu_o, nu_o) in other.items():
-            if _connected(forest, labels_o):
-                total_mu += mu_c * mu_o
-                total_nu += nu_c * nu_o
+    for labels, (mu_c, nu_c) in corner.items():
+        ends = map(_forest_ends(labels), keys)
+        connected = list(map(eq, map(merges.__getitem__, ends), needed))
+        total_mu += mu_c * sum(compress(mus, connected))
+        total_nu += nu_c * sum(compress(nus, connected))
     return total_mu, total_nu
 
 
@@ -393,20 +439,19 @@ class PathMultiplicity:
 
 def side_multiplicity(path, domain: PathDomain, side: str, kind: str) -> int:
     """Division value of the path toward one side, for one weight kind."""
-    pts = validate_path(path, domain)
+    ranks = _ranks(path, domain)
     if side not in (SIDE_PLUS, SIDE_MINUS):
         raise ValueError(f"side must be {SIDE_PLUS!r} or {SIDE_MINUS!r}")
     if kind not in (KIND_COMPLEX, KIND_WELSCHINGER):
         raise ValueError(f"kind must be {KIND_COMPLEX!r} or {KIND_WELSCHINGER!r}")
-    mu, nu = _side_values(domain.engines[side].states(pts))
+    mu, nu = _side_values(domain.engines[side].states(ranks))
     return mu if kind == KIND_COMPLEX else nu
 
 
-def path_multiplicity(path, domain: PathDomain) -> PathMultiplicity:
-    """Side values and connected totals of one path."""
-    pts = validate_path(path, domain)
-    states = {side: engine.states(pts) for side, engine in domain.engines.items()}
-    mu, nu = _glued_totals(*states.values())
+def rank_multiplicity(path: tuple[int, ...], domain: PathDomain) -> PathMultiplicity:
+    """`path_multiplicity` of a path of the domain given as a rank tuple."""
+    states = {side: engine.states(path) for side, engine in domain.engines.items()}
+    mu, nu = _glued_totals(*states.values(), domain.merges)
     return PathMultiplicity(
         complex_plus=_side_values(states[SIDE_PLUS])[0],
         complex_minus=_side_values(states[SIDE_MINUS])[0],
@@ -415,15 +460,19 @@ def path_multiplicity(path, domain: PathDomain) -> PathMultiplicity:
     )
 
 
+def path_multiplicity(path, domain: PathDomain) -> PathMultiplicity:
+    """Side values and connected totals of one path."""
+    return rank_multiplicity(_ranks(path, domain), domain)
+
+
 def count_both(d: int, order: str = ORDER_XEY) -> tuple[int, int]:
     """(curve count, Welschinger invariant) from one pass over the paths live on
     the corner side; a path dead there has no completions at all."""
     domain = path_domain(d, order)
     corner, other = (engine.states for engine in domain.engines.values())
     total_mu = total_nu = 0
-    for path in live_paths(domain):
-        mu, nu = _glued_totals(corner(path), other(path))
+    for path in live_ranks(domain):
+        mu, nu = _glued_totals(corner(path), other(path), domain.merges)
         total_mu += mu
         total_nu += nu
     return total_mu, total_nu
-

@@ -180,6 +180,13 @@ def join_totals(plus, minus) -> tuple[int, int]:
     return total_mu, total_nu
 
 
+def union_merges(ends) -> int:
+    """How many merges a union-find with path halving makes along the pairs
+    ends[0:2], ends[2:4], ... of block labels."""
+    parent = list(range(max(ends) + 1))
+    return sum(_union(parent, x, y) for x, y in zip(ends[::2], ends[1::2]))
+
+
 def _find(parent, x):
     while parent[x] != x:
         parent[x] = parent[parent[x]]

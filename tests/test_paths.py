@@ -22,7 +22,7 @@ from tropcurve import (
     validate_path,
 )
 from tropcurve import paths
-from tropcurve.geometry import triangle_weights
+from tropcurve.geometry import triangle_weights, turn
 from tropcurve.paths import (
     KIND_COMPLEX,
     KIND_WELSCHINGER,
@@ -32,7 +32,7 @@ from tropcurve.paths import (
     SIDE_PLUS,
 )
 
-from path_oracle import TilingOracle, brute_triangle_weights, join_totals
+from path_oracle import TilingOracle, brute_triangle_weights, join_totals, union_merges
 
 
 def side_product_total(dom):
@@ -117,6 +117,14 @@ class TestEnumeration:
         with pytest.raises(CensusTooLargeError, match="1855967520"):
             enumerate_paths(path_domain(7))  # raised before the first path is drawn
 
+    @pytest.mark.parametrize("order", [ORDER_XEY, ORDER_ROWMAJOR])
+    def test_rank_census_is_the_census(self, order):
+        dom = path_domain(4, order)
+        ranks = [tuple(map(dom.rank.__getitem__, path)) for path in enumerate_paths(dom)]
+        assert list(paths.census_ranks(dom)) == ranks
+        with pytest.raises(CensusTooLargeError):
+            paths.census_ranks(path_domain(7))
+
     def test_deterministic_order(self):
         first = list(enumerate_paths(path_domain(3)))
         second = list(enumerate_paths(path_domain(3)))
@@ -190,6 +198,15 @@ class TestPathValidation:
         dom = path_domain(2)
         with pytest.raises(InvalidPathError):
             validate_path(((0, 2), bad, (2, 0)), dom)
+
+    @pytest.mark.parametrize("bad", [(0, 2, 99), (0,), 7, [0, 1, 0], "01"])
+    def test_no_pair(self, bad):
+        # a point is a pair: a longer tuple is not read as its first two entries
+        dom = path_domain(2)
+        with pytest.raises(InvalidPathError):
+            validate_path(((0, 2), bad, (2, 0)), dom)
+        with pytest.raises(InvalidPathError):
+            path_multiplicity(((0, 2), bad, (2, 0)), dom)
 
     def test_int_valued_coordinates_are_accepted(self):
         dom = path_domain(2)
@@ -332,14 +349,30 @@ class TestCounts:
             assert dead and len(dead) < len(engine.cache)
             assert all(states is paths._NO_STATES for states in dead)
 
-    def test_triangle_memo_holds_each_triangle_once(self):
-        dom = path_domain(4)
-        for path in enumerate_paths(dom):
-            path_multiplicity(path, dom)
-        for engine in dom.engines.values():
-            memo = engine.corner_weights.cache_info()
-            assert 0 < memo.currsize <= math.comb(len(dom.points), 3) == math.comb(15, 3)
-            assert memo.hits > memo.currsize
+    def test_turn_table_holds_each_corner_turning_toward_the_arc(self):
+        # over all C(|T_d|, 3) increasing rank triples: an entry iff the corner
+        # turns toward the engine's arc, with the triangle's weights and the
+        # rank of the reflected point, which lies between a and c, or -1
+        total = 0
+        for d in range(1, 6):
+            for order in (ORDER_XEY, ORDER_ROWMAJOR):
+                dom = path_domain(d, order)
+                for side, engine in dom.engines.items():
+                    sign = 1 if side == SIDE_PLUS else -1
+                    entries = 0
+                    for abc in combinations(range(len(dom.points)), 3):
+                        a, b, c = (dom.points[k] for k in abc)
+                        if sign * turn(a, b, c) <= 0:
+                            assert abc not in engine.toward
+                            continue
+                        v = (a[0] + c[0] - b[0], a[1] + c[1] - b[1])
+                        v_rank = dom.points.index(v) if v in dom.points else -1
+                        assert v_rank == -1 or abc[0] < v_rank < abc[2]
+                        assert engine.toward[abc] == (*triangle_weights(a, b, c), v_rank)
+                        entries += 1
+                    assert len(engine.toward) == entries
+                    total += entries
+        assert total > 0
 
     def test_engines_live_on_their_domain(self):
         # count_both leaves no engine behind; each domain builds its own, once
@@ -362,7 +395,7 @@ class TestSideChoice:
             dom = path_domain(d, order)
             assert list(dom.engines) == sides
             arc = dom.left_arc if sides[0] == SIDE_PLUS else dom.right_arc
-            assert dom.engines[sides[0]].arc == arc
+            assert dom.engines[sides[0]].arc == tuple(map(dom.rank.__getitem__, arc))
             (corner,) = {(0, 0), (d, 0), (0, d)} - {dom.p, dom.q}
             assert corner in arc
 
@@ -388,8 +421,19 @@ class TestGlue:
         steps = rng.randint(1, 17)
         first = random_states(rng, steps, rng.randint(1, 30))
         second = random_states(rng, steps, rng.randint(1, 30))
-        assert paths._glued_totals(first, second) == join_totals(first, second)
-        assert paths._glued_totals(second, first) == join_totals(first, second)
+        expected = join_totals(first, second)
+        assert paths._glued_totals(first, second, paths._Merges()) == expected
+        assert paths._glued_totals(second, first, paths._Merges()) == expected
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_merge_memo_equals_a_plain_union_find(self, seed):
+        rng = random.Random(seed)
+        memo = paths._Merges()
+        for _ in range(300):
+            blocks = rng.randint(1, 9)
+            ends = tuple(rng.randrange(blocks) for _ in range(2 * rng.randint(1, 9)))
+            assert memo[ends] == union_merges(ends)
+            assert ends in memo and memo[ends] == union_merges(ends)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     @pytest.mark.parametrize("order", [ORDER_XEY, ORDER_ROWMAJOR])
@@ -397,11 +441,12 @@ class TestGlue:
         dom = path_domain(d, order)
         corner, other = (engine.states for engine in dom.engines.values())
         glued = 0
-        for path in enumerate_paths(dom):
+        merges = paths._Merges()  # one memo for the domain, as the counter keeps it
+        for path in paths.census_ranks(dom):
             corner_states, other_states = corner(path), other(path)
             if corner_states and other_states:
                 expected = join_totals(corner_states, other_states)
-                assert paths._glued_totals(corner_states, other_states) == expected
+                assert paths._glued_totals(corner_states, other_states, merges) == expected
                 glued += 1
         assert glued == {1: 1, 2: 1, 3: 5, 4: 63}[d]
 
@@ -419,7 +464,7 @@ class TestGlue:
             arc = dom.left_arc if side == SIDE_PLUS else dom.right_arc
             assert len(arc) - 1 == (2 * d if side == corner else d)
             checked = 0
-            for path in enumerate_paths(dom):
+            for path in paths.census_ranks(dom):
                 for labels in dom.engines[side].states(path):
                     assert max(labels) + 1 == len(arc) - 1
                     checked += 1
@@ -438,7 +483,11 @@ class TestReverseSearch:
         # the filter runs on its own domain, so it shares no memo with the search;
         # the listing prints live paths as they come, so the order must match too
         ref = path_domain(d, order)
-        census_live = [path for path in enumerate_paths(ref) if ref.engines[corner].states(path)]
+        census_live = [
+            path
+            for path in enumerate_paths(ref)
+            if ref.engines[corner].states(tuple(map(ref.rank.__getitem__, path)))
+        ]
         assert live == census_live
         assert len(live) == {1: 1, 2: 1, 3: 5, 4: 69, 5: 1833}[d]
 
