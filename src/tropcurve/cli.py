@@ -153,22 +153,20 @@ def cmd_paths(args) -> int:
             f"the degree-{domain.d} full listing has {census} paths, over the limit of "
             f"{pathsmod.LISTING_LIMIT}; list the nonzero paths alone with --nonzero-only"
         )
-    # a nonzero total needs a tiling toward the corner arc: list only those paths;
-    # both listings give paths of the domain as rank tuples, so none is validated again
-    listed = pathsmod.live_ranks if args.nonzero_only else pathsmod.census_ranks
+    # a nonzero total needs a tiling toward the corner arc: list only those paths
+    listed = pathsmod.live_paths if args.nonzero_only else pathsmod.enumerate_paths
     paths = listed(domain)
     print("# path  mu+ mu- mu nu")
     total_mu = 0
     total_nu = 0
     for path in paths:
-        m = pathsmod.rank_multiplicity(path, domain)
+        m = pathsmod.path_multiplicity(path, domain)
         total_mu += m.complex_total
         total_nu += m.welschinger_total
         if args.nonzero_only and m.complex_total == 0:
             continue
-        points = map(domain.points.__getitem__, path)
         print(
-            f"{_format_path(points)}  {m.complex_plus} {m.complex_minus} "
+            f"{_format_path(path)}  {m.complex_plus} {m.complex_minus} "
             f"{m.complex_total} {m.welschinger_total}"
         )
     print(f"# total mu={total_mu} nu={total_nu}")

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, compress
 from math import comb
-from operator import eq, itemgetter
+from operator import eq, itemgetter, lt
 from typing import Iterator
 
 from .errors import BadDegreeError, CensusTooLargeError, InvalidPathError
@@ -188,27 +188,23 @@ def enumerate_paths(domain: PathDomain) -> Iterator[tuple[Point, ...]]:
     return (head + middle + tail for middle in middles)
 
 
-def census_ranks(domain: PathDomain) -> Iterator[tuple[int, ...]]:
-    """`enumerate_paths` as rank tuples, in the same order."""
-    check_census(domain)
-    last = len(domain.points) - 1
-    middles = combinations(range(1, last), domain.steps() - 1)
-    return ((0,) + middle + (last,) for middle in middles)
-
-
 def _ranks(path, domain: PathDomain) -> tuple[int, ...]:
     """The ranks of a path's points; InvalidPathError unless it is a path of the domain."""
-    ranks = []
-    for v in path:
-        try:
-            x, y = v  # a pair, not the head of a longer sequence
-            ranks.append(domain.rank[x, y])
-        except (KeyError, TypeError, ValueError):
-            msg = f"{v!r} is no lattice point of the side-{domain.d} triangle"
-            raise InvalidPathError(msg) from None
+    rank = domain.rank
+    try:
+        ranks = tuple(map(rank.__getitem__, path))  # only pairs are keys
+    except (KeyError, TypeError):
+        ranks = []
+        for v in path:
+            try:
+                x, y = v  # a pair, not the head of a longer sequence
+                ranks.append(rank[x, y])
+            except (KeyError, TypeError, ValueError):
+                msg = f"{v!r} is no lattice point of the side-{domain.d} triangle"
+                raise InvalidPathError(msg) from None
     if len(ranks) < 2 or ranks[0] != 0 or ranks[-1] != len(domain.points) - 1:
         raise InvalidPathError(f"path must run from {domain.p} to {domain.q}")
-    if any(a >= b for a, b in zip(ranks, ranks[1:])):
+    if not all(map(lt, ranks, ranks[1:])):
         raise InvalidPathError("path is not strictly increasing in the point order")
     return tuple(ranks)
 
@@ -232,6 +228,25 @@ class _Relabels(dict):
         return cut, swap
 
 
+class _Turns(dict):
+    """Rank triple a < b < c -> None unless its corner b turns toward the arc;
+    else the triangle's weights and the rank of v = a + c - b, or -1 when v is
+    outside T_d.  Filled on first use, so a domain costs nothing up front."""
+
+    def __init__(self, domain: PathDomain, sign: int):
+        super().__init__()
+        self.points, self.rank, self.sign = domain.points, domain.rank, sign
+
+    def __missing__(self, abc: tuple[int, int, int]) -> tuple[int, int, int] | None:
+        a, b, c = map(self.points.__getitem__, abc)
+        corner = None
+        if self.sign * turn(a, b, c) > 0:
+            v = self.rank.get((a[0] + c[0] - b[0], a[1] + c[1] - b[1]), -1)
+            corner = (*triangle_weights(a, b, c), v)
+        self[abc] = corner
+        return corner
+
+
 class _DivisionEngine:
     """Memoized connectivity-state division recursion toward one boundary arc.
 
@@ -243,24 +258,15 @@ class _DivisionEngine:
     """
 
     def __init__(self, domain: PathDomain, side: str):
-        sign = 1 if side == SIDE_PLUS else -1
-        rank, points = domain.rank, domain.points
         arc = domain.left_arc if side == SIDE_PLUS else domain.right_arc
-        self.arc = tuple(map(rank.__getitem__, arc))
+        self.arc = tuple(map(domain.rank.__getitem__, arc))
         self.arc_mask = sum(map((1).__lshift__, self.arc))
         # each top-level path is asked for once: keep sub-paths only
         self.top_points = domain.steps() + 1
         self.cache: dict[int, States] = {}
         self.interned: dict[tuple[int, ...], tuple[int, ...]] = {}
         self.relabel = _Relabels()
-        # rank triple a < b < c whose corner b turns toward the arc -> the
-        # triangle's weights and the rank of v, or -1 when v is outside T_d
-        self.toward: dict[tuple[int, int, int], tuple[int, int, int]] = {}
-        for abc in combinations(range(len(points)), 3):
-            a, b, c = map(points.__getitem__, abc)
-            if sign * turn(a, b, c) > 0:
-                v = rank.get((a[0] + c[0] - b[0], a[1] + c[1] - b[1]), -1)
-                self.toward[abc] = (*triangle_weights(a, b, c), v)
+        self.toward = _Turns(domain, 1 if side == SIDE_PLUS else -1)
 
     def states(self, path: tuple[int, ...], mask: int | None = None) -> States:
         """Step partitions of an increasing path over the tilings toward the arc.
@@ -276,7 +282,7 @@ class _DivisionEngine:
         else:
             toward = self.toward
             for j, abc in enumerate(zip(path, path[1:], path[2:]), 1):
-                corner = toward.get(abc)
+                corner = toward[abc]
                 if corner is None:
                     continue
                 # the first corner turning toward the arc
@@ -320,19 +326,21 @@ def live_ranks(domain: PathDomain) -> list[tuple[int, ...]]:
     # the b whose corner between a and c turns, and the b a swap turned into v
     between: dict[tuple[int, int], list[int]] = {}
     unswap: dict[tuple[int, int, int], int] = {}
-    for (a, b, c), (_, _, v) in toward.items():
-        between.setdefault((a, c), []).append(b)
-        if v >= 0:
-            unswap[a, v, c] = b
+    for a, b, c in combinations(range(len(domain.points)), 3):
+        turned = toward[a, b, c]
+        if turned:
+            between.setdefault((a, c), []).append(b)
+            if turned[2] >= 0:
+                unswap[a, turned[2], c] = b
 
     def reach(path):
         # a move puts b at j <= reach: the path's corners 1..j-2 stay, and none may turn
         corners = enumerate(zip(path, path[1:], path[2:]), 1)
-        return next((j for j, abc in corners if abc in toward), len(path) - 1) + 1
+        return next((j for j, abc in corners if toward[abc]), len(path) - 1) + 1
 
     def keeps(path, j, b):
         # b, whose corner turns, lands at j: does no corner before it turn?
-        return j == 1 or (path[j - 2], path[j - 1], b) not in toward
+        return j == 1 or toward[path[j - 2], path[j - 1], b] is None
 
     def closed_under_swaps(level):
         work = list(level)
@@ -384,19 +392,16 @@ def _forest_ends(labels: tuple[int, ...]) -> itemgetter:
 
 
 class _Merges(dict):
-    """The glue's memo: a tuple of block labels -> how many merges a union-find
-    makes along its pairs ends[0:2], ends[2:4], ..."""
+    """The glue's memo: a tuple of block labels -> how many merges joining the
+    blocks of each of its pairs ends[0:2], ends[2:4], ... makes."""
 
     def __missing__(self, ends: tuple[int, ...]) -> int:
-        parent = list(range(max(ends) + 1))
+        component = list(range(max(ends) + 1))
         merged = 0
         for x, y in zip(ends[::2], ends[1::2]):
-            while parent[x] != x:
-                x = parent[x]
-            while parent[y] != y:
-                y = parent[y]
-            if x != y:
-                parent[x] = y
+            keep, gone = component[x], component[y]
+            if keep != gone:
+                component = [keep if c == gone else c for c in component]
                 merged += 1
         self[ends] = merged
         return merged
@@ -448,9 +453,10 @@ def side_multiplicity(path, domain: PathDomain, side: str, kind: str) -> int:
     return mu if kind == KIND_COMPLEX else nu
 
 
-def rank_multiplicity(path: tuple[int, ...], domain: PathDomain) -> PathMultiplicity:
-    """`path_multiplicity` of a path of the domain given as a rank tuple."""
-    states = {side: engine.states(path) for side, engine in domain.engines.items()}
+def path_multiplicity(path, domain: PathDomain) -> PathMultiplicity:
+    """Side values and connected totals of one path."""
+    ranks = _ranks(path, domain)
+    states = {side: engine.states(ranks) for side, engine in domain.engines.items()}
     mu, nu = _glued_totals(*states.values(), domain.merges)
     return PathMultiplicity(
         complex_plus=_side_values(states[SIDE_PLUS])[0],
@@ -460,18 +466,14 @@ def rank_multiplicity(path: tuple[int, ...], domain: PathDomain) -> PathMultipli
     )
 
 
-def path_multiplicity(path, domain: PathDomain) -> PathMultiplicity:
-    """Side values and connected totals of one path."""
-    return rank_multiplicity(_ranks(path, domain), domain)
-
-
 def count_both(d: int, order: str = ORDER_XEY) -> tuple[int, int]:
     """(curve count, Welschinger invariant) from one pass over the paths live on
     the corner side; a path dead there has no completions at all."""
     domain = path_domain(d, order)
+    live = live_ranks(domain)  # checks the census before any table is built
     corner, other = (engine.states for engine in domain.engines.values())
     total_mu = total_nu = 0
-    for path in live_ranks(domain):
+    for path in live:
         mu, nu = _glued_totals(corner(path), other(path), domain.merges)
         total_mu += mu
         total_nu += nu

@@ -103,6 +103,17 @@ class TestCensusLimit:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "1855967520" in err and "--method recursion" in err
 
+    @pytest.mark.parametrize("command", ["count", "welschinger"])
+    def test_far_degree_is_refused_at_once(self, capsys, command):
+        # the census is checked before any per-engine table: T_40 has over 10^8 triples
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, command, "-d", "40")
+        assert time.perf_counter() - start < 2
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "degree-40" in err and "--method recursion" in err
+
     def test_recursion_still_reaches_degree_seven(self, capsys):
         code, out, _ = run_cli(capsys, "count", "-d", "7", "--method", "recursion")
         assert code == 0

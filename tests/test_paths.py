@@ -46,6 +46,11 @@ def side_product_total(dom):
     return naive
 
 
+def census_ranks(dom):
+    """The census paths as tuples of their points' ranks, as the engines take them."""
+    return [tuple(map(dom.rank.__getitem__, path)) for path in enumerate_paths(dom)]
+
+
 def census_formula(d):
     points = (d + 1) * (d + 2) // 2
     return math.comb(points - 2, 3 * d - 2)
@@ -116,14 +121,6 @@ class TestEnumeration:
         assert check_census(path_domain(6)) <= CENSUS_LIMIT
         with pytest.raises(CensusTooLargeError, match="1855967520"):
             enumerate_paths(path_domain(7))  # raised before the first path is drawn
-
-    @pytest.mark.parametrize("order", [ORDER_XEY, ORDER_ROWMAJOR])
-    def test_rank_census_is_the_census(self, order):
-        dom = path_domain(4, order)
-        ranks = [tuple(map(dom.rank.__getitem__, path)) for path in enumerate_paths(dom)]
-        assert list(paths.census_ranks(dom)) == ranks
-        with pytest.raises(CensusTooLargeError):
-            paths.census_ranks(path_domain(7))
 
     def test_deterministic_order(self):
         first = list(enumerate_paths(path_domain(3)))
@@ -350,29 +347,39 @@ class TestCounts:
             assert all(states is paths._NO_STATES for states in dead)
 
     def test_turn_table_holds_each_corner_turning_toward_the_arc(self):
-        # over all C(|T_d|, 3) increasing rank triples: an entry iff the corner
-        # turns toward the engine's arc, with the triangle's weights and the
+        # over all C(|T_d|, 3) increasing rank triples: None unless the corner
+        # turns toward the engine's arc, else the triangle's weights and the
         # rank of the reflected point, which lies between a and c, or -1
         total = 0
         for d in range(1, 6):
             for order in (ORDER_XEY, ORDER_ROWMAJOR):
                 dom = path_domain(d, order)
                 for side, engine in dom.engines.items():
+                    assert not engine.toward  # filled on first use
                     sign = 1 if side == SIDE_PLUS else -1
-                    entries = 0
                     for abc in combinations(range(len(dom.points)), 3):
                         a, b, c = (dom.points[k] for k in abc)
                         if sign * turn(a, b, c) <= 0:
-                            assert abc not in engine.toward
+                            assert engine.toward[abc] is None
                             continue
                         v = (a[0] + c[0] - b[0], a[1] + c[1] - b[1])
                         v_rank = dom.points.index(v) if v in dom.points else -1
                         assert v_rank == -1 or abc[0] < v_rank < abc[2]
                         assert engine.toward[abc] == (*triangle_weights(a, b, c), v_rank)
-                        entries += 1
-                    assert len(engine.toward) == entries
-                    total += entries
+                        total += 1
+                    assert len(engine.toward) == math.comb(len(dom.points), 3)
         assert total > 0
+
+    def test_a_far_degree_builds_no_table_up_front(self):
+        # T_40 has C(861, 3) > 10^8 rank triples: a domain and its engines cost
+        # O(|T_d|), and one path reads only the corners its division meets
+        dom = path_domain(40)
+        assert all(not engine.toward for engine in dom.engines.values())
+        dom = path_domain(12)
+        path = dom.points[: dom.steps()] + (dom.q,)
+        path_multiplicity(path, dom)
+        for engine in dom.engines.values():
+            assert len(engine.toward) < math.comb(len(dom.points), 3) // 100
 
     def test_engines_live_on_their_domain(self):
         # count_both leaves no engine behind; each domain builds its own, once
@@ -442,7 +449,7 @@ class TestGlue:
         corner, other = (engine.states for engine in dom.engines.values())
         glued = 0
         merges = paths._Merges()  # one memo for the domain, as the counter keeps it
-        for path in paths.census_ranks(dom):
+        for path in census_ranks(dom):
             corner_states, other_states = corner(path), other(path)
             if corner_states and other_states:
                 expected = join_totals(corner_states, other_states)
@@ -464,7 +471,7 @@ class TestGlue:
             arc = dom.left_arc if side == SIDE_PLUS else dom.right_arc
             assert len(arc) - 1 == (2 * d if side == corner else d)
             checked = 0
-            for path in paths.census_ranks(dom):
+            for path in census_ranks(dom):
                 for labels in dom.engines[side].states(path):
                     assert max(labels) + 1 == len(arc) - 1
                     checked += 1
