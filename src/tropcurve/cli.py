@@ -111,7 +111,10 @@ def cmd_curve(args) -> int:
 
 def _print_int(n: int) -> None:
     """Print n in full, past CPython's int-to-str digit limit (4300 by default),
-    and leave the limit as it was."""
+    and leave the limit as it was.  Pythons before 3.10.7 have no such limit."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        print(n)
+        return
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:

@@ -23,10 +23,10 @@ and compares ints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm, prod
+from typing import NamedTuple
 
 from .errors import (
     DegenerateSupportError,
@@ -53,8 +53,7 @@ SOUTH = (0, -1)
 NORTHEAST = (1, 1)
 
 
-@dataclass(frozen=True)
-class Subdivision:
+class Subdivision(NamedTuple):
     """Regular subdivision of a Newton polygon.
 
     cells hold each 2-cell's hull vertices counterclockwise from the lex
@@ -65,34 +64,35 @@ class Subdivision:
     newton_polygon: tuple[Point, ...]
 
 
-@dataclass(frozen=True)
-class CurveVertex:
+class CurveVertex(NamedTuple):
     x: Fraction
     y: Fraction
 
 
-@dataclass(frozen=True)
-class BoundedEdge:
+class BoundedEdge(NamedTuple):
     v1: int
     v2: int
     weight: int
     dual: Segment
 
 
-@dataclass(frozen=True)
-class Ray:
+class Ray(NamedTuple):
     vertex: int
     direction: tuple[int, int]
     weight: int
     dual: Segment
 
 
-@dataclass(frozen=True)
-class TropicalCurve:
+class _CurveFields(NamedTuple):
     vertices: tuple[CurveVertex, ...]
     bounded_edges: tuple[BoundedEdge, ...]
     rays: tuple[Ray, ...]
     subdivision: Subdivision
+
+
+class TropicalCurve(_CurveFields):
+    """A curve's fields, plus the memo of its integer geometry in the instance
+    __dict__ (a NamedTuple itself has none)."""
 
     @cached_property
     def _lines(self) -> tuple[int, list[tuple[int, ...]], list[tuple[int, ...]]]:
@@ -119,8 +119,7 @@ class TropicalCurve:
         return den, edges, rays
 
 
-@dataclass(frozen=True)
-class CurveStats:
+class CurveStats(NamedTuple):
     """Enumerative summary; betti1 and welschinger_sign are None when the
     curve is not simple."""
 

@@ -14,7 +14,7 @@ the lattice-path totals, and everything here is exact integer arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CrossCheckMismatchError, EmptyTableError
 from .paths import ORDER_XEY, check_census, check_degree, count_both, path_domain
@@ -42,8 +42,7 @@ def factorial_bound_check(d: int, w: int) -> bool:
     return 3 * w >= math.factorial(d)
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     d: int
     n_paths: int
     n_recursion: int
@@ -53,8 +52,7 @@ class TableRow:
     parity_ok: bool
 
 
-@dataclass(frozen=True)
-class InvariantTable:
+class InvariantTable(NamedTuple):
     rows: tuple[TableRow, ...]
 
 
@@ -88,8 +86,7 @@ def build_table(dmax: int, order: str = ORDER_XEY) -> InvariantTable:
     return InvariantTable(rows=tuple(rows))
 
 
-@dataclass(frozen=True)
-class AsymptoticRow:
+class AsymptoticRow(NamedTuple):
     d: int
     log_n: float
     three_d_log_d: float

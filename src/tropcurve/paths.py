@@ -49,12 +49,11 @@ Inside, a path is the tuple of its points' ranks in the domain's order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, compress
 from math import comb
 from operator import eq, itemgetter, lt
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import BadDegreeError, CensusTooLargeError, InvalidPathError
 from .geometry import Point, cross, lattice_length, primitive, triangle_weights, turn
@@ -83,10 +82,7 @@ States = dict[tuple[int, ...], tuple[int, int]]
 _NO_STATES: States = {}  # shared by every dead side; never mutated
 
 
-@dataclass(frozen=True)
-class PathDomain:
-    """Triangle T_d with a total point order and its two boundary arcs."""
-
+class _DomainFields(NamedTuple):
     d: int
     order: str
     points: tuple[Point, ...]
@@ -94,6 +90,12 @@ class PathDomain:
     q: Point
     left_arc: tuple[Point, ...]
     right_arc: tuple[Point, ...]
+
+
+class PathDomain(_DomainFields):
+    """Triangle T_d with a total point order and its two boundary arcs.  The
+    rank map, the engines and the glue's memo live in the instance __dict__
+    (a NamedTuple itself has none), so they last as long as the domain."""
 
     @cached_property
     def rank(self) -> dict[Point, int]:
@@ -261,7 +263,12 @@ class _DivisionEngine:
         arc = domain.left_arc if side == SIDE_PLUS else domain.right_arc
         self.arc = tuple(map(domain.rank.__getitem__, arc))
         self.arc_mask = sum(map((1).__lshift__, self.arc))
-        # each top-level path is asked for once: keep sub-paths only
+        # keep sub-paths only.  A swap keeps the length, so top-length maps are
+        # asked for more than once: at d = 5 (xey) the recursion rebuilds 1792
+        # corner-side and 1330 other-side swap children uncached, and count_both
+        # asks again for 1713 of the corner-side ones.  Each rebuild relabels
+        # cached shorter maps.  Keeping them gained no time at d = 5, and took
+        # count_both(6) from 442 to 826 MB of peak RSS, near a 1 GiB cap.
         self.top_points = domain.steps() + 1
         self.cache: dict[int, States] = {}
         self.interned: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -426,8 +433,7 @@ def _glued_totals(corner: States, other: States, merges: _Merges) -> tuple[int, 
     return total_mu, total_nu
 
 
-@dataclass(frozen=True)
-class PathMultiplicity:
+class PathMultiplicity(NamedTuple):
     """Division values of one path.
 
     The side values are the raw complex recursion results (the Welschinger

@@ -71,6 +71,9 @@ class TestCount:
         assert code == 2
         assert out.strip() == "1 999"
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit"
+    )
     def test_recursion_prints_past_the_digit_limit(self, capsys):
         expected = str(invariants.km_count(150))  # 862 digits
         limit = sys.get_int_max_str_digits()
@@ -82,6 +85,13 @@ class TestCount:
             sys.set_int_max_str_digits(limit)
         assert code == 0
         assert out == expected + "\n"
+
+    def test_recursion_prints_without_a_digit_limit(self, capsys, monkeypatch):
+        # Pythons before 3.10.7 have neither the limit nor its getter and setter
+        monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+        monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
+        code, out, err = run_cli(capsys, "count", "-d", "5", "--method", "recursion")
+        assert (code, out, err) == (0, "87304\n", "")
 
 
 class TestCensusLimit:
