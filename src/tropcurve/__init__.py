@@ -43,7 +43,6 @@ from .errors import (
 )
 from .invariants import (
     AsymptoticRow,
-    InvariantTable,
     TableRow,
     asymptotic_report,
     build_table,

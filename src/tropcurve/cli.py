@@ -179,7 +179,7 @@ def cmd_paths(args) -> int:
 def cmd_report(args) -> int:
     table = build_table(args.dmax, args.lambda_order)
     failed = False
-    for row in table.rows:
+    for row in table:
         flags = (
             f"bound={'ok' if row.bound_ok else 'FAIL'} "
             f"dominance={'ok' if row.dominance_ok else 'FAIL'} "

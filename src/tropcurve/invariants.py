@@ -52,12 +52,8 @@ class TableRow(NamedTuple):
     parity_ok: bool
 
 
-class InvariantTable(NamedTuple):
-    rows: tuple[TableRow, ...]
-
-
-def build_table(dmax: int, order: str = ORDER_XEY) -> InvariantTable:
-    """Per-degree counts from both methods with consistency flags.
+def build_table(dmax: int, order: str = ORDER_XEY) -> tuple[TableRow, ...]:
+    """Per-degree rows, d = 1..dmax, of counts from both methods with consistency flags.
 
     Fails fast with CrossCheckMismatchError when the path total and the
     recursion disagree; that is an internal error, never a data condition.
@@ -83,7 +79,7 @@ def build_table(dmax: int, order: str = ORDER_XEY) -> InvariantTable:
                 parity_ok=(w - n_paths) % 2 == 0,
             )
         )
-    return InvariantTable(rows=tuple(rows))
+    return tuple(rows)
 
 
 class AsymptoticRow(NamedTuple):
@@ -94,15 +90,15 @@ class AsymptoticRow(NamedTuple):
     real_gap_per_d: float | None
 
 
-def asymptotic_report(table: InvariantTable) -> list[AsymptoticRow]:
+def asymptotic_report(table: tuple[TableRow, ...]) -> list[AsymptoticRow]:
     """log N_d against 3d log d, and (log N_d - log W_d)/d where W_d > 0.
 
     Display-only floats; the core values stay exact in the table.
     """
-    if not table.rows:
+    if not table:
         raise EmptyTableError("asymptotic report needs at least one row")
     report = []
-    for row in table.rows:
+    for row in table:
         log_n = math.log(row.n_paths)
         reference = 3 * row.d * math.log(row.d) if row.d > 1 else 0.0
         real_gap = None

@@ -56,7 +56,7 @@ from operator import eq, itemgetter, lt
 from typing import Iterator, NamedTuple
 
 from .errors import BadDegreeError, CensusTooLargeError, InvalidPathError
-from .geometry import Point, cross, lattice_length, primitive, triangle_weights, turn
+from .geometry import Point, triangle_weights, turn
 
 ORDER_XEY = "xey"  # x ascending, y descending: realizes x - eps*y
 ORDER_ROWMAJOR = "rowmajor"  # (d+1)*x + y ascending
@@ -121,11 +121,6 @@ class PathDomain(_DomainFields):
         return 3 * self.d - 1
 
 
-def _side_lattice_points(a: Point, b: Point) -> list[Point]:
-    step = primitive((b[0] - a[0], b[1] - a[1]))
-    return [(a[0] + k * step[0], a[1] + k * step[1]) for k in range(lattice_length(a, b) + 1)]
-
-
 def check_degree(d: int) -> None:
     """Raise BadDegreeError unless d is a positive int (bools excluded)."""
     if not isinstance(d, int) or isinstance(d, bool) or d < 1:
@@ -143,13 +138,14 @@ def path_domain(d: int, order: str = ORDER_XEY) -> PathDomain:
     else:
         raise ValueError(f"unknown order preset {order!r}")
     p, q = pts[0], pts[-1]
-    corners = ((0, 0), (d, 0), (0, d))
-    (r,) = [c for c in corners if c not in (p, q)]
-    via_corner = tuple(_side_lattice_points(p, r) + _side_lattice_points(r, q)[1:])
-    direct = tuple(_side_lattice_points(p, q))
-    r_is_left = cross((q[0] - p[0], q[1] - p[1]), (r[0] - p[0], r[1] - p[1])) > 0
-    left_arc, right_arc = (via_corner, direct) if r_is_left else (direct, via_corner)
-    domain = PathDomain(
+    # p -> q is a side of T_d, the direct arc; the rest of the boundary, with p and q,
+    # is the corner arc.  Listed in the point order, each arc is increasing.
+    direct = tuple(pt for pt in pts if turn(p, pt, q) == 0)
+    via_corner = tuple(pt for pt in pts if (0 in pt or sum(pt) == d) and pt not in direct[1:-1])
+    # the corner lies left of p -> q iff the turn p, corner, q is clockwise
+    corner_is_left = turn(p, via_corner[1], q) < 0
+    left_arc, right_arc = (via_corner, direct) if corner_is_left else (direct, via_corner)
+    return PathDomain(
         d=d,
         order=order,
         points=tuple(pts),
@@ -158,10 +154,6 @@ def path_domain(d: int, order: str = ORDER_XEY) -> PathDomain:
         left_arc=left_arc,
         right_arc=right_arc,
     )
-    # the engines find an arc by its point set, so each arc must be increasing
-    validate_path(left_arc, domain)
-    validate_path(right_arc, domain)
-    return domain
 
 
 def check_census(domain: PathDomain) -> int:

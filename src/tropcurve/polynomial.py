@@ -186,93 +186,66 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
-class _ExprParser:
-    def __init__(self, tokens: list[str]):
-        self.tokens = tokens
-        self.pos = 0
+def parse_expression(text: str) -> TropicalPolynomial:
+    """Parse `max(term, ...)` with affine terms in x and y."""
+    stack: list[str | None] = [None, *reversed(_tokenize(text))]  # None marks the end
 
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self, expected: str | None = None) -> str:
-        tok = self.peek()
+    def take(expected: str | None = None) -> str:
+        tok = stack[-1]
         if tok is None:
             raise ParseError("unexpected end of expression")
         if expected is not None and tok != expected:
             raise ParseError(f"expected {expected!r}, got {tok!r}")
-        self.pos += 1
-        return tok
+        return stack.pop()
 
-    def parse(self) -> list[tuple[Point, Fraction]]:
-        self.take("max")
-        self.take("(")
-        if self.peek() == ")":
-            raise ParseError("max() needs at least one term")
-        terms = [self.term()]
-        while self.peek() == ",":
-            self.take(",")
-            terms.append(self.term())
-        self.take(")")
-        if self.peek() is not None:
-            raise ParseError(f"trailing input after ')': {self.peek()!r}")
-        return terms
-
-    def term(self) -> tuple[Point, Fraction]:
-        sign = 1
-        if self.peek() == "-":
-            self.take()
-            sign = -1
-        slope_x, slope_y, const = self.part(sign)
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            sx, sy, c = self.part(1 if op == "+" else -1)
-            slope_x += sx
-            slope_y += sy
-            const += c
-        for name, slope in (("x", slope_x), ("y", slope_y)):
-            if slope.denominator != 1:
-                raise ParseError(f"slope of {name} must be an integer, got {slope}")
-        return ((int(slope_x), int(slope_y)), const)
-
-    def part(self, sign: int) -> tuple[Fraction, Fraction, Fraction]:
-        """One additive part, returned as (x-slope, y-slope, constant)."""
-        tok = self.peek()
-        if tok in ("x", "y"):
-            self.take()
-            coeff = Fraction(sign)
-            return (coeff, Fraction(0), Fraction(0)) if tok == "x" else (Fraction(0), coeff, Fraction(0))
-        value = sign * self.rational()
-        if self.peek() == "*":
-            self.take()
-            var = self.take()
-            if var not in ("x", "y"):
-                raise ParseError(f"expected variable after '*', got {var!r}")
-        elif self.peek() in ("x", "y"):
-            var = self.take()
-        else:
-            return (Fraction(0), Fraction(0), value)
-        if var == "x":
-            return (value, Fraction(0), Fraction(0))
-        return (Fraction(0), value, Fraction(0))
-
-    def rational(self) -> Fraction:
-        sign = 1
-        if self.peek() == "-":
-            self.take()
-            sign = -1
-        tok = self.take()
-        if not tok.isdigit():
-            raise ParseError(f"expected a number, got {tok!r}")
-        value = Fraction(int(tok))
-        if self.peek() == "/":
-            self.take()
-            den = self.take()
-            if not den.isdigit() or int(den) == 0:
-                raise ParseError(f"bad denominator {den!r}")
-            value = Fraction(int(tok), int(den))
-        return sign * value
-
-
-def parse_expression(text: str) -> TropicalPolynomial:
-    """Parse `max(term, ...)` with affine terms in x and y."""
-    return TropicalPolynomial(_ExprParser(_tokenize(text)).parse())
+    take("max")
+    take("(")
+    if stack[-1] == ")":
+        raise ParseError("max() needs at least one term")
+    terms = []
+    while True:
+        # one term: signed parts, each summed into the slope of x, of y or the constant
+        parts = {"x": Fraction(0), "y": Fraction(0), "": Fraction(0)}
+        sign = -1 if stack[-1] == "-" else 1
+        if sign < 0:
+            take()
+        while True:
+            if stack[-1] in ("x", "y"):
+                parts[take()] += sign
+            else:
+                if stack[-1] == "-":
+                    take()
+                    sign = -sign
+                num = take()
+                if not num.isdigit():
+                    raise ParseError(f"expected a number, got {num!r}")
+                value = sign * Fraction(int(num))
+                if stack[-1] == "/":
+                    take()
+                    den = take()
+                    if not den.isdigit() or int(den) == 0:
+                        raise ParseError(f"bad denominator {den!r}")
+                    value /= int(den)
+                var = ""
+                if stack[-1] == "*":
+                    take()
+                    var = take()
+                    if var not in ("x", "y"):
+                        raise ParseError(f"expected variable after '*', got {var!r}")
+                elif stack[-1] in ("x", "y"):
+                    var = take()
+                parts[var] += value
+            if stack[-1] not in ("+", "-"):
+                break
+            sign = 1 if take() == "+" else -1
+        for name in ("x", "y"):
+            if parts[name].denominator != 1:
+                raise ParseError(f"slope of {name} must be an integer, got {parts[name]}")
+        terms.append(((int(parts["x"]), int(parts["y"])), parts[""]))
+        if stack[-1] != ",":
+            break
+        take()
+    take(")")
+    if stack[-1] is not None:
+        raise ParseError(f"trailing input after ')': {stack[-1]!r}")
+    return TropicalPolynomial(terms)

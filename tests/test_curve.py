@@ -387,7 +387,6 @@ class TestDegree:
 
     def test_imbalanced_counts_rejected(self):
         curve = extract_curve(line_poly())
-        seg = ((0, 0), (1, 0))
         doctored = TropicalCurve(
             vertices=curve.vertices,
             bounded_edges=curve.bounded_edges,
@@ -397,7 +396,6 @@ class TestDegree:
             ),
             subdivision=curve.subdivision,
         )
-        assert seg  # silence unused warning if ray construction changes
         with pytest.raises(ImbalancedError):
             degree(doctored)
 

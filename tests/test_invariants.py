@@ -79,13 +79,13 @@ class TestFactorialBound:
 class TestTable:
     def test_three_rows(self):
         table = build_table(3)
-        assert [r.n_paths for r in table.rows] == [1, 1, 12]
-        assert [r.n_recursion for r in table.rows] == [1, 1, 12]
-        assert [r.w for r in table.rows] == [1, 1, 8]
-        assert all(r.bound_ok and r.dominance_ok and r.parity_ok for r in table.rows)
+        assert [r.n_paths for r in table] == [1, 1, 12]
+        assert [r.n_recursion for r in table] == [1, 1, 12]
+        assert [r.w for r in table] == [1, 1, 8]
+        assert all(r.bound_ok and r.dominance_ok and r.parity_ok for r in table)
 
     def test_flags_recomputable(self):
-        for row in build_table(4).rows:
+        for row in build_table(4):
             assert row.bound_ok == (3 * row.w >= math.factorial(row.d))
             assert row.dominance_ok == (row.w <= row.n_paths)
             assert row.parity_ok == ((row.w - row.n_paths) % 2 == 0)
@@ -124,7 +124,5 @@ class TestAsymptotics:
         )
 
     def test_empty_table_rejected(self):
-        from tropcurve import InvariantTable
-
         with pytest.raises(EmptyTableError):
-            asymptotic_report(InvariantTable(rows=()))
+            asymptotic_report(())

@@ -12,6 +12,7 @@ from tropcurve import (
     ParseError,
     TropicalPolynomial,
     dual_subdivision,
+    format_rational,
     parse_expression,
     parse_rational,
     parse_term_table,
@@ -240,6 +241,60 @@ class TestProperties:
     def test_translation_covariance(self, poly, p, shift):
         shifted = TropicalPolynomial((q, c + shift) for q, c in poly.terms.items())
         assert shifted.argmax_terms(*p) == poly.argmax_terms(*p)
+
+
+# expressions: integer slopes, negatives included, and rational constants
+expression_terms = st.lists(
+    st.tuples(
+        st.tuples(st.integers(min_value=-12, max_value=12), st.integers(min_value=-12, max_value=12)),
+        st.fractions(min_value=-20, max_value=20, max_denominator=9),
+    ),
+    min_size=1,
+    max_size=5,
+    unique_by=lambda term: term[0],
+)
+gaps = st.sampled_from(["", " ", "  ", "\t"])
+
+
+def spell_part(draw, value, var, first):
+    """One signed part of a term, as pieces of text: `- x`, `+ -3/2`, `- -2 * y`..."""
+    op = draw(st.sampled_from(["", "-"] if first else ["+", "-"]))
+    written = -value if op == "-" else value
+    pieces = [op] if op else []
+    if var and written == 1 and draw(st.booleans()):
+        return pieces + [var]
+    if written < 0:
+        pieces.append("-")
+    number = format_rational(Fraction(abs(written)))
+    if var:
+        number += draw(st.sampled_from(["", "*", " ", " * "])) + var
+    return pieces + [number]
+
+
+@st.composite
+def spelled_expressions(draw, terms):
+    """`terms` written as `max(...)` text, each term spelled at random."""
+    texts = []
+    for (i, j), c in terms:
+        parts = [(v, var) for v, var in ((i, "x"), (j, "y"), (c, "")) if v or draw(st.booleans())]
+        pieces = []
+        for k, (value, var) in enumerate(draw(st.permutations(parts or [(c, "")]))):
+            pieces += spell_part(draw, value, var, k == 0)
+        texts.append("".join(piece + draw(gaps) for piece in pieces))
+    body = texts[0]
+    for text in texts[1:]:
+        body += "," + draw(gaps) + text
+    return draw(gaps) + "max" + draw(gaps) + "(" + draw(gaps) + body + ")" + draw(gaps)
+
+
+class TestExpressionRoundTrip:
+    @given(st.data(), expression_terms)
+    @settings(max_examples=200)
+    def test_spellings_parse_to_the_terms(self, data, terms):
+        text = data.draw(spelled_expressions(terms))
+        poly = parse_expression(text)
+        assert poly == TropicalPolynomial(terms)
+        assert list(poly.terms) == [point for point, _ in terms]
 
 
 # negative exponents, and coefficients whose denominators mix

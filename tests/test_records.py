@@ -13,7 +13,6 @@ from tropcurve import (
     BoundedEdge,
     CurveStats,
     CurveVertex,
-    InvariantTable,
     PathDomain,
     PathMultiplicity,
     Ray,
@@ -38,7 +37,6 @@ FIELDS = {
     TropicalCurve: ("vertices", "bounded_edges", "rays", "subdivision"),
     CurveStats: ("degree", "node_count", "trivalent_multiplicities", "betti1", "welschinger_sign"),
     TableRow: ("d", "n_paths", "n_recursion", "w", "bound_ok", "dominance_ok", "parity_ok"),
-    InvariantTable: ("rows",),
     AsymptoticRow: ("d", "log_n", "three_d_log_d", "gap_per_d", "real_gap_per_d"),
     PathDomain: ("d", "order", "points", "p", "q", "left_arc", "right_arc"),
     PathMultiplicity: ("complex_plus", "complex_minus", "complex_total", "welschinger_total"),
@@ -60,8 +58,7 @@ def samples():
         curve.rays[0],
         curve,
         curve_stats(curve),
-        table.rows[0],
-        table,
+        table[0],
         asymptotic_report(table)[-1],
         domain,
         path_multiplicity(live_paths(domain)[0], domain),
