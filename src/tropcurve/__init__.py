@@ -11,7 +11,6 @@ from .curve import (
     CurveStats,
     CurveVertex,
     Ray,
-    Subdivision,
     TropicalCurve,
     check_balancing,
     curve_multiplicity,

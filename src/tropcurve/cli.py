@@ -17,7 +17,6 @@ from .document import curve_document, write_document
 from .errors import (
     CensusTooLargeError,
     CrossCheckMismatchError,
-    ImbalancedError,
     ParseError,
     TropcurveError,
 )
@@ -93,8 +92,7 @@ def cmd_curve(args) -> int:
     curve = curvemod.extract_curve(poly)
     violations = curvemod.check_balancing(curve)
     if violations:
-        print(f"error: balancing violated at vertices {violations}", file=sys.stderr)
-        return EXIT_INTERNAL
+        raise CrossCheckMismatchError(f"balancing violated at vertices {violations}")
     doc = curve_document(curve)
     text = write_document(doc)
     wrote = False
@@ -134,8 +132,7 @@ def cmd_count(args) -> int:
     n_rec = km_count(args.degree)
     print(f"{n_paths} {n_rec}")
     if n_paths != n_rec:
-        print("error: path count and recursion disagree", file=sys.stderr)
-        return EXIT_INTERNAL
+        raise CrossCheckMismatchError("path count and recursion disagree")
     return EXIT_OK
 
 
@@ -149,13 +146,13 @@ def _format_path(path) -> str:
 
 
 def cmd_paths(args) -> int:
-    domain = pathsmod.path_domain(args.degree, args.lambda_order)
-    census = pathsmod.check_census(domain)
+    census = pathsmod.check_census(args.degree)
     if not args.nonzero_only and census > pathsmod.LISTING_LIMIT:
         raise CensusTooLargeError(
-            f"the degree-{domain.d} full listing has {census} paths, over the limit of "
+            f"the degree-{args.degree} full listing has {census} paths, over the limit of "
             f"{pathsmod.LISTING_LIMIT}; list the nonzero paths alone with --nonzero-only"
         )
+    domain = pathsmod.path_domain(args.degree, args.lambda_order)
     # a nonzero total needs a tiling toward the corner arc: list only those paths
     listed = pathsmod.live_paths if args.nonzero_only else pathsmod.enumerate_paths
     paths = listed(domain)
@@ -218,7 +215,7 @@ def main(argv=None) -> int:
         return EXIT_USER if exc.code else EXIT_OK
     try:
         return _HANDLERS[args.command](args)
-    except (CrossCheckMismatchError, ImbalancedError) as exc:
+    except CrossCheckMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except TropcurveError as exc:

@@ -53,17 +53,6 @@ SOUTH = (0, -1)
 NORTHEAST = (1, 1)
 
 
-class Subdivision(NamedTuple):
-    """Regular subdivision of a Newton polygon.
-
-    cells hold each 2-cell's hull vertices counterclockwise from the lex
-    minimum; curve vertex k of the extracted curve is dual to cell k.
-    """
-
-    cells: tuple[tuple[Point, ...], ...]
-    newton_polygon: tuple[Point, ...]
-
-
 class CurveVertex(NamedTuple):
     x: Fraction
     y: Fraction
@@ -87,7 +76,7 @@ class _CurveFields(NamedTuple):
     vertices: tuple[CurveVertex, ...]
     bounded_edges: tuple[BoundedEdge, ...]
     rays: tuple[Ray, ...]
-    subdivision: Subdivision
+    cells: tuple[tuple[Point, ...], ...]
 
 
 class TropicalCurve(_CurveFields):
@@ -158,8 +147,9 @@ def _facet_beyond(points: list[Lifted], u: Lifted, v: Lifted) -> frozenset[Point
     )
 
 
-def dual_subdivision(poly: TropicalPolynomial) -> Subdivision:
-    """Regular subdivision of the Newton polygon induced by the coefficients.
+def dual_subdivision(poly: TropicalPolynomial) -> tuple[tuple[Point, ...], ...]:
+    """Cells of the regular subdivision of the Newton polygon induced by the
+    coefficients, each its hull vertices counterclockwise from the lex minimum.
 
     The cells are the upper facets of the lifted support, found by a walk.
     The first facet borders the first segment h0 -> q of the upper chain over
@@ -196,8 +186,7 @@ def dual_subdivision(poly: TropicalPolynomial) -> Subdivision:
             if cell is not None and cell not in hulls:
                 hulls[cell] = tuple(convex_hull(cell))
                 pending.append(cell)
-    cells = tuple(hulls[s] for s in sorted(hulls, key=sorted))
-    return Subdivision(cells=cells, newton_polygon=tuple(hull))
+    return tuple(hulls[s] for s in sorted(hulls, key=sorted))
 
 
 def _cell_vertex(poly: TropicalPolynomial, cell: tuple[Point, ...]) -> tuple[Fraction, Fraction]:
@@ -224,29 +213,29 @@ def extract_curve(poly: TropicalPolynomial) -> TropicalCurve:
     cell order; a side of two cells is a bounded edge between their vertices,
     a side of one cell is a ray out of its vertex.
     """
-    sub = dual_subdivision(poly)
-    vertices = tuple(CurveVertex(*_cell_vertex(poly, cell)) for cell in sub.cells)
+    cells = dual_subdivision(poly)
+    vertices = tuple(CurveVertex(*_cell_vertex(poly, cell)) for cell in cells)
     # canonical segment (a < b) -> (first counterclockwise side seen, incident cells)
     sides: dict[Segment, tuple[Segment, list[int]]] = {}
-    for idx, cell in enumerate(sub.cells):
+    for idx, cell in enumerate(cells):
         for a, b in zip(cell, cell[1:] + cell[:1]):
             seg: Segment = (a, b) if a < b else (b, a)
             sides.setdefault(seg, ((a, b), []))[1].append(idx)
     bounded = []
     rays = []
-    for seg, ((a, b), cells) in sides.items():
+    for seg, ((a, b), owners) in sides.items():
         weight = lattice_length(a, b)
-        if len(cells) == 2:
-            bounded.append(BoundedEdge(v1=cells[0], v2=cells[1], weight=weight, dual=seg))
+        if len(owners) == 2:
+            bounded.append(BoundedEdge(v1=owners[0], v2=owners[1], weight=weight, dual=seg))
         else:
             # the cell lies left of a -> b; turning that by -90 degrees points out
             direction = primitive((b[1] - a[1], a[0] - b[0]))
-            rays.append(Ray(vertex=cells[0], direction=direction, weight=weight, dual=seg))
+            rays.append(Ray(vertex=owners[0], direction=direction, weight=weight, dual=seg))
     return TropicalCurve(
         vertices=vertices,
         bounded_edges=tuple(bounded),
         rays=tuple(rays),
-        subdivision=sub,
+        cells=cells,
     )
 
 
@@ -296,14 +285,14 @@ def _is_parallelogram(cell: tuple[Point, ...]) -> bool:
 
 def node_count(curve: TropicalCurve) -> int:
     """Number of 4-valent vertices: dual cells that are parallelograms."""
-    return sum(1 for cell in curve.subdivision.cells if _is_parallelogram(cell))
+    return sum(1 for cell in curve.cells if _is_parallelogram(cell))
 
 
 def _cell_weights(curve: TropicalCurve) -> list[tuple[int, int]]:
     """(multiplicity, Welschinger factor) per dual cell: `triangle_weights` for a
     triangle, (1, 1) for a node's parallelogram, NotSimpleError for any other."""
     weights = []
-    for cell in curve.subdivision.cells:
+    for cell in curve.cells:
         if len(cell) == 3:
             weights.append(triangle_weights(*cell))
         elif _is_parallelogram(cell):
@@ -345,7 +334,7 @@ def first_betti(curve: TropicalCurve) -> int:
         return x
 
     def branch(v: int, dual: Segment) -> tuple[int, bool]:
-        cell = curve.subdivision.cells[v]
+        cell = curve.cells[v]
         if len(cell) == 3:
             return (v, False)
         a, b = dual
@@ -402,7 +391,7 @@ def curve_stats(curve: TropicalCurve) -> CurveStats:
     except (NotStandardFormError, ImbalancedError):
         deg = None
     multiplicities = tuple(
-        triangle_weights(*cell)[0] for cell in curve.subdivision.cells if len(cell) == 3
+        triangle_weights(*cell)[0] for cell in curve.cells if len(cell) == 3
     )
     try:
         b1: int | None = first_betti(curve)

@@ -24,7 +24,7 @@ def curve_document(curve: TropicalCurve) -> dict:
                 "y": format_rational(v.y),
                 "dual_cell": [list(p) for p in cell],
             }
-            for v, cell in zip(curve.vertices, curve.subdivision.cells)
+            for v, cell in zip(curve.vertices, curve.cells)
         ],
         "edges": [
             {

@@ -17,7 +17,7 @@ import math
 from typing import NamedTuple
 
 from .errors import CrossCheckMismatchError, EmptyTableError
-from .paths import ORDER_XEY, check_census, check_degree, count_both, path_domain
+from .paths import ORDER_XEY, check_census, check_degree, count_both
 
 
 def km_count(d: int) -> int:
@@ -59,7 +59,7 @@ def build_table(dmax: int, order: str = ORDER_XEY) -> tuple[TableRow, ...]:
     recursion disagree; that is an internal error, never a data condition.
     The census of dmax is checked before any row is computed.
     """
-    check_census(path_domain(dmax, order))
+    check_census(dmax)
     rows = []
     for d in range(1, dmax + 1):
         n_paths, w = count_both(d, order)

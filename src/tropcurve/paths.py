@@ -84,7 +84,6 @@ _NO_STATES: States = {}  # shared by every dead side; never mutated
 
 class _DomainFields(NamedTuple):
     d: int
-    order: str
     points: tuple[Point, ...]
     p: Point
     q: Point
@@ -147,7 +146,6 @@ def path_domain(d: int, order: str = ORDER_XEY) -> PathDomain:
     left_arc, right_arc = (via_corner, direct) if corner_is_left else (direct, via_corner)
     return PathDomain(
         d=d,
-        order=order,
         points=tuple(pts),
         p=p,
         q=q,
@@ -156,14 +154,18 @@ def path_domain(d: int, order: str = ORDER_XEY) -> PathDomain:
     )
 
 
-def check_census(domain: PathDomain) -> int:
-    """The domain's path census C(|T_d| - 2, 3d - 2); CensusTooLargeError past
-    CENSUS_LIMIT, before any path is built."""
-    census = comb(len(domain.points) - 2, domain.steps() - 1)
-    if census > CENSUS_LIMIT:
+def check_census(d: int) -> int:
+    """The degree-d path census C(|T_d| - 2, 3d - 2); CensusTooLargeError past
+    CENSUS_LIMIT, from the degree alone, before any domain or path is built.
+    The census grows with d.  From d = 500 on (3527 digits and more) it is
+    refused uncomputed: a message never holds a number past CPython's
+    4300-digit int-to-str limit, and a far degree costs no binomial."""
+    check_degree(d)
+    census = comb((d + 1) * (d + 2) // 2 - 2, 3 * d - 2) if d < 500 else None
+    if census is None or census > CENSUS_LIMIT:
         raise CensusTooLargeError(
-            f"the degree-{domain.d} lattice-path census has {census} paths, over the "
-            f"limit of {CENSUS_LIMIT}; N_d at any degree: count --method recursion"
+            f"the degree-{d} lattice-path census has {census or 'over 10^3526'} paths, over "
+            f"the limit of {CENSUS_LIMIT}; N_d at any degree: count --method recursion"
         )
     return census
 
@@ -175,7 +177,7 @@ def enumerate_paths(domain: PathDomain) -> Iterator[tuple[Point, ...]]:
     plain combination scan; the order is deterministic.  The census is
     checked when this is called, not when the first path is drawn.
     """
-    check_census(domain)
+    check_census(domain.d)
     head = (domain.p,)
     tail = (domain.q,)
     middles = combinations(domain.points[1:-1], domain.steps() - 1)
@@ -319,7 +321,7 @@ def live_ranks(domain: PathDomain) -> list[tuple[int, ...]]:
     b = a + c - v (inverse swap), where a < b < c in the order.  The result is
     live iff b is its first corner turning toward the arc.
     """
-    check_census(domain)
+    check_census(domain.d)
     corner = next(iter(domain.engines.values()))
     toward = corner.toward
     # the b whose corner between a and c turns, and the b a swap turned into v
@@ -467,8 +469,9 @@ def path_multiplicity(path, domain: PathDomain) -> PathMultiplicity:
 def count_both(d: int, order: str = ORDER_XEY) -> tuple[int, int]:
     """(curve count, Welschinger invariant) from one pass over the paths live on
     the corner side; a path dead there has no completions at all."""
+    check_census(d)  # before the domain: a far degree's T_d alone fills memory
     domain = path_domain(d, order)
-    live = live_ranks(domain)  # checks the census before any table is built
+    live = live_ranks(domain)
     corner, other = (engine.states for engine in domain.engines.values())
     total_mu = total_nu = 0
     for path in live:

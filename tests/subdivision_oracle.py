@@ -15,7 +15,7 @@ from tropcurve.geometry import convex_hull
 
 def triple_scan_cells(poly):
     """Cells of the regular subdivision, ordered and shaped as in
-    `dual_subdivision(poly).cells`."""
+    `dual_subdivision(poly)`."""
     support = poly.support
     lift = {(i, j): z for i, j, z in poly.integer_lift}
     n = len(support)

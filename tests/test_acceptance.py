@@ -120,7 +120,7 @@ def test_criterion_07_curve_engine_random():
         if check_balancing(curve):
             ok = False
             break
-        total = sum(abs(normalized_area(list(c))) for c in curve.subdivision.cells)
+        total = sum(abs(normalized_area(list(c))) for c in curve.cells)
         if total != 16:  # twice the Euclidean area 8 = d^2/2
             ok = False
             break

@@ -1,11 +1,15 @@
 import hashlib
 import json
+import os
+import resource
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import tropcurve
 from tropcurve import cli, invariants
 from tropcurve.document import write_document
 
@@ -70,6 +74,7 @@ class TestCount:
         code, out, err = run_cli(capsys, "count", "-d", "2", "--method", "both")
         assert code == 2
         assert out.strip() == "1 999"
+        assert err == "error: path count and recursion disagree\n"
 
     @pytest.mark.skipif(
         not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit"
@@ -123,6 +128,55 @@ class TestCensusLimit:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "degree-40" in err and "--method recursion" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "-d", "700"],
+            ["welschinger", "-d", "700"],
+            ["paths", "-d", "700"],
+            ["paths", "-d", "700", "--nonzero-only"],
+            ["report", "--max", "700"],
+        ],
+    )
+    def test_a_census_past_the_digit_limit_is_one_error_line(self, capsys, argv):
+        # the degree-700 census has 5247 digits, past CPython's int-to-str limit of 4300
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: the degree-700 lattice-path census has over 10^3526 paths, over the "
+            "limit of 100000000; N_d at any degree: count --method recursion\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "-d", "1000000"],
+            ["welschinger", "-d", "1000000"],
+            ["paths", "-d", "1000000", "--nonzero-only"],
+            ["report", "--max", "1000000"],
+        ],
+    )
+    def test_a_far_degree_is_refused_within_a_small_address_space(self, argv):
+        # T_d alone would hold 5 * 10^11 points: under a 256 MB cap a regression that
+        # builds anything of the degree first fails here instead of filling the machine
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+        src = str(Path(tropcurve.__file__).parents[1])
+        result = subprocess.run(
+            [sys.executable, "-m", "tropcurve.cli", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            preexec_fn=cap,
+            timeout=60,
+        )
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr.startswith("error: the degree-1000000 lattice-path census ")
+        assert result.stderr.count("\n") == 1
 
     def test_recursion_still_reaches_degree_seven(self, capsys):
         code, out, _ = run_cli(capsys, "count", "-d", "7", "--method", "recursion")
@@ -286,6 +340,17 @@ class TestCurve:
             outputs.append(out_json.read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_balancing_failure_exits_two_and_writes_nothing(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli.curvemod, "check_balancing", lambda curve: [(0, (1, 0))])
+        out_json = tmp_path / "line.json"
+        out_svg = tmp_path / "line.svg"
+        code, out, err = run_cli(
+            capsys, "curve", "--expr", "max(0,x,y)", "--json", str(out_json), "--svg", str(out_svg)
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: balancing violated at vertices [(0, (1, 0))]\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_file_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "curve", "--poly", "/nonexistent/poly.txt")
         assert code == 1
@@ -303,6 +368,16 @@ class TestReport:
     def test_bad_degree(self, capsys):
         code, _, _ = run_cli(capsys, "report", "--max", "0")
         assert code == 1
+
+    def test_a_failed_flag_exits_two(self, capsys, monkeypatch):
+        # W_3 = 9 passes the bound and dominance but not the parity with N_3 = 12
+        counts = {1: (1, 1), 2: (1, 1), 3: (12, 9)}
+        monkeypatch.setattr(invariants, "count_both", lambda d, order: counts[d])
+        code, out, _ = run_cli(capsys, "report", "--max", "3")
+        assert code == 2
+        lines = out.splitlines()
+        assert lines[2] == "d=3 N_paths=12 N_recursion=12 W=9 bound=ok dominance=ok parity=FAIL"
+        assert lines[5].startswith("d=3 logN=")
 
     def test_cross_check_failure_exits_two(self, capsys, monkeypatch):
         monkeypatch.setattr(invariants, "km_count", lambda d: 999)

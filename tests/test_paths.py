@@ -140,12 +140,22 @@ class TestEnumeration:
     def test_census_check_counts_the_paths(self, order):
         for d in range(1, 6):
             dom = path_domain(d, order)
-            assert check_census(dom) == sum(1 for _ in enumerate_paths(dom))
+            assert check_census(d) == sum(1 for _ in enumerate_paths(dom))
 
     def test_census_out_of_reach_fails_on_call(self):
-        assert check_census(path_domain(6)) <= CENSUS_LIMIT
+        assert check_census(6) <= CENSUS_LIMIT
         with pytest.raises(CensusTooLargeError, match="1855967520"):
             enumerate_paths(path_domain(7))  # raised before the first path is drawn
+
+    def test_census_is_named_while_it_has_few_digits(self):
+        # 3519 digits at d = 499; from d = 500 (3527 digits) on it is not computed
+        assert len(str(census_formula(499))) == 3519
+        with pytest.raises(CensusTooLargeError, match=f"has {census_formula(499)} paths"):
+            check_census(499)
+        assert census_formula(500) > 10**3526
+        for d in (500, 10**9):
+            with pytest.raises(CensusTooLargeError, match=rf"degree-{d} .* has over 10\^3526 paths"):
+                check_census(d)
 
     def test_deterministic_order(self):
         first = list(enumerate_paths(path_domain(3)))

@@ -17,6 +17,7 @@ from tropcurve import (
     parse_rational,
     parse_term_table,
 )
+from tropcurve.geometry import convex_hull
 
 LINE_TERMS = [((0, 0), Fraction(0)), ((1, 0), Fraction(0)), ((0, 1), Fraction(0))]
 
@@ -166,10 +167,10 @@ class TestExpression:
 
 
 class TestNewtonPolygon:
-    """The polygon the subdivision records, which names it when degenerate."""
+    """The hull that `dual_subdivision` computes, and names when it is degenerate."""
 
     def test_line(self):
-        assert dual_subdivision(line_poly()).newton_polygon == ((0, 0), (1, 0), (0, 1))
+        assert convex_hull(line_poly().support) == [(0, 0), (1, 0), (0, 1)]
 
     def test_collinear_support_is_segment(self):
         poly = TropicalPolynomial([((0, 0), Fraction(0)), ((1, 0), Fraction(0)), ((2, 0), Fraction(0))])
@@ -180,7 +181,7 @@ class TestNewtonPolygon:
         poly = TropicalPolynomial(
             [((i, j), Fraction(0)) for i in range(3) for j in range(3 - i)]
         )
-        assert dual_subdivision(poly).newton_polygon == ((0, 0), (2, 0), (0, 2))
+        assert convex_hull(poly.support) == [(0, 0), (2, 0), (0, 2)]
 
 
 class TestRender:
@@ -362,3 +363,4 @@ def test_equality_and_hash():
     assert line_poly() == parse_expression("max(0, x, y)")
     assert hash(line_poly()) == hash(parse_expression("max(0, x, y)"))
     assert line_poly() != TropicalPolynomial([((0, 0), Fraction(1))])
+    assert line_poly() != "max(0, x, y)"

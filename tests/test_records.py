@@ -16,7 +16,6 @@ from tropcurve import (
     PathDomain,
     PathMultiplicity,
     Ray,
-    Subdivision,
     TableRow,
     TropicalCurve,
     asymptotic_report,
@@ -30,15 +29,14 @@ from tropcurve import (
 )
 
 FIELDS = {
-    Subdivision: ("cells", "newton_polygon"),
     CurveVertex: ("x", "y"),
     BoundedEdge: ("v1", "v2", "weight", "dual"),
     Ray: ("vertex", "direction", "weight", "dual"),
-    TropicalCurve: ("vertices", "bounded_edges", "rays", "subdivision"),
+    TropicalCurve: ("vertices", "bounded_edges", "rays", "cells"),
     CurveStats: ("degree", "node_count", "trivalent_multiplicities", "betti1", "welschinger_sign"),
     TableRow: ("d", "n_paths", "n_recursion", "w", "bound_ok", "dominance_ok", "parity_ok"),
     AsymptoticRow: ("d", "log_n", "three_d_log_d", "gap_per_d", "real_gap_per_d"),
-    PathDomain: ("d", "order", "points", "p", "q", "left_arc", "right_arc"),
+    PathDomain: ("d", "points", "p", "q", "left_arc", "right_arc"),
     PathMultiplicity: ("complex_plus", "complex_minus", "complex_total", "welschinger_total"),
 }
 
@@ -52,7 +50,6 @@ def samples():
     table = build_table(3)
     domain = path_domain(3)
     records = [
-        curve.subdivision,
         curve.vertices[0],
         curve.bounded_edges[0],
         curve.rays[0],
@@ -74,6 +71,7 @@ def record(request, samples):
 
 class TestRecord:
     def test_fields_cannot_be_assigned(self, record):
+        assert record._fields == FIELDS[type(record)]
         for name in FIELDS[type(record)]:
             with pytest.raises(AttributeError):
                 setattr(record, name, getattr(record, name))
@@ -99,7 +97,7 @@ def test_curve_lines_are_built_once_per_curve():
             Ray(0, (0, -1), 1, ((0, 0), (1, 0))),
             Ray(0, (1, 1), 1, ((0, 1), (1, 0))),
         ),
-        subdivision=Subdivision(cells=(((0, 0), (1, 0), (0, 1)),), newton_polygon=((0, 0), (1, 0), (0, 1))),
+        cells=(((0, 0), (1, 0), (0, 1)),),
     )
     first = line._lines
     assert first[0] == 6
