@@ -32,11 +32,7 @@ from .errors import (
     DegenerateSupportError,
     DuplicateTermError,
     EmptySupportError,
-    EmptyTableError,
-    ImbalancedError,
     InvalidPathError,
-    NotSimpleError,
-    NotStandardFormError,
     ParseError,
     TropcurveError,
 )

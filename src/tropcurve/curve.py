@@ -28,12 +28,7 @@ from functools import cached_property
 from math import lcm, prod
 from typing import NamedTuple
 
-from .errors import (
-    DegenerateSupportError,
-    ImbalancedError,
-    NotSimpleError,
-    NotStandardFormError,
-)
+from .errors import DegenerateSupportError
 from .geometry import (
     Point,
     convex_hull,
@@ -80,8 +75,8 @@ class _CurveFields(NamedTuple):
 
 
 class TropicalCurve(_CurveFields):
-    """A curve's fields, plus the memo of its integer geometry in the instance
-    __dict__ (a NamedTuple itself has none)."""
+    """A curve's fields, plus the memos of its integer geometry and of its
+    cell classification in the instance __dict__ (a NamedTuple itself has none)."""
 
     @cached_property
     def _lines(self) -> tuple[int, list[tuple[int, ...]], list[tuple[int, ...]]]:
@@ -107,10 +102,22 @@ class TropicalCurve(_CurveFields):
             rays.append((dx, dy, dx * ay - dy * ax, dx * ax + dy * ay))
         return den, edges, rays
 
+    @cached_property
+    def _cell_weights(self) -> tuple[tuple[int, int] | None, ...]:
+        """(multiplicity, Welschinger factor) per dual cell, classified once:
+        `triangle_weights` for a triangle, (1, 1) for a node's parallelogram,
+        None for any other cell."""
+        return tuple(
+            triangle_weights(*cell) if len(cell) == 3
+            else (1, 1) if _is_parallelogram(cell)
+            else None
+            for cell in self.cells
+        )
+
 
 class CurveStats(NamedTuple):
-    """Enumerative summary; betti1 and welschinger_sign are None when the
-    curve is not simple."""
+    """Enumerative summary; each field is what the function of its name
+    returns, so None where that is undefined."""
 
     degree: int | None
     node_count: int
@@ -258,22 +265,16 @@ def check_balancing(curve: TropicalCurve) -> list[tuple[int, tuple[int, int]]]:
     return [(v, (s[0], s[1])) for v, s in enumerate(sums) if s != [0, 0]]
 
 
-def degree(curve: TropicalCurve) -> int:
-    """Weighted ray count in each of the West/South/North-East directions.
-
-    The three counts must agree; anything else is reported loudly instead of
-    guessing.
-    """
-    census: dict[tuple[int, int], int] = {}
+def degree(curve: TropicalCurve) -> int | None:
+    """Weighted ray count in each of the West/South/North-East directions;
+    None for a ray in any other direction, or counts that disagree."""
+    counts = {WEST: 0, SOUTH: 0, NORTHEAST: 0}
     for ray in curve.rays:
-        census[ray.direction] = census.get(ray.direction, 0) + ray.weight
-    extra = set(census) - {WEST, SOUTH, NORTHEAST}
-    if extra:
-        raise NotStandardFormError(f"rays in non-standard directions: {sorted(extra)}")
-    counts = {d: census.get(d, 0) for d in (WEST, SOUTH, NORTHEAST)}
-    if len(set(counts.values())) != 1:
-        raise ImbalancedError(f"directional ray counts differ: {counts}")
-    return counts[WEST]
+        if ray.direction not in counts:
+            return None
+        counts[ray.direction] += ray.weight
+    deg = counts[WEST]
+    return deg if counts[SOUTH] == counts[NORTHEAST] == deg else None
 
 
 def _is_parallelogram(cell: tuple[Point, ...]) -> bool:
@@ -288,43 +289,32 @@ def node_count(curve: TropicalCurve) -> int:
     return sum(1 for cell in curve.cells if _is_parallelogram(cell))
 
 
-def _cell_weights(curve: TropicalCurve) -> list[tuple[int, int]]:
-    """(multiplicity, Welschinger factor) per dual cell: `triangle_weights` for a
-    triangle, (1, 1) for a node's parallelogram, NotSimpleError for any other."""
-    weights = []
-    for cell in curve.cells:
-        if len(cell) == 3:
-            weights.append(triangle_weights(*cell))
-        elif _is_parallelogram(cell):
-            weights.append((1, 1))
-        else:
-            raise NotSimpleError(
-                "curve has a dual cell that is neither triangle nor parallelogram"
-            )
-    return weights
+def curve_multiplicity(curve: TropicalCurve) -> int | None:
+    """Product of trivalent vertex multiplicities (nodes contribute 1); None
+    unless the curve is simple (every dual cell a triangle or parallelogram)."""
+    weights = curve._cell_weights
+    return None if None in weights else prod(m for m, _ in weights)
 
 
-def curve_multiplicity(curve: TropicalCurve) -> int:
-    """Product of trivalent vertex multiplicities (nodes contribute 1)."""
-    return prod(m for m, _ in _cell_weights(curve))
-
-
-def welschinger_sign(curve: TropicalCurve) -> int:
+def welschinger_sign(curve: TropicalCurve) -> int | None:
     """Tropical Welschinger sign: 0 if some trivalent vertex has even
     multiplicity, else (-1) to the total interior lattice point count of the
-    dual triangles."""
-    return prod(w for _, w in _cell_weights(curve))
+    dual triangles; None unless the curve is simple."""
+    weights = curve._cell_weights
+    return None if None in weights else prod(w for _, w in weights)
 
 
-def first_betti(curve: TropicalCurve) -> int:
+def first_betti(curve: TropicalCurve) -> int | None:
     """First Betti number of the compactified parameterization graph.
 
     Nodes are split into their two crossing branches: an edge at a node joins
     the branch whose parallelogram sides are parallel to its dual segment.
     Rays end in leaves and close no cycle, so b1 counts the bounded edges
-    that join two already connected branches.
+    that join two already connected branches.  None unless the curve is
+    simple.
     """
-    _cell_weights(curve)  # NotSimpleError unless every cell is a triangle or a node
+    if None in curve._cell_weights:
+        return None
     parent: dict[tuple[int, bool], tuple[int, bool]] = {}
 
     def find(x):
@@ -386,23 +376,12 @@ def point_on_curve(curve: TropicalCurve, point) -> bool:
 
 def curve_stats(curve: TropicalCurve) -> CurveStats:
     """Summary of the enumerative attributes the curve supports."""
-    try:
-        deg: int | None = degree(curve)
-    except (NotStandardFormError, ImbalancedError):
-        deg = None
-    multiplicities = tuple(
-        triangle_weights(*cell)[0] for cell in curve.cells if len(cell) == 3
-    )
-    try:
-        b1: int | None = first_betti(curve)
-        sign: int | None = welschinger_sign(curve)
-    except NotSimpleError:
-        b1 = None
-        sign = None
     return CurveStats(
-        degree=deg,
+        degree=degree(curve),
         node_count=node_count(curve),
-        trivalent_multiplicities=multiplicities,
-        betti1=b1,
-        welschinger_sign=sign,
+        trivalent_multiplicities=tuple(
+            w[0] for cell, w in zip(curve.cells, curve._cell_weights) if len(cell) == 3
+        ),
+        betti1=first_betti(curve),
+        welschinger_sign=welschinger_sign(curve),
     )

@@ -35,20 +35,8 @@ class DegenerateSupportError(TropcurveError):
     """Newton polygon is a point or a segment; no curve to extract."""
 
 
-class NotSimpleError(TropcurveError):
-    """Operation needs a simple curve (dual cells all triangles/parallelograms)."""
-
-
-class NotStandardFormError(TropcurveError):
-    """Curve has a ray outside the West/South/North-East directions."""
-
-
-class ImbalancedError(TropcurveError):
-    """Weighted ray counts in the three standard directions disagree."""
-
-
 class BadDegreeError(TropcurveError, ValueError):
-    """Degree argument must be a positive integer."""
+    """Degree argument must be a positive integer, within the method's limit."""
 
 
 class InvalidPathError(TropcurveError):
@@ -61,7 +49,3 @@ class CensusTooLargeError(TropcurveError):
 
 class CrossCheckMismatchError(TropcurveError):
     """The lattice-path count and the recursion disagree."""
-
-
-class EmptyTableError(TropcurveError):
-    """Asymptotic report needs at least one table row."""

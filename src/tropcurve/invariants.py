@@ -16,13 +16,18 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import CrossCheckMismatchError, EmptyTableError
-from .paths import ORDER_XEY, check_census, check_degree, count_both
+from .errors import BadDegreeError, CrossCheckMismatchError
+from .paths import KM_LIMIT, ORDER_XEY, check_census, check_degree, count_both
 
 
 def km_count(d: int) -> int:
-    """Rational plane curve count N_d by the Kontsevich-Manin recursion, bottom-up."""
+    """Rational plane curve count N_d by the Kontsevich-Manin recursion, bottom-up.
+
+    BadDegreeError past KM_LIMIT, from the degree alone: the big-integer
+    products make the cost grow faster than d^3, so a far degree would hang."""
     check_degree(d)
+    if d > KM_LIMIT:
+        raise BadDegreeError(f"the recursion serves degrees up to {KM_LIMIT}, got {d}")
     n = [0, 1]  # n[e] = N_e
     for e in range(2, d + 1):
         total = 0
@@ -95,8 +100,6 @@ def asymptotic_report(table: tuple[TableRow, ...]) -> list[AsymptoticRow]:
 
     Display-only floats; the core values stay exact in the table.
     """
-    if not table:
-        raise EmptyTableError("asymptotic report needs at least one row")
     report = []
     for row in table:
         log_n = math.log(row.n_paths)

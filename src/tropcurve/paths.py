@@ -72,6 +72,9 @@ CENSUS_LIMIT = 10**8
 # Most paths the full listing may print, each with its own per-path division:
 # d = 5 has 27132; at d = 6 the engines' memos outgrow 1 GiB long before the end.
 LISTING_LIMIT = 10**6
+# Largest degree the Kontsevich-Manin recursion (`invariants.km_count`) serves:
+# N_500 has 3673 digits and takes about 9 s; the cost grows faster than d^3.
+KM_LIMIT = 500
 
 # A side's state map sends a partition of a path's steps into curve
 # components, one block label per step, to the summed (complex, Welschinger)
@@ -165,7 +168,7 @@ def check_census(d: int) -> int:
     if census is None or census > CENSUS_LIMIT:
         raise CensusTooLargeError(
             f"the degree-{d} lattice-path census has {census or 'over 10^3526'} paths, over "
-            f"the limit of {CENSUS_LIMIT}; N_d at any degree: count --method recursion"
+            f"the limit of {CENSUS_LIMIT}; N_d up to degree {KM_LIMIT}: count --method recursion"
         )
     return census
 

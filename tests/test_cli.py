@@ -147,7 +147,7 @@ class TestCensusLimit:
         assert (code, out) == (1, "")
         assert err == (
             "error: the degree-700 lattice-path census has over 10^3526 paths, over the "
-            "limit of 100000000; N_d at any degree: count --method recursion\n"
+            "limit of 100000000; N_d up to degree 500: count --method recursion\n"
         )
 
     @pytest.mark.parametrize(
@@ -177,6 +177,12 @@ class TestCensusLimit:
         assert (result.returncode, result.stdout) == (1, "")
         assert result.stderr.startswith("error: the degree-1000000 lattice-path census ")
         assert result.stderr.count("\n") == 1
+
+    def test_recursion_past_its_limit_is_one_error_line(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "count", "-d", "501", "--method", "recursion")
+        assert time.perf_counter() - start < 1
+        assert (code, out, err) == (1, "", "error: the recursion serves degrees up to 500, got 501\n")
 
     def test_recursion_still_reaches_degree_seven(self, capsys):
         code, out, _ = run_cli(capsys, "count", "-d", "7", "--method", "recursion")

@@ -88,8 +88,9 @@ class TestRecord:
         assert hash(by_keyword) == hash(record)
 
 
-def test_curve_lines_are_built_once_per_curve():
-    line = TropicalCurve(
+def shifted_line():
+    """The tropical line with its vertex at (1/2, -1/3)."""
+    return TropicalCurve(
         vertices=(CurveVertex(Fraction(1, 2), Fraction(-1, 3)),),
         bounded_edges=(),
         rays=(
@@ -99,12 +100,24 @@ def test_curve_lines_are_built_once_per_curve():
         ),
         cells=(((0, 0), (1, 0), (0, 1)),),
     )
+
+
+def test_curve_lines_are_built_once_per_curve():
+    line = shifted_line()
     first = line._lines
     assert first[0] == 6
     assert line._lines is first
     twin = TropicalCurve(**{name: getattr(line, name) for name in FIELDS[TropicalCurve]})
     assert twin == line
     assert twin._lines is not first
+
+
+def test_cell_weights_are_classified_once_per_curve():
+    line = shifted_line()
+    first = line._cell_weights
+    assert first == ((1, 1),)
+    assert line._cell_weights is first
+    assert shifted_line()._cell_weights is not first
 
 
 def test_domain_tables_are_built_once_per_domain():
