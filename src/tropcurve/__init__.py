@@ -27,7 +27,6 @@ from .curve import (
 from .document import curve_document, write_document
 from .errors import (
     BadDegreeError,
-    CensusTooLargeError,
     CrossCheckMismatchError,
     DegenerateSupportError,
     DuplicateTermError,
@@ -41,11 +40,9 @@ from .invariants import (
     TableRow,
     asymptotic_report,
     build_table,
-    factorial_bound_check,
     km_count,
 )
 from .paths import (
-    CENSUS_LIMIT,
     KIND_COMPLEX,
     KIND_WELSCHINGER,
     ORDER_ROWMAJOR,
@@ -54,7 +51,6 @@ from .paths import (
     SIDE_PLUS,
     PathDomain,
     PathMultiplicity,
-    check_census,
     count_both,
     enumerate_paths,
     live_paths,

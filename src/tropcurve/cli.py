@@ -14,12 +14,7 @@ from pathlib import Path
 from . import curve as curvemod
 from . import paths as pathsmod
 from .document import curve_document, write_document
-from .errors import (
-    CensusTooLargeError,
-    CrossCheckMismatchError,
-    ParseError,
-    TropcurveError,
-)
+from .errors import CrossCheckMismatchError, ParseError, TropcurveError
 from .invariants import asymptotic_report, build_table, km_count
 from .polynomial import parse_expression, parse_term_table
 from .svgout import render_svg
@@ -146,12 +141,9 @@ def _format_path(path) -> str:
 
 
 def cmd_paths(args) -> int:
-    census = pathsmod.check_census(args.degree)
-    if not args.nonzero_only and census > pathsmod.LISTING_LIMIT:
-        raise CensusTooLargeError(
-            f"the degree-{args.degree} full listing has {census} paths, over the limit of "
-            f"{pathsmod.LISTING_LIMIT}; list the nonzero paths alone with --nonzero-only"
-        )
+    pathsmod.check_degree(args.degree, pathsmod.PATH_COUNTER)
+    if not args.nonzero_only:
+        pathsmod.check_degree(args.degree, pathsmod.FULL_LISTING)
     domain = pathsmod.path_domain(args.degree, args.lambda_order)
     # a nonzero total needs a tiling toward the corner arc: list only those paths
     listed = pathsmod.live_paths if args.nonzero_only else pathsmod.enumerate_paths
@@ -175,26 +167,21 @@ def cmd_paths(args) -> int:
 
 def cmd_report(args) -> int:
     table = build_table(args.dmax, args.lambda_order)
-    failed = False
+    failed = []
     for row in table:
-        flags = (
-            f"bound={'ok' if row.bound_ok else 'FAIL'} "
-            f"dominance={'ok' if row.dominance_ok else 'FAIL'} "
-            f"parity={'ok' if row.parity_ok else 'FAIL'}"
-        )
-        print(
-            f"d={row.d} N_paths={row.n_paths} N_recursion={row.n_recursion} "
-            f"W={row.w} {flags}"
-        )
-        if not (row.bound_ok and row.dominance_ok and row.parity_ok):
-            failed = True
+        flags = {"bound": row.bound_ok, "dominance": row.dominance_ok, "parity": row.parity_ok}
+        shown = " ".join(f"{name}={'ok' if ok else 'FAIL'}" for name, ok in flags.items())
+        print(f"d={row.d} N_paths={row.n_paths} N_recursion={row.n_recursion} W={row.w} {shown}")
+        failed += [f"{name} at d={row.d}" for name, ok in flags.items() if not ok]
     for row in asymptotic_report(table):
         real = "" if row.real_gap_per_d is None else f" (logN-logW)/d={row.real_gap_per_d:.4f}"
         print(
             f"d={row.d} logN={row.log_n:.4f} 3dlogd={row.three_d_log_d:.4f} "
             f"gap/d={row.gap_per_d:.4f}{real}"
         )
-    return EXIT_INTERNAL if failed else EXIT_OK
+    if failed:
+        raise CrossCheckMismatchError(f"failed checks: {', '.join(failed)}")
+    return EXIT_OK
 
 
 _HANDLERS = {

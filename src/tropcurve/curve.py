@@ -26,6 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import lcm, prod
+from operator import add
 from typing import NamedTuple
 
 from .errors import DegenerateSupportError
@@ -105,11 +106,11 @@ class TropicalCurve(_CurveFields):
     @cached_property
     def _cell_weights(self) -> tuple[tuple[int, int] | None, ...]:
         """(multiplicity, Welschinger factor) per dual cell, classified once:
-        `triangle_weights` for a triangle, (1, 1) for a node's parallelogram,
-        None for any other cell."""
+        `triangle_weights` for a triangle, (1, 1) for a node's parallelogram
+        (a 4-cell whose diagonals share their midpoint), None for any other cell."""
         return tuple(
             triangle_weights(*cell) if len(cell) == 3
-            else (1, 1) if _is_parallelogram(cell)
+            else (1, 1) if len(cell) == 4 and [*map(add, *cell[::2])] == [*map(add, *cell[1::2])]
             else None
             for cell in self.cells
         )
@@ -277,16 +278,10 @@ def degree(curve: TropicalCurve) -> int | None:
     return deg if counts[SOUTH] == counts[NORTHEAST] == deg else None
 
 
-def _is_parallelogram(cell: tuple[Point, ...]) -> bool:
-    if len(cell) != 4:
-        return False
-    p0, p1, p2, p3 = cell
-    return (p1[0] - p0[0], p1[1] - p0[1]) == (p2[0] - p3[0], p2[1] - p3[1])
-
-
 def node_count(curve: TropicalCurve) -> int:
     """Number of 4-valent vertices: dual cells that are parallelograms."""
-    return sum(1 for cell in curve.cells if _is_parallelogram(cell))
+    weights = curve._cell_weights
+    return sum(len(cell) == 4 and w is not None for cell, w in zip(curve.cells, weights))
 
 
 def curve_multiplicity(curve: TropicalCurve) -> int | None:

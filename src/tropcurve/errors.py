@@ -43,9 +43,6 @@ class InvalidPathError(TropcurveError):
     """Point sequence is not a valid increasing lattice path for the domain."""
 
 
-class CensusTooLargeError(TropcurveError):
-    """The lattice-path census of the degree is too large to enumerate."""
-
-
 class CrossCheckMismatchError(TropcurveError):
-    """The lattice-path count and the recursion disagree."""
+    """A consistency check failed: the lattice-path count and the recursion
+    disagree, a report flag fails, or a curve is not balanced."""

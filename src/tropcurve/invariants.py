@@ -16,18 +16,16 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import BadDegreeError, CrossCheckMismatchError
-from .paths import KM_LIMIT, ORDER_XEY, check_census, check_degree, count_both
+from .errors import CrossCheckMismatchError
+from .paths import ORDER_XEY, PATH_COUNTER, RECURSION, check_degree, count_both
 
 
 def km_count(d: int) -> int:
     """Rational plane curve count N_d by the Kontsevich-Manin recursion, bottom-up.
 
-    BadDegreeError past KM_LIMIT, from the degree alone: the big-integer
-    products make the cost grow faster than d^3, so a far degree would hang."""
-    check_degree(d)
-    if d > KM_LIMIT:
-        raise BadDegreeError(f"the recursion serves degrees up to {KM_LIMIT}, got {d}")
+    BadDegreeError past `paths.MAX_DEGREE[RECURSION]`, from the degree alone:
+    the big-integer products make a far degree hang."""
+    check_degree(d, RECURSION)
     n = [0, 1]  # n[e] = N_e
     for e in range(2, d + 1):
         total = 0
@@ -39,12 +37,6 @@ def km_count(d: int) -> int:
             total += n[a] * n[b] * term
         n.append(total)
     return n[d]
-
-
-def factorial_bound_check(d: int, w: int) -> bool:
-    """True iff 3*w >= d! (the real-count lower bound), exactly."""
-    check_degree(d)
-    return 3 * w >= math.factorial(d)
 
 
 class TableRow(NamedTuple):
@@ -62,9 +54,10 @@ def build_table(dmax: int, order: str = ORDER_XEY) -> tuple[TableRow, ...]:
 
     Fails fast with CrossCheckMismatchError when the path total and the
     recursion disagree; that is an internal error, never a data condition.
-    The census of dmax is checked before any row is computed.
+    dmax is checked before any row is computed.  bound_ok is the real-count
+    lower bound 3 W_d >= d!.
     """
-    check_census(dmax)
+    check_degree(dmax, PATH_COUNTER)
     rows = []
     for d in range(1, dmax + 1):
         n_paths, w = count_both(d, order)
@@ -79,7 +72,7 @@ def build_table(dmax: int, order: str = ORDER_XEY) -> tuple[TableRow, ...]:
                 n_paths=n_paths,
                 n_recursion=n_rec,
                 w=w,
-                bound_ok=factorial_bound_check(d, w),
+                bound_ok=3 * w >= math.factorial(d),
                 dominance_ok=w <= n_paths,
                 parity_ok=(w - n_paths) % 2 == 0,
             )

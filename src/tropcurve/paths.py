@@ -51,11 +51,10 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import combinations, compress
-from math import comb
 from operator import eq, itemgetter, lt
 from typing import Iterator, NamedTuple
 
-from .errors import BadDegreeError, CensusTooLargeError, InvalidPathError
+from .errors import BadDegreeError, InvalidPathError
 from .geometry import Point, triangle_weights, turn
 
 ORDER_XEY = "xey"  # x ascending, y descending: realizes x - eps*y
@@ -67,14 +66,26 @@ SIDE_MINUS = "minus"
 KIND_COMPLEX = "complex"
 KIND_WELSCHINGER = "welschinger"
 
-# Most paths one census may enumerate: d = 6 has 5311735, d = 7 has 1855967520.
-CENSUS_LIMIT = 10**8
-# Most paths the full listing may print, each with its own per-path division:
-# d = 5 has 27132; at d = 6 the engines' memos outgrow 1 GiB long before the end.
-LISTING_LIMIT = 10**6
-# Largest degree the Kontsevich-Manin recursion (`invariants.km_count`) serves:
-# N_500 has 3673 digits and takes about 9 s; the cost grows faster than d^3.
-KM_LIMIT = 500
+# The largest degree each counting method serves, decided from the degree alone
+# by `check_degree`, before T_d or any path is built.  The path census
+# C(|T_d| - 2, 3d - 2) never falls as d grows, so a path limit is a census limit.
+PATH_COUNTER = "the lattice-path counter"
+FULL_LISTING = "the full listing"
+RECURSION = "the recursion"
+MAX_DEGREE = {
+    # d = 6: 5311735 census paths, counted in about 28 s at 441 MB (2 vCPUs); d = 7 has
+    # 1855967520
+    PATH_COUNTER: 6,
+    # d = 5 lists 27132 paths; at d = 6 the engines' memos outgrow 1 GiB long before the end
+    FULL_LISTING: 5,
+    # `invariants.km_count`: N_500 has 3673 digits and takes about 9 s; the cost grows
+    # faster than d^3
+    RECURSION: 500,
+}
+_PAST_MAX = {
+    PATH_COUNTER: f"; N_d up to degree {MAX_DEGREE[RECURSION]}: count --method recursion",
+    FULL_LISTING: "; list the nonzero paths alone with --nonzero-only",
+}
 
 # A side's state map sends a partition of a path's steps into curve
 # components, one block label per step, to the summed (complex, Welschinger)
@@ -123,10 +134,14 @@ class PathDomain(_DomainFields):
         return 3 * self.d - 1
 
 
-def check_degree(d: int) -> None:
-    """Raise BadDegreeError unless d is a positive int (bools excluded)."""
+def check_degree(d: int, method: str | None = None) -> None:
+    """Raise BadDegreeError unless d is a positive int (bools excluded), and
+    one that `method`, a key of MAX_DEGREE, serves."""
     if not isinstance(d, int) or isinstance(d, bool) or d < 1:
         raise BadDegreeError(f"degree must be a positive integer, got {d!r}")
+    if method is not None and d > MAX_DEGREE[method]:
+        limit = f"{method} serves degrees up to {MAX_DEGREE[method]}, got {d}"
+        raise BadDegreeError(limit + _PAST_MAX.get(method, ""))
 
 
 def path_domain(d: int, order: str = ORDER_XEY) -> PathDomain:
@@ -157,30 +172,14 @@ def path_domain(d: int, order: str = ORDER_XEY) -> PathDomain:
     )
 
 
-def check_census(d: int) -> int:
-    """The degree-d path census C(|T_d| - 2, 3d - 2); CensusTooLargeError past
-    CENSUS_LIMIT, from the degree alone, before any domain or path is built.
-    The census grows with d.  From d = 500 on (3527 digits and more) it is
-    refused uncomputed: a message never holds a number past CPython's
-    4300-digit int-to-str limit, and a far degree costs no binomial."""
-    check_degree(d)
-    census = comb((d + 1) * (d + 2) // 2 - 2, 3 * d - 2) if d < 500 else None
-    if census is None or census > CENSUS_LIMIT:
-        raise CensusTooLargeError(
-            f"the degree-{d} lattice-path census has {census or 'over 10^3526'} paths, over "
-            f"the limit of {CENSUS_LIMIT}; N_d up to degree {KM_LIMIT}: count --method recursion"
-        )
-    return census
-
-
 def enumerate_paths(domain: PathDomain) -> Iterator[tuple[Point, ...]]:
     """All strictly increasing point sequences p -> q with 3d - 1 steps.
 
     Any selection of 3d - 2 interior-order points works, so enumeration is a
-    plain combination scan; the order is deterministic.  The census is
+    plain combination scan; the order is deterministic.  The degree is
     checked when this is called, not when the first path is drawn.
     """
-    check_census(domain.d)
+    check_degree(domain.d, PATH_COUNTER)
     head = (domain.p,)
     tail = (domain.q,)
     middles = combinations(domain.points[1:-1], domain.steps() - 1)
@@ -315,7 +314,7 @@ class _DivisionEngine:
 
 def live_ranks(domain: PathDomain) -> list[tuple[int, ...]]:
     """The top-level paths with a tiling toward the corner side's arc, by reverse
-    search, as sorted rank tuples.  Checks the census first.
+    search, as sorted rank tuples.  Checks the degree first.
 
     The recursion peels a live path at its first corner turning toward the
     arc, to a live path that is shorter (cut) or as long (swap).  Run it
@@ -324,7 +323,7 @@ def live_ranks(domain: PathDomain) -> list[tuple[int, ...]]:
     b = a + c - v (inverse swap), where a < b < c in the order.  The result is
     live iff b is its first corner turning toward the arc.
     """
-    check_census(domain.d)
+    check_degree(domain.d, PATH_COUNTER)
     corner = next(iter(domain.engines.values()))
     toward = corner.toward
     # the b whose corner between a and c turns, and the b a swap turned into v
@@ -472,7 +471,7 @@ def path_multiplicity(path, domain: PathDomain) -> PathMultiplicity:
 def count_both(d: int, order: str = ORDER_XEY) -> tuple[int, int]:
     """(curve count, Welschinger invariant) from one pass over the paths live on
     the corner side; a path dead there has no completions at all."""
-    check_census(d)  # before the domain: a far degree's T_d alone fills memory
+    check_degree(d, PATH_COUNTER)  # before the domain: a far degree's T_d alone fills memory
     domain = path_domain(d, order)
     live = live_ranks(domain)
     corner, other = (engine.states for engine in domain.engines.values())

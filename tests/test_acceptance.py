@@ -13,13 +13,13 @@ from fractions import Fraction
 
 from tropcurve import (
     TropicalPolynomial,
+    build_table,
     check_balancing,
     cli,
     count_both,
     degree,
     enumerate_paths,
     extract_curve,
-    factorial_bound_check,
     first_betti,
     km_count,
     membership_oracle,
@@ -75,12 +75,11 @@ def test_criterion_03_welschinger_values():
 def test_criterion_04_bounds():
     ok = True
     details = []
-    for d in (1, 2, 3, 4, 5):
-        n, w = count_both(d)
-        bound = factorial_bound_check(d, w)
+    for row in build_table(5):
+        d, n, w = row.d, row.n_paths, row.w
         dominance = w <= n
         parity = (n - w) % 2 == 0
-        ok = ok and bound and dominance and parity
+        ok = ok and row.bound_ok and dominance and parity
         details.append(f"d={d}: 3*{w}>={math.factorial(d)}, {w}<={n}, parity")
     _report(4, ok, "; ".join(details))
 

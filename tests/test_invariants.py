@@ -6,14 +6,12 @@ import pytest
 
 from tropcurve import (
     BadDegreeError,
-    CensusTooLargeError,
     CrossCheckMismatchError,
     asymptotic_report,
     build_table,
-    factorial_bound_check,
     km_count,
 )
-from tropcurve import invariants
+from tropcurve import invariants, paths
 
 
 class TestRecursion:
@@ -48,7 +46,7 @@ class TestRecursion:
         # km_count(500) takes seconds: a refusal after any of the work shows here
         start = time.perf_counter()
         with pytest.raises(BadDegreeError, match="up to 500, got 501$"):
-            km_count(invariants.KM_LIMIT + 1)
+            km_count(paths.MAX_DEGREE[paths.RECURSION] + 1)
         assert time.perf_counter() - start < 1
 
     def test_published_degrees_six_to_eight(self):
@@ -73,14 +71,20 @@ class TestRecursion:
 
 
 class TestFactorialBound:
-    def test_examples(self):
-        assert factorial_bound_check(3, 8)
-        assert factorial_bound_check(1, 1)
-        assert not factorial_bound_check(3, 1)
+    @staticmethod
+    def bound_ok(monkeypatch, d, w):
+        """build_table's bound flag at degree d when the path counter gives W = w."""
+        monkeypatch.setattr(invariants, "count_both", lambda e, order: (km_count(e), w))
+        return build_table(d)[-1].bound_ok
 
-    def test_exact_boundary(self):
-        assert factorial_bound_check(3, 2)  # 6 >= 6
-        assert not factorial_bound_check(4, 7)  # 21 < 24
+    def test_examples(self, monkeypatch):
+        assert self.bound_ok(monkeypatch, 3, 8)
+        assert self.bound_ok(monkeypatch, 1, 1)
+        assert not self.bound_ok(monkeypatch, 3, 1)
+
+    def test_exact_boundary(self, monkeypatch):
+        assert self.bound_ok(monkeypatch, 3, 2)  # 6 >= 6
+        assert not self.bound_ok(monkeypatch, 4, 7)  # 21 < 24
 
 
 class TestTable:
@@ -111,8 +115,12 @@ class TestTable:
             raise AssertionError(f"row {d} computed")
 
         monkeypatch.setattr(invariants, "count_both", no_rows)
-        with pytest.raises(CensusTooLargeError):
+        with pytest.raises(BadDegreeError) as refused:
             build_table(7)
+        assert str(refused.value) == (
+            "the lattice-path counter serves degrees up to 6, got 7; "
+            "N_d up to degree 500: count --method recursion"
+        )
 
 
 class TestAsymptotics:

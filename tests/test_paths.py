@@ -7,11 +7,8 @@ from itertools import combinations
 import pytest
 
 from tropcurve import (
-    CENSUS_LIMIT,
     BadDegreeError,
-    CensusTooLargeError,
     InvalidPathError,
-    check_census,
     count_both,
     enumerate_paths,
     km_count,
@@ -70,6 +67,13 @@ def walked_arcs(d, p, q):
 def census_formula(d):
     points = (d + 1) * (d + 2) // 2
     return math.comb(points - 2, 3 * d - 2)
+
+
+# the one line every path entry point refuses degree 7 with
+PAST_THE_COUNTER_AT_7 = (
+    "the lattice-path counter serves degrees up to 6, got 7; "
+    "N_d up to degree 500: count --method recursion"
+)
 
 
 class TestDomain:
@@ -132,30 +136,29 @@ class TestEnumeration:
     def test_degree_three_census(self):
         assert len(list(enumerate_paths(path_domain(3)))) == 8
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
-    def test_census_matches_binomial(self, d):
-        assert sum(1 for _ in enumerate_paths(path_domain(d))) == census_formula(d)
-
-    @pytest.mark.parametrize("order", [ORDER_XEY, ORDER_ROWMAJOR])
-    def test_census_check_counts_the_paths(self, order):
-        for d in range(1, 6):
-            dom = path_domain(d, order)
-            assert check_census(d) == sum(1 for _ in enumerate_paths(dom))
+    @pytest.mark.parametrize(
+        "d, order",
+        [pytest.param(d, ORDER_XEY, id=str(d)) for d in range(1, 6)]
+        + [pytest.param(d, ORDER_ROWMAJOR, id=f"rowmajor-{d}") for d in range(1, 6)],
+    )
+    def test_census_matches_binomial(self, d, order):
+        assert sum(1 for _ in enumerate_paths(path_domain(d, order))) == census_formula(d)
 
     def test_census_out_of_reach_fails_on_call(self):
-        assert check_census(6) <= CENSUS_LIMIT
-        with pytest.raises(CensusTooLargeError, match="1855967520"):
+        enumerate_paths(path_domain(6))  # served: a generator, no path drawn yet
+        with pytest.raises(BadDegreeError) as refused:
             enumerate_paths(path_domain(7))  # raised before the first path is drawn
+        assert str(refused.value) == PAST_THE_COUNTER_AT_7
 
-    def test_census_is_named_while_it_has_few_digits(self):
-        # 3519 digits at d = 499; from d = 500 (3527 digits) on it is not computed
-        assert len(str(census_formula(499))) == 3519
-        with pytest.raises(CensusTooLargeError, match=f"has {census_formula(499)} paths"):
-            check_census(499)
-        assert census_formula(500) > 10**3526
-        for d in (500, 10**9):
-            with pytest.raises(CensusTooLargeError, match=rf"degree-{d} .* has over 10\^3526 paths"):
-                check_census(d)
+    def test_path_limits_are_the_census_limits_they_replace(self):
+        # the path gates were census limits, 10^8 paths to count and 10^6 to list;
+        # the census never falls as d grows, so each degree limit is the same gate
+        counter = paths.MAX_DEGREE[paths.PATH_COUNTER]
+        listing = paths.MAX_DEGREE[paths.FULL_LISTING]
+        assert census_formula(counter) <= 10**8 < census_formula(counter + 1)
+        assert census_formula(listing) <= 10**6 < census_formula(listing + 1)
+        censuses = list(map(census_formula, range(1, 600)))
+        assert all(a <= b for a, b in zip(censuses, censuses[1:]))
 
     def test_deterministic_order(self):
         first = list(enumerate_paths(path_domain(3)))
@@ -539,11 +542,11 @@ class TestReverseSearch:
         assert len(live) == {1: 1, 2: 1, 3: 5, 4: 69, 5: 1833}[d]
 
     def test_count_checks_the_census_first(self):
-        # the search builds no census, so it must apply the census gate itself
-        with pytest.raises(CensusTooLargeError, match="1855967520"):
-            live_paths(path_domain(7))
-        with pytest.raises(CensusTooLargeError, match="1855967520"):
-            count_both(7)
+        # the search builds no census, so it must apply the degree gate itself
+        for refused in (lambda: live_paths(path_domain(7)), lambda: count_both(7)):
+            with pytest.raises(BadDegreeError) as raised:
+                refused()
+            assert str(raised.value) == PAST_THE_COUNTER_AT_7
 
 
 class TestSideSymmetry:
