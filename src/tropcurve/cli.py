@@ -82,7 +82,7 @@ def _load_polynomial(args):
     return parse_term_table(text)
 
 
-def cmd_curve(args) -> int:
+def cmd_curve(args) -> None:
     poly = _load_polynomial(args)
     curve = curvemod.extract_curve(poly)
     violations = curvemod.check_balancing(curve)
@@ -90,16 +90,12 @@ def cmd_curve(args) -> int:
         raise CrossCheckMismatchError(f"balancing violated at vertices {violations}")
     doc = curve_document(curve)
     text = write_document(doc)
-    wrote = False
     if args.json_path:
         Path(args.json_path).write_text(text, encoding="utf-8")
-        wrote = True
     if args.svg_path:
         Path(args.svg_path).write_text(render_svg(doc), encoding="utf-8")
-        wrote = True
-    if not wrote:
+    if not (args.json_path or args.svg_path):
         sys.stdout.write(text)
-    return EXIT_OK
 
 
 def _print_int(n: int) -> None:
@@ -116,35 +112,33 @@ def _print_int(n: int) -> None:
         sys.set_int_max_str_digits(limit)
 
 
-def cmd_count(args) -> int:
+def cmd_count(args) -> None:
     if args.method == "recursion":
         _print_int(km_count(args.degree))
-        return EXIT_OK
+        return
     n_paths = pathsmod.count_both(args.degree, args.lambda_order)[0]
     if args.method == "paths":
         print(n_paths)
-        return EXIT_OK
+        return
     n_rec = km_count(args.degree)
     print(f"{n_paths} {n_rec}")
     if n_paths != n_rec:
         raise CrossCheckMismatchError("path count and recursion disagree")
-    return EXIT_OK
 
 
-def cmd_welschinger(args) -> int:
+def cmd_welschinger(args) -> None:
     print(pathsmod.count_both(args.degree, args.lambda_order)[1])
-    return EXIT_OK
 
 
 def _format_path(path) -> str:
     return "->".join(f"({x},{y})" for x, y in path)
 
 
-def cmd_paths(args) -> int:
-    pathsmod.check_degree(args.degree, pathsmod.PATH_COUNTER)
+def cmd_paths(args) -> None:
+    # the domain refuses past the counter's limit, so that refusal comes first
+    domain = pathsmod.path_domain(args.degree, args.lambda_order)
     if not args.nonzero_only:
         pathsmod.check_degree(args.degree, pathsmod.FULL_LISTING)
-    domain = pathsmod.path_domain(args.degree, args.lambda_order)
     # a nonzero total needs a tiling toward the corner arc: list only those paths
     listed = pathsmod.live_paths if args.nonzero_only else pathsmod.enumerate_paths
     paths = listed(domain)
@@ -162,10 +156,9 @@ def cmd_paths(args) -> int:
             f"{m.complex_total} {m.welschinger_total}"
         )
     print(f"# total mu={total_mu} nu={total_nu}")
-    return EXIT_OK
 
 
-def cmd_report(args) -> int:
+def cmd_report(args) -> None:
     table = build_table(args.dmax, args.lambda_order)
     failed = []
     for row in table:
@@ -181,7 +174,6 @@ def cmd_report(args) -> int:
         )
     if failed:
         raise CrossCheckMismatchError(f"failed checks: {', '.join(failed)}")
-    return EXIT_OK
 
 
 _HANDLERS = {
@@ -201,20 +193,18 @@ def main(argv=None) -> int:
         # argparse uses status 2 for usage errors; that is a user error here
         return EXIT_USER if exc.code else EXIT_OK
     try:
-        return _HANDLERS[args.command](args)
+        _HANDLERS[args.command](args)
+        return EXIT_OK
     except CrossCheckMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except TropcurveError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USER
     except BrokenPipeError:
         # the reader left: point stdout at devnull so the flush at exit stays quiet
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_USER
-    except OSError as exc:
+    except (TropcurveError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER
     except MemoryError:

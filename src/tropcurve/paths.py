@@ -134,19 +134,30 @@ class PathDomain(_DomainFields):
         return 3 * self.d - 1
 
 
-def check_degree(d: int, method: str | None = None) -> None:
+def _shown(d) -> str:
+    """repr(d), or the size of an int past CPython's int-to-str digit limit."""
+    try:
+        return repr(d)
+    except ValueError:  # `sys.get_int_max_str_digits()`: 4300 unless set otherwise
+        if not isinstance(d, int):  # a Fraction holding such an int
+            return f"a {type(d).__name__} too long"
+        return f"{'a negative' if d < 0 else 'an'} integer of {d.bit_length()} bits"
+
+
+def check_degree(d: int, method: str) -> None:
     """Raise BadDegreeError unless d is a positive int (bools excluded), and
     one that `method`, a key of MAX_DEGREE, serves."""
     if not isinstance(d, int) or isinstance(d, bool) or d < 1:
-        raise BadDegreeError(f"degree must be a positive integer, got {d!r}")
-    if method is not None and d > MAX_DEGREE[method]:
-        limit = f"{method} serves degrees up to {MAX_DEGREE[method]}, got {d}"
+        raise BadDegreeError(f"degree must be a positive integer, got {_shown(d)}")
+    if d > MAX_DEGREE[method]:
+        limit = f"{method} serves degrees up to {MAX_DEGREE[method]}, got {_shown(d)}"
         raise BadDegreeError(limit + _PAST_MAX.get(method, ""))
 
 
 def path_domain(d: int, order: str = ORDER_XEY) -> PathDomain:
-    """Lattice points of T_d under the chosen order, with boundary arcs."""
-    check_degree(d)
+    """Lattice points of T_d under the chosen order, with boundary arcs.  The
+    path layer's one degree gate: no domain past the counter's limit exists."""
+    check_degree(d, PATH_COUNTER)
     pts = [(x, y) for x in range(d + 1) for y in range(d + 1 - x)]
     if order == ORDER_XEY:
         pts.sort(key=lambda pt: (pt[0], -pt[1]))
@@ -162,24 +173,15 @@ def path_domain(d: int, order: str = ORDER_XEY) -> PathDomain:
     # the corner lies left of p -> q iff the turn p, corner, q is clockwise
     corner_is_left = turn(p, via_corner[1], q) < 0
     left_arc, right_arc = (via_corner, direct) if corner_is_left else (direct, via_corner)
-    return PathDomain(
-        d=d,
-        points=tuple(pts),
-        p=p,
-        q=q,
-        left_arc=left_arc,
-        right_arc=right_arc,
-    )
+    return PathDomain(d, tuple(pts), p, q, left_arc, right_arc)
 
 
 def enumerate_paths(domain: PathDomain) -> Iterator[tuple[Point, ...]]:
     """All strictly increasing point sequences p -> q with 3d - 1 steps.
 
     Any selection of 3d - 2 interior-order points works, so enumeration is a
-    plain combination scan; the order is deterministic.  The degree is
-    checked when this is called, not when the first path is drawn.
+    plain combination scan; the order is deterministic.
     """
-    check_degree(domain.d, PATH_COUNTER)
     head = (domain.p,)
     tail = (domain.q,)
     middles = combinations(domain.points[1:-1], domain.steps() - 1)
@@ -314,7 +316,7 @@ class _DivisionEngine:
 
 def live_ranks(domain: PathDomain) -> list[tuple[int, ...]]:
     """The top-level paths with a tiling toward the corner side's arc, by reverse
-    search, as sorted rank tuples.  Checks the degree first.
+    search, as sorted rank tuples.
 
     The recursion peels a live path at its first corner turning toward the
     arc, to a live path that is shorter (cut) or as long (swap).  Run it
@@ -323,7 +325,6 @@ def live_ranks(domain: PathDomain) -> list[tuple[int, ...]]:
     b = a + c - v (inverse swap), where a < b < c in the order.  The result is
     live iff b is its first corner turning toward the arc.
     """
-    check_degree(domain.d, PATH_COUNTER)
     corner = next(iter(domain.engines.values()))
     toward = corner.toward
     # the b whose corner between a and c turns, and the b a swap turned into v
@@ -471,7 +472,6 @@ def path_multiplicity(path, domain: PathDomain) -> PathMultiplicity:
 def count_both(d: int, order: str = ORDER_XEY) -> tuple[int, int]:
     """(curve count, Welschinger invariant) from one pass over the paths live on
     the corner side; a path dead there has no completions at all."""
-    check_degree(d, PATH_COUNTER)  # before the domain: a far degree's T_d alone fills memory
     domain = path_domain(d, order)
     live = live_ranks(domain)
     corner, other = (engine.states for engine in domain.engines.values())

@@ -267,6 +267,18 @@ class TestCurve:
         assert len(doc["rays"]) == 3
         assert doc["stats"]["welschinger_sign"] == 1
 
+    @pytest.mark.parametrize("kinds", [("json",), ("svg",), ("json", "svg")])
+    def test_stdout_is_the_json_unless_a_file_is_written(self, capsys, tmp_path, kinds):
+        written = {kind: tmp_path / f"curve.{kind}" for kind in kinds}
+        flags = [arg for kind, path in written.items() for arg in (f"--{kind}", str(path))]
+        assert run_cli(capsys, "curve", "--expr", "max(0,x,y)", *flags) == (0, "", "")
+        code, out, err = run_cli(capsys, "curve", "--expr", "max(0,x,y)")
+        assert (code, err) == (0, "")
+        if "json" in written:
+            assert written["json"].read_text(encoding="utf-8") == out
+        if "svg" in written:
+            assert written["svg"].read_text(encoding="utf-8").count("<line ") == 3
+
     def test_malformed_expression_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "curve", "--expr", "max()")
         assert code == 1

@@ -1,11 +1,18 @@
 import gc
 import math
+import os
 import random
+import resource
+import subprocess
+import sys
+import time
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import tropcurve
 from tropcurve import (
     BadDegreeError,
     InvalidPathError,
@@ -69,11 +76,23 @@ def census_formula(d):
     return math.comb(points - 2, 3 * d - 2)
 
 
-# the one line every path entry point refuses degree 7 with
-PAST_THE_COUNTER_AT_7 = (
-    "the lattice-path counter serves degrees up to 6, got 7; "
-    "N_d up to degree 500: count --method recursion"
-)
+def past_the_counter(shown):
+    """The one line every path entry point refuses a degree past 6 with."""
+    return (
+        f"the lattice-path counter serves degrees up to 6, got {shown}; "
+        "N_d up to degree 500: count --method recursion"
+    )
+
+
+@pytest.fixture
+def digit_limit():
+    """Set CPython's int-to-str digit limit for one test, whatever the environment
+    set it to (PYTHONINTMAXSTRDIGITS), and restore it after."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int-to-str digit limit")
+    before = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(before)
 
 
 class TestDomain:
@@ -104,7 +123,7 @@ class TestDomain:
         assert dom.right_arc == ((0, 0), (1, 0))
 
     @pytest.mark.parametrize("order", [ORDER_XEY, ORDER_ROWMAJOR])
-    @pytest.mark.parametrize("d", range(1, 16))
+    @pytest.mark.parametrize("d", range(1, 7))
     def test_arcs_are_the_boundary_walks(self, d, order):
         dom = path_domain(d, order)
         assert (dom.left_arc, dom.right_arc) == walked_arcs(d, dom.p, dom.q)
@@ -118,9 +137,106 @@ class TestDomain:
         with pytest.raises(BadDegreeError):
             path_domain(-3)
 
+    @pytest.mark.parametrize("d", [7, 15, 10**5])
+    def test_no_domain_past_the_counter(self, d):
+        # the path layer's one gate: every path function needs a domain
+        start = time.perf_counter()
+        with pytest.raises(BadDegreeError) as refused:
+            path_domain(d)
+        assert time.perf_counter() - start < 1
+        assert str(refused.value) == past_the_counter(d)
+
+    def test_a_far_domain_is_refused_within_a_small_address_space(self):
+        # T_100000 alone would hold 5 * 10^9 points: under a 256 MB cap a regression
+        # that builds anything of it before the gate fails here instead of filling memory
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+        code = (
+            "from tropcurve import BadDegreeError, path_domain\n"
+            "try:\n    path_domain(10**5)\n"
+            "except BadDegreeError as exc:\n    print(exc)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(tropcurve.__file__).parents[1])},
+            preexec_fn=cap,
+            timeout=60,
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout == past_the_counter(100000) + "\n"
+
     def test_unknown_order(self):
         with pytest.raises(ValueError):
             path_domain(2, "diagonal")
+
+
+class TestDegreeGate:
+    # 10**5000 has 5001 digits and 16610 bits: past CPython's default limit of 4300
+    # digits, so its refusal names it by its size
+    @pytest.mark.parametrize(
+        "method, pointer",
+        [
+            (paths.PATH_COUNTER, "; N_d up to degree 500: count --method recursion"),
+            (paths.FULL_LISTING, "; list the nonzero paths alone with --nonzero-only"),
+            (paths.RECURSION, ""),
+        ],
+        ids=["counter", "listing", "recursion"],
+    )
+    def test_a_degree_past_the_digit_limit_is_named_by_its_size(
+        self, digit_limit, method, pointer
+    ):
+        digit_limit(4300)
+        limit = paths.MAX_DEGREE[method]
+        with pytest.raises(BadDegreeError) as refused:
+            paths.check_degree(10**5000, method)
+        assert str(refused.value) == (
+            f"{method} serves degrees up to {limit}, got an integer of 16610 bits{pointer}"
+        )
+        with pytest.raises(BadDegreeError) as refused:
+            paths.check_degree(-(10**5000), method)
+        assert str(refused.value) == (
+            "degree must be a positive integer, got a negative integer of 16610 bits"
+        )
+        # a degree with as many digits as the limit allows is shown in full
+        with pytest.raises(BadDegreeError) as refused:
+            paths.check_degree(10**4299, method)
+        shown = "1" + "0" * 4299
+        assert str(refused.value) == f"{method} serves degrees up to {limit}, got {shown}{pointer}"
+
+    def test_the_methods_are_the_three_tested(self):
+        assert set(paths.MAX_DEGREE) == {paths.PATH_COUNTER, paths.FULL_LISTING, paths.RECURSION}
+
+    def test_a_lowered_digit_limit_is_followed(self, digit_limit):
+        # PYTHONINTMAXSTRDIGITS may lower the limit to 640: 10**639 still has 640 digits
+        digit_limit(640)
+        for d, shown in ((10**639, "1" + "0" * 639), (10**640, "an integer of 2127 bits")):
+            with pytest.raises(BadDegreeError) as refused:
+                paths.check_degree(d, paths.RECURSION)
+            assert str(refused.value) == f"the recursion serves degrees up to 500, got {shown}"
+
+    def test_entry_points_refuse_a_huge_degree_at_once(self, digit_limit):
+        digit_limit(4300)
+        huge = "integer of 16610 bits"
+        calls = [
+            (path_domain, 10**5000, past_the_counter(f"an {huge}")),
+            (count_both, 10**5000, past_the_counter(f"an {huge}")),
+            (count_both, -(10**5000), f"degree must be a positive integer, got a negative {huge}"),
+            (km_count, 10**5000, f"the recursion serves degrees up to 500, got an {huge}"),
+            (
+                km_count,
+                Fraction(10**5000),
+                "degree must be a positive integer, got a Fraction too long",
+            ),
+        ]
+        for call, d, line in calls:
+            start = time.perf_counter()
+            with pytest.raises(BadDegreeError) as refused:
+                call(d)
+            assert time.perf_counter() - start < 1
+            assert str(refused.value) == line
 
 
 class TestEnumeration:
@@ -147,8 +263,8 @@ class TestEnumeration:
     def test_census_out_of_reach_fails_on_call(self):
         enumerate_paths(path_domain(6))  # served: a generator, no path drawn yet
         with pytest.raises(BadDegreeError) as refused:
-            enumerate_paths(path_domain(7))  # raised before the first path is drawn
-        assert str(refused.value) == PAST_THE_COUNTER_AT_7
+            enumerate_paths(path_domain(7))  # no domain, so no path to draw
+        assert str(refused.value) == past_the_counter(7)
 
     def test_path_limits_are_the_census_limits_they_replace(self):
         # the path gates were census limits, 10^8 paths to count and 10^6 to list;
@@ -409,15 +525,16 @@ class TestCounts:
         assert total > 0
 
     def test_a_far_degree_builds_no_table_up_front(self):
-        # T_40 has C(861, 3) > 10^8 rank triples: a domain and its engines cost
-        # O(|T_d|), and one path reads only the corners its division meets
-        dom = path_domain(40)
-        assert all(not engine.toward for engine in dom.engines.values())
-        dom = path_domain(12)
-        path = dom.points[: dom.steps()] + (dom.q,)
-        path_multiplicity(path, dom)
-        for engine in dom.engines.values():
-            assert len(engine.toward) < math.comb(len(dom.points), 3) // 100
+        # at the counter's limit T_6 has C(28, 3) = 3276 rank triples: a domain and
+        # its engines fill none up front, and one path reads only the corners its
+        # division meets (25 on one side, 29 on the other)
+        for order in (ORDER_XEY, ORDER_ROWMAJOR):
+            dom = path_domain(6, order)
+            assert math.comb(len(dom.points), 3) == 3276
+            assert all(not engine.toward for engine in dom.engines.values())
+            path = dom.points[: dom.steps()] + (dom.q,)
+            path_multiplicity(path, dom)
+            assert sorted(len(engine.toward) for engine in dom.engines.values()) == [25, 29]
 
     def test_engines_live_on_their_domain(self):
         # count_both leaves no engine behind; each domain builds its own, once.
@@ -542,11 +659,11 @@ class TestReverseSearch:
         assert len(live) == {1: 1, 2: 1, 3: 5, 4: 69, 5: 1833}[d]
 
     def test_count_checks_the_census_first(self):
-        # the search builds no census, so it must apply the degree gate itself
+        # the search builds no census; the domain it needs applies the degree gate
         for refused in (lambda: live_paths(path_domain(7)), lambda: count_both(7)):
             with pytest.raises(BadDegreeError) as raised:
                 refused()
-            assert str(raised.value) == PAST_THE_COUNTER_AT_7
+            assert str(raised.value) == past_the_counter(7)
 
 
 class TestSideSymmetry:
