@@ -41,10 +41,11 @@ the partitions: every cell branch owns a step of its path.
 
 The counts and the listing of nonzero paths do not scan the census.  Few
 paths have a tiling toward the arc through the third corner of the triangle
-(1833 of 27132 at d = 5), and a reverse search (Avis-Fukuda) grows exactly
-those out of that arc by the recursion's moves run backwards; only they meet
-the other side's engine.  A path with a nonzero total is one of them.
-Inside, a path is the tuple of its points' ranks in the domain's order.
+(1833 of 27132 at d = 5).  A reverse search (Avis-Fukuda) grows exactly those
+out of that arc by the recursion's moves run backwards, building their maps
+toward it as it goes; only they meet the direct arc's engine, and a path with
+a nonzero total is one of them.  Inside, a path is the tuple of its points'
+ranks in the domain's order.
 """
 
 from __future__ import annotations
@@ -73,10 +74,10 @@ PATH_COUNTER = "the lattice-path counter"
 FULL_LISTING = "the full listing"
 RECURSION = "the recursion"
 MAX_DEGREE = {
-    # d = 6: 5311735 census paths, counted in about 28 s at 441 MB (2 vCPUs); d = 7 has
+    # d = 6: 5311735 census paths, counted in about 16 s at 435 MB (2 vCPUs); d = 7 has
     # 1855967520
     PATH_COUNTER: 6,
-    # d = 5 lists 27132 paths; at d = 6 the engines' memos outgrow 1 GiB long before the end
+    # d = 5 lists 27132 paths; at d = 6 the memos outgrew 1 GiB long before the end
     FULL_LISTING: 5,
     # `invariants.km_count`: N_500 has 3673 digits and takes about 9 s; the cost grows
     # faster than d^3
@@ -107,27 +108,34 @@ class _DomainFields(NamedTuple):
 
 class PathDomain(_DomainFields):
     """Triangle T_d with a total point order and its two boundary arcs.  The
-    rank map, the engines and the glue's memo live in the instance __dict__
-    (a NamedTuple itself has none), so they last as long as the domain."""
+    rank map, the engine, the corner maps and the glue's memos live in the
+    instance __dict__ (a NamedTuple itself has none), so they last as long as
+    the domain."""
 
     @cached_property
     def rank(self) -> dict[Point, int]:
         return {pt: k for k, pt in enumerate(self.points)}
 
-    @cached_property
-    def engines(self) -> dict[str, _DivisionEngine]:
-        """The division engine of each side; their memo lives as long as the domain.
+    def corner_side(self) -> str:
+        """The side whose arc runs through the third corner: 2d + 1 points against d + 1."""
+        return SIDE_PLUS if len(self.left_arc) > len(self.right_arc) else SIDE_MINUS
 
-        The corner side comes first: its arc runs through the third corner (2d + 1
-        points against d + 1).  Few paths have a tiling toward that arc, so the
-        counts generate those paths and build the other side for them alone."""
-        plus_first = len(self.left_arc) > len(self.right_arc)
-        sides = (SIDE_PLUS, SIDE_MINUS) if plus_first else (SIDE_MINUS, SIDE_PLUS)
-        return {side: _DivisionEngine(self, side) for side in sides}
+    @cached_property
+    def engine(self) -> _DivisionEngine:
+        """The division engine toward the direct arc; its memo lives as long as the domain."""
+        return _DivisionEngine(self, SIDE_MINUS if self.corner_side() == SIDE_PLUS else SIDE_PLUS)
+
+    @cached_property
+    def corner_maps(self) -> dict[tuple[int, ...], States]:
+        return _corner_maps(self)
 
     @cached_property
     def merges(self) -> _Merges:
         return _Merges()
+
+    @cached_property
+    def forests(self) -> _Forests:
+        return _Forests()
 
     def steps(self) -> int:
         """Step count of a top-level path."""
@@ -188,8 +196,8 @@ def enumerate_paths(domain: PathDomain) -> Iterator[tuple[Point, ...]]:
     return (head + middle + tail for middle in middles)
 
 
-def _ranks(path, domain: PathDomain) -> tuple[int, ...]:
-    """The ranks of a path's points; InvalidPathError unless it is a path of the domain."""
+def _ranks(path, domain: PathDomain, top: bool = False) -> tuple[int, ...]:
+    """The ranks of a path of the domain (with `top`, of 3d points); else InvalidPathError."""
     rank = domain.rank
     try:
         ranks = tuple(map(rank.__getitem__, path))  # only pairs are keys
@@ -206,6 +214,8 @@ def _ranks(path, domain: PathDomain) -> tuple[int, ...]:
         raise InvalidPathError(f"path must run from {domain.p} to {domain.q}")
     if not all(map(lt, ranks, ranks[1:])):
         raise InvalidPathError("path is not strictly increasing in the point order")
+    if top and len(ranks) != domain.steps() + 1:
+        raise InvalidPathError(f"path must visit {domain.steps() + 1} points, got {len(ranks)}")
     return tuple(ranks)
 
 
@@ -229,13 +239,16 @@ class _Relabels(dict):
 
 
 class _Turns(dict):
-    """Rank triple a < b < c -> None unless its corner b turns toward the arc;
-    else the triangle's weights and the rank of v = a + c - b, or -1 when v is
-    outside T_d.  Filled on first use, so a domain costs nothing up front."""
+    """Rank triple a < b < c -> None unless its corner b turns toward the side's arc
+    (`arc`, as ranks); else the triangle's weights and the rank of v = a + c - b, or
+    -1 outside T_d.  Filled on first use, so a domain costs nothing up front."""
 
-    def __init__(self, domain: PathDomain, sign: int):
+    def __init__(self, domain: PathDomain, side: str):
         super().__init__()
-        self.points, self.rank, self.sign = domain.points, domain.rank, sign
+        self.points, self.rank = domain.points, domain.rank
+        self.sign = 1 if side == SIDE_PLUS else -1
+        arc = domain.left_arc if side == SIDE_PLUS else domain.right_arc
+        self.arc = tuple(map(self.rank.__getitem__, arc))
 
     def __missing__(self, abc: tuple[int, int, int]) -> tuple[int, int, int] | None:
         a, b, c = map(self.points.__getitem__, abc)
@@ -245,6 +258,25 @@ class _Turns(dict):
             corner = (*triangle_weights(a, b, c), v)
         self[abc] = corner
         return corner
+
+
+def _divided(relabels, corner, shorter: States, swapped: States) -> States:
+    """A path's map from its children's at its first corner abc turning toward the arc:
+    the cut child's times the triangle's weights, ab and bc taking ac's block, plus
+    the swap child's, where the parallelogram's branches cross: ab ~ vc, bc ~ av."""
+    (cut, swap), (m, fw, _) = relabels, corner
+    out = {cut(labels): (m * mu, fw * nu) for labels, (mu, nu) in shorter.items()}
+    for labels, (mu, nu) in swapped.items():
+        key = swap(labels)
+        old_mu, old_nu = out.get(key, (0, 0))
+        out[key] = (old_mu + mu, old_nu + nu)
+    return out
+
+
+def _interned(states: States, interned: dict) -> States:
+    """The map with one copy of each label tuple and weight pair: many maps share them."""
+    one = interned.setdefault
+    return {one(k, k): one(v, v) for k, v in states.items()} or _NO_STATES
 
 
 class _DivisionEngine:
@@ -258,24 +290,19 @@ class _DivisionEngine:
     """
 
     def __init__(self, domain: PathDomain, side: str):
-        arc = domain.left_arc if side == SIDE_PLUS else domain.right_arc
-        self.arc = tuple(map(domain.rank.__getitem__, arc))
-        self.arc_mask = sum(map((1).__lshift__, self.arc))
-        # keep sub-paths only.  A swap keeps the length, so top-length maps are
-        # asked for more than once: at d = 5 (xey) the recursion rebuilds 1792
-        # corner-side and 1330 other-side swap children uncached, and count_both
-        # asks again for 1713 of the corner-side ones.  Each rebuild relabels
-        # cached shorter maps.  Keeping them gained no time at d = 5, and took
-        # count_both(6) from 442 to 826 MB of peak RSS, near a 1 GiB cap.
+        # keep sub-paths only: keeping the top-length swap children (1330 rebuilt at d = 5)
+        # took count_both(6) from 442 to 826 MB, with an engine per side, for no time
         self.top_points = domain.steps() + 1
         self.cache: dict[int, States] = {}
-        self.interned: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self.interned: dict = {}
         self.relabel = _Relabels()
-        self.toward = _Turns(domain, 1 if side == SIDE_PLUS else -1)
+        self.toward = _Turns(domain, side)
+        self.arc_mask = sum(map((1).__lshift__, self.toward.arc))
 
-    def states(self, path: tuple[int, ...], mask: int | None = None) -> States:
-        """Step partitions of an increasing path over the tilings toward the arc.
-        The recursion passes along the bitmask of `path` as `mask`."""
+    def states(self, path: tuple[int, ...], mask: int | None = None, start: int = 1) -> States:
+        """Step partitions of an increasing path over the tilings toward the arc.  The
+        recursion passes along the bitmask of `path` as `mask`, and as `start` the first
+        corner that can turn: a child made at corner j keeps corners 1..j-2, unturned."""
         if mask is None:
             mask = sum(map((1).__lshift__, path))
         cached = self.cache.get(mask)
@@ -286,47 +313,37 @@ class _DivisionEngine:
             result = {tuple(range(len(path) - 1)): (1, 1)}
         else:
             toward = self.toward
-            for j, abc in enumerate(zip(path, path[1:], path[2:]), 1):
+            corners = zip(path[start - 1 :], path[start:], path[start + 1 :])
+            for j, abc in enumerate(corners, start):
                 corner = toward[abc]
                 if corner is None:
                     continue
                 # the first corner turning toward the arc
-                m, fw, v = corner
-                cut, swap = self.relabel[len(path) - 1, j]
+                v, after = corner[2], j - 1 or 1
                 without_b = mask ^ 1 << path[j]
-                # cut: steps ab and bc join the component of step ac
-                shorter = self.states(path[:j] + path[j + 1 :], without_b)
-                out = {cut(labels): (m * mu, fw * nu) for labels, (mu, nu) in shorter.items()}
+                shorter = self.states(path[:j] + path[j + 1 :], without_b, after)
+                swapped = _NO_STATES
                 if v >= 0:
-                    # swap: the parallelogram's branches cross, ab ~ vc and bc ~ av
                     swapped = path[:j] + (v,) + path[j + 1 :]
-                    for labels, (mu, nu) in self.states(swapped, without_b | 1 << v).items():
-                        key = swap(labels)
-                        old_mu, old_nu = out.get(key, (0, 0))
-                        out[key] = (old_mu + mu, old_nu + nu)
-                result = out or _NO_STATES
+                    swapped = self.states(swapped, without_b | 1 << v, after)
+                result = _divided(self.relabel[len(path) - 1, j], corner, shorter, swapped)
                 break
         if len(path) < self.top_points:
-            # many maps share label tuples and weight pairs: keep one copy of each
-            one = self.interned.setdefault
-            interned = {one(k, k): one(v, v) for k, v in result.items()}
-            result = self.cache[mask] = interned or _NO_STATES
+            result = self.cache[mask] = _interned(result, self.interned)
         return result
 
 
-def live_ranks(domain: PathDomain) -> list[tuple[int, ...]]:
-    """The top-level paths with a tiling toward the corner side's arc, by reverse
-    search, as sorted rank tuples.
-
-    The recursion peels a live path at its first corner turning toward the
-    arc, to a live path that is shorter (cut) or as long (swap).  Run it
-    backwards from the arc, level by level in the number of points: insert b
-    between consecutive a and c (inverse cut), or replace v between a and c by
-    b = a + c - v (inverse swap), where a < b < c in the order.  The result is
-    live iff b is its first corner turning toward the arc.
-    """
-    corner = next(iter(domain.engines.values()))
-    toward = corner.toward
+def _corner_maps(domain: PathDomain) -> dict[tuple[int, ...], States]:
+    """The corner side's map of each top-level path with a tiling toward that
+    side's arc, keyed by ranks, by reverse search level by level in the number
+    of points.  The recursion peels a live path at its first corner j turning
+    toward the arc, to a live path that is shorter (cut) or as long (swap).
+    Backwards: insert b between consecutive a and c (inverse cut), or replace v
+    between a and c by b = a + c - v (inverse swap), a < b < c in the order.
+    The result is live iff j, where b lands, is its first turning corner.  Its
+    map adds the cut child's, one level down, and the swap child's, this level,
+    as `_DivisionEngine.states` does."""
+    toward = _Turns(domain, domain.corner_side())
     # the b whose corner between a and c turns, and the b a swap turned into v
     between: dict[tuple[int, int], list[int]] = {}
     unswap: dict[tuple[int, int, int], int] = {}
@@ -337,62 +354,75 @@ def live_ranks(domain: PathDomain) -> list[tuple[int, ...]]:
             if turned[2] >= 0:
                 unswap[a, turned[2], c] = b
 
-    def reach(path):
-        # a move puts b at j <= reach: the path's corners 1..j-2 stay, and none may turn
-        corners = enumerate(zip(path, path[1:], path[2:]), 1)
-        return next((j for j, abc in corners if toward[abc]), len(path) - 1) + 1
-
     def keeps(path, j, b):
         # b, whose corner turns, lands at j: does no corner before it turn?
         return j == 1 or toward[path[j - 2], path[j - 1], b] is None
 
-    def closed_under_swaps(level):
+    relabel, interned, arc = _Relabels(), {}, toward.arc
+    # each path's first corner turning toward the arc; on the arc none, so len - 1
+    level = {arc: len(arc) - 1}
+    below, maps = {}, {arc: {tuple(range(len(arc) - 1)): (1, 1)}}
+    for size in range(len(arc), domain.steps() + 2):
+        if size > len(arc):  # a move puts b at j <= first + 1: corners 1..j-2 stay
+            below, maps = maps, {}
+            level = {
+                path[:j] + (b,) + path[j:]: j
+                for path, first in level.items()
+                for j in range(1, min(first + 1, size - 2) + 1)
+                for b in between.get(path[j - 1 : j + 1], ())
+                if keeps(path, j, b)
+            }
         work = list(level)
         while work:
             path = work.pop()
-            for j in range(1, min(reach(path), len(path) - 2) + 1):
+            for j in range(1, min(level[path] + 1, size - 2) + 1):
                 b = unswap.get(path[j - 1 : j + 2])
                 if b is not None and keeps(path, j, b):
                     swapped = path[:j] + (b,) + path[j + 1 :]
                     if swapped not in level:
-                        level.add(swapped)
+                        level[swapped] = j
                         work.append(swapped)
-        return level
-
-    level = closed_under_swaps({corner.arc})
-    # one round of cuts per point the arc lacks
-    for _ in range(domain.steps() + 1 - len(corner.arc)):
-        cuts = {
-            path[:j] + (b,) + path[j:]
-            for path in level
-            for j in range(1, min(reach(path), len(path) - 1) + 1)
-            for b in between.get(path[j - 1 : j + 1], ())
-            if keeps(path, j, b)
-        }
-        level = closed_under_swaps(cuts)
-    return sorted(level)
+        for path in level:
+            # fill the path's chain of swap children, down to one filled or dead
+            chain = []
+            while path not in maps and path in level:
+                j = level[path]
+                corner = toward[path[j - 1 : j + 2]]
+                chain.append((path, j, corner))
+                path = path[:j] + (corner[2],) + path[j + 1 :]
+            swapped = maps.get(path, _NO_STATES)
+            for path, j, corner in reversed(chain):
+                shorter = below.get(path[:j] + path[j + 1 :], _NO_STATES)
+                divided = _divided(relabel[size - 1, j], corner, shorter, swapped)
+                swapped = maps[path] = _interned(divided, interned)
+    return maps
 
 
 def live_paths(domain: PathDomain) -> list[tuple[Point, ...]]:
-    """`live_ranks` as points, in the order `enumerate_paths` yields them."""
+    """The top-level paths with a tiling toward the corner side's arc, as points,
+    in the order `enumerate_paths` yields them."""
     points = domain.points
-    return [tuple(map(points.__getitem__, path)) for path in live_ranks(domain)]
+    return [tuple(map(points.__getitem__, path)) for path in sorted(domain.corner_maps)]
 
 
 def _side_values(states: States) -> tuple[int, int]:
     return sum(mu for mu, _ in states.values()), sum(nu for _, nu in states.values())
 
 
-def _forest_ends(labels: tuple[int, ...]) -> itemgetter:
-    """A getter of the ends of a step partition's spanning forest (each step linked
-    to the previous step of its block), flattened; with no edge, a loop at 0."""
-    last: dict[int, int] = {}
-    ends: list[int] = []
-    for step, block in enumerate(labels):
-        if block in last:
-            ends += last[block], step
-        last[block] = step
-    return itemgetter(*(ends or (0, 0)))
+class _Forests(dict):
+    """The glue's memo of forests: a step partition -> a getter of the ends of its
+    spanning forest (each step linked to the previous step of its block),
+    flattened; with no edge, a loop at 0."""
+
+    def __missing__(self, labels: tuple[int, ...]) -> itemgetter:
+        last: dict[int, int] = {}
+        ends: list[int] = []
+        for step, block in enumerate(labels):
+            if block in last:
+                ends += last[block], step
+            last[block] = step
+        getter = self[labels] = itemgetter(*(ends or (0, 0)))
+        return getter
 
 
 class _Merges(dict):
@@ -411,10 +441,10 @@ class _Merges(dict):
         return merged
 
 
-def _glued_totals(corner: States, other: States, merges: _Merges) -> tuple[int, int]:
+def _glued_totals(corner: States, other: States, merges, forests) -> tuple[int, int]:
     """(complex, Welschinger) sums over glued pairs forming a connected curve.
 
-    Each corner-side partition's forest is built once.  An other-side partition
+    `forests` holds each corner-side partition's forest.  An other-side partition
     of k blocks joins it to one block iff its labels on the forest's ends make
     k - 1 = max(labels) merges; `merges` memoizes the count per end labelling."""
     keys = list(other)
@@ -423,7 +453,7 @@ def _glued_totals(corner: States, other: States, merges: _Merges) -> tuple[int, 
     nus = [nu for _, nu in other.values()]
     total_mu = total_nu = 0
     for labels, (mu_c, nu_c) in corner.items():
-        ends = map(_forest_ends(labels), keys)
+        ends = map(forests[labels], keys)
         connected = list(map(eq, map(merges.__getitem__, ends), needed))
         total_mu += mu_c * sum(compress(mus, connected))
         total_nu += nu_c * sum(compress(nus, connected))
@@ -445,25 +475,33 @@ class PathMultiplicity(NamedTuple):
     welschinger_total: int
 
 
+def _side_states(ranks: tuple[int, ...], domain: PathDomain, side: str) -> States:
+    """A top-level path's map toward one side; the first corner-side query builds the table."""
+    if side == domain.corner_side():
+        return domain.corner_maps.get(ranks, _NO_STATES)
+    return domain.engine.states(ranks)
+
+
 def side_multiplicity(path, domain: PathDomain, side: str, kind: str) -> int:
-    """Division value of the path toward one side, for one weight kind."""
-    ranks = _ranks(path, domain)
+    """Division value of a top-level path toward one side, for one weight kind."""
+    ranks = _ranks(path, domain, top=True)
     if side not in (SIDE_PLUS, SIDE_MINUS):
         raise ValueError(f"side must be {SIDE_PLUS!r} or {SIDE_MINUS!r}")
     if kind not in (KIND_COMPLEX, KIND_WELSCHINGER):
         raise ValueError(f"kind must be {KIND_COMPLEX!r} or {KIND_WELSCHINGER!r}")
-    mu, nu = _side_values(domain.engines[side].states(ranks))
+    mu, nu = _side_values(_side_states(ranks, domain, side))
     return mu if kind == KIND_COMPLEX else nu
 
 
 def path_multiplicity(path, domain: PathDomain) -> PathMultiplicity:
-    """Side values and connected totals of one path."""
-    ranks = _ranks(path, domain)
-    states = {side: engine.states(ranks) for side, engine in domain.engines.items()}
-    mu, nu = _glued_totals(*states.values(), domain.merges)
+    """Side values and connected totals of one top-level path."""
+    ranks = _ranks(path, domain, top=True)
+    plus, minus = (_side_states(ranks, domain, side) for side in (SIDE_PLUS, SIDE_MINUS))
+    corner, other = (plus, minus) if domain.corner_side() == SIDE_PLUS else (minus, plus)
+    mu, nu = _glued_totals(corner, other, domain.merges, domain.forests)
     return PathMultiplicity(
-        complex_plus=_side_values(states[SIDE_PLUS])[0],
-        complex_minus=_side_values(states[SIDE_MINUS])[0],
+        complex_plus=_side_values(plus)[0],
+        complex_minus=_side_values(minus)[0],
         complex_total=mu,
         welschinger_total=nu,
     )
@@ -473,11 +511,12 @@ def count_both(d: int, order: str = ORDER_XEY) -> tuple[int, int]:
     """(curve count, Welschinger invariant) from one pass over the paths live on
     the corner side; a path dead there has no completions at all."""
     domain = path_domain(d, order)
-    live = live_ranks(domain)
-    corner, other = (engine.states for engine in domain.engines.values())
+    corner = _corner_maps(domain)  # not the domain's: each map goes once glued
+    other = domain.engine.states
     total_mu = total_nu = 0
-    for path in live:
-        mu, nu = _glued_totals(corner(path), other(path), domain.merges)
+    while corner:
+        path, states = corner.popitem()
+        mu, nu = _glued_totals(states, other(path), domain.merges, domain.forests)
         total_mu += mu
         total_nu += nu
     return total_mu, total_nu

@@ -410,6 +410,9 @@ class TestGoldenBytes:
     GOLDEN = {
         "paths -d 4 --lambda xey": "6164dfa789cf422cc1ea1d117c271b1fe793d4ff95ad06161893bab487f40105",
         "paths -d 4 --lambda rowmajor": "e51991318af0a7dfd0ae985cf70e361757083bda87a128932723397c32730e96",
+        # the full listing: the corner side of all 27132 census paths, dead ones included
+        "paths -d 5 --lambda xey": "fdaf1c563b53e335d8d5fe63a0339fc4ca2f04810e5061f4766c673471816e83",
+        "paths -d 5 --lambda rowmajor": "306d0232eeb3424009cab5d9cb79cd399ef620cf985ff383c46e3e28d153263f",
         "paths -d 5 --nonzero-only": "86b01deca0430373499174b30f750daea3e0ec9fecc8f9abac188eed72b0c088",
         "paths -d 5 --nonzero-only --lambda rowmajor": "aaff7e222b073b442bedc8daf2ad1d6e22a9a13ac0f5df80aeb56f03e9385492",
         "report --max 5": "683c69bd12a25f03c5028a0f75573234c538d6a1e64ec3ac7d9f44c398b25387",

@@ -319,6 +319,22 @@ class TestSideMultiplicity:
         mus = [path_multiplicity(p, dom).complex_total for p in enumerate_paths(dom)]
         assert sorted(m for m in mus if m) == [1, 2, 2, 3, 4]
 
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_only_top_level_paths_have_multiplicities(self, d):
+        # the corner side's table holds paths of 3d points alone: one point
+        # fewer or more is refused on either side, not given a zero
+        dom = path_domain(d)
+        top = next(p for p in live_paths(dom) if path_multiplicity(p, dom).complex_total)
+        inner = [pt for pt in dom.points[1:-1] if pt not in top]
+        for path in (top[:1] + top[2:], top[:1] + (inner[0],) + top[1:]):
+            path = validate_path(sorted(path, key=dom.rank.__getitem__), dom)
+            assert len(path) in (3 * d - 1, 3 * d + 1)
+            with pytest.raises(InvalidPathError, match=f"must visit {3 * d} points"):
+                path_multiplicity(path, dom)
+            for side in (SIDE_PLUS, SIDE_MINUS):
+                with pytest.raises(InvalidPathError, match=f"must visit {3 * d} points"):
+                    side_multiplicity(path, dom, side, KIND_COMPLEX)
+
     def test_bad_side_and_kind(self):
         dom = path_domain(1)
         path = ((0, 1), (0, 0), (1, 0))
@@ -473,11 +489,10 @@ class TestCounts:
         for path in enumerate_paths(dom):
             path_multiplicity(path, dom)
         keys = 0
-        for engine in dom.engines.values():
-            for states in engine.cache.values():
-                for labels in states:
-                    assert set(labels) == set(range(max(labels) + 1)), labels
-                    keys += 1
+        for states in [*dom.engine.cache.values(), *dom.corner_maps.values()]:
+            for labels in states:
+                assert set(labels) == set(range(max(labels) + 1)), labels
+                keys += 1
         assert keys > 0
 
     @pytest.mark.parametrize("order", [ORDER_XEY, ORDER_ROWMAJOR])
@@ -491,50 +506,62 @@ class TestCounts:
             path_multiplicity(path, dom)
         everything = (1 << len(dom.points)) - 1
         ends = 1 << dom.rank[dom.p] | 1 << dom.rank[dom.q]
-        for engine in dom.engines.values():
-            for key in engine.cache:
-                assert key & everything == key != everything
-                assert key & ends == ends
-                assert bin(key).count("1") < 3 * d
-            dead = [states for states in engine.cache.values() if not states]
-            assert dead and len(dead) < len(engine.cache)
-            assert all(states is paths._NO_STATES for states in dead)
+        cache = dom.engine.cache
+        for key in cache:
+            assert key & everything == key != everything
+            assert key & ends == ends
+            assert bin(key).count("1") < 3 * d
+        dead = [states for states in cache.values() if not states]
+        assert dead and len(dead) < len(cache)
+        assert all(states is paths._NO_STATES for states in dead)
 
     def test_turn_table_holds_each_corner_turning_toward_the_arc(self):
         # over all C(|T_d|, 3) increasing rank triples: None unless the corner
-        # turns toward the engine's arc, else the triangle's weights and the
-        # rank of the reflected point, which lies between a and c, or -1
+        # turns toward the side's arc, else the triangle's weights and the rank
+        # of the reflected point, which lies between a and c, or -1.  The engine
+        # reads the direct arc's table, the reverse search the corner arc's
         total = 0
         for d in range(1, 6):
             for order in (ORDER_XEY, ORDER_ROWMAJOR):
                 dom = path_domain(d, order)
-                for side, engine in dom.engines.items():
-                    assert not engine.toward  # filled on first use
+                assert not dom.engine.toward  # filled on first use
+                for side in (SIDE_PLUS, SIDE_MINUS):
+                    toward = paths._Turns(dom, side)
+                    assert not toward
                     sign = 1 if side == SIDE_PLUS else -1
                     for abc in combinations(range(len(dom.points)), 3):
                         a, b, c = (dom.points[k] for k in abc)
                         if sign * turn(a, b, c) <= 0:
-                            assert engine.toward[abc] is None
+                            assert toward[abc] is None
                             continue
                         v = (a[0] + c[0] - b[0], a[1] + c[1] - b[1])
                         v_rank = dom.points.index(v) if v in dom.points else -1
                         assert v_rank == -1 or abc[0] < v_rank < abc[2]
-                        assert engine.toward[abc] == (*triangle_weights(a, b, c), v_rank)
+                        assert toward[abc] == (*triangle_weights(a, b, c), v_rank)
                         total += 1
-                    assert len(engine.toward) == math.comb(len(dom.points), 3)
+                    assert len(toward) == math.comb(len(dom.points), 3)
         assert total > 0
 
     def test_a_far_degree_builds_no_table_up_front(self):
         # at the counter's limit T_6 has C(28, 3) = 3276 rank triples: a domain and
-        # its engines fill none up front, and one path reads only the corners its
-        # division meets (25 on one side, 29 on the other)
+        # its engine fill none up front, and one path toward the direct arc reads
+        # only the 29 corners its division meets, and builds no corner table: only
+        # a corner-side query does, once
         for order in (ORDER_XEY, ORDER_ROWMAJOR):
             dom = path_domain(6, order)
             assert math.comb(len(dom.points), 3) == 3276
-            assert all(not engine.toward for engine in dom.engines.values())
+            assert not dom.engine.toward
             path = dom.points[: dom.steps()] + (dom.q,)
-            path_multiplicity(path, dom)
-            assert sorted(len(engine.toward) for engine in dom.engines.values()) == [25, 29]
+            direct = SIDE_MINUS if dom.corner_side() == SIDE_PLUS else SIDE_PLUS
+            side_multiplicity(path, dom, direct, KIND_COMPLEX)
+            assert len(dom.engine.toward) == 29
+            assert not {"corner_maps", "merges", "forests"} & set(vars(dom))
+        dom = path_domain(3)
+        path = live_paths(dom)[0]
+        table = dom.corner_maps
+        path_multiplicity(path, dom)
+        side_multiplicity(path, dom, dom.corner_side(), KIND_COMPLEX)
+        assert dom.corner_maps is table
 
     def test_engines_live_on_their_domain(self):
         # count_both leaves no engine behind; each domain builds its own, once.
@@ -547,24 +574,24 @@ class TestCounts:
         count_both(4)
         assert engines() <= before
         dom = path_domain(4)
-        assert dom.engines is dom.engines
-        other = path_domain(4).engines
-        assert all(other[side] is not dom.engines[side] for side in (SIDE_PLUS, SIDE_MINUS))
+        assert dom.engine is dom.engine
+        assert path_domain(4).engine is not dom.engine
 
 
 class TestSideChoice:
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_corner_side_by_order(self, d):
-        # the corner arc runs through the corner that is neither p nor q, and
-        # its engine comes first
+        # the corner arc runs through the corner that is neither p nor q; the
+        # engine runs toward the other arc, the direct one
         expected = {ORDER_XEY: [SIDE_MINUS, SIDE_PLUS], ORDER_ROWMAJOR: [SIDE_PLUS, SIDE_MINUS]}
         for order, sides in expected.items():
             dom = path_domain(d, order)
-            assert list(dom.engines) == sides
-            arc = dom.left_arc if sides[0] == SIDE_PLUS else dom.right_arc
-            assert dom.engines[sides[0]].arc == tuple(map(dom.rank.__getitem__, arc))
+            assert dom.corner_side() == sides[0]
+            arc, direct = (dom.left_arc, dom.right_arc)[:: 1 if sides[0] == SIDE_PLUS else -1]
+            assert dom.engine.arc_mask == sum(1 << dom.rank[pt] for pt in direct)
+            assert dom.engine.toward.arc == tuple(map(dom.rank.__getitem__, direct))
             (corner,) = {(0, 0), (d, 0), (0, d)} - {dom.p, dom.q}
-            assert corner in arc
+            assert corner in arc and corner not in direct
 
     def test_degree_five_counts_agree_across_orders(self):
         assert count_both(5, ORDER_ROWMAJOR) == count_both(5, ORDER_XEY) == (87304, 18264)
@@ -589,8 +616,9 @@ class TestGlue:
         first = random_states(rng, steps, rng.randint(1, 30))
         second = random_states(rng, steps, rng.randint(1, 30))
         expected = join_totals(first, second)
-        assert paths._glued_totals(first, second, paths._Merges()) == expected
-        assert paths._glued_totals(second, first, paths._Merges()) == expected
+        forests = paths._Forests()  # one memo for both calls: each is a step partition
+        assert paths._glued_totals(first, second, paths._Merges(), forests) == expected
+        assert paths._glued_totals(second, first, paths._Merges(), forests) == expected
 
     @pytest.mark.parametrize("seed", range(5))
     def test_merge_memo_equals_a_plain_union_find(self, seed):
@@ -606,14 +634,15 @@ class TestGlue:
     @pytest.mark.parametrize("order", [ORDER_XEY, ORDER_ROWMAJOR])
     def test_forest_test_equals_the_join_on_every_live_path(self, d, order):
         dom = path_domain(d, order)
-        corner, other = (engine.states for engine in dom.engines.values())
         glued = 0
-        merges = paths._Merges()  # one memo for the domain, as the counter keeps it
+        merges, forests = paths._Merges(), paths._Forests()  # one each, as the domain keeps them
         for path in census_ranks(dom):
-            corner_states, other_states = corner(path), other(path)
+            corner_states = dom.corner_maps.get(path, paths._NO_STATES)
+            other_states = dom.engine.states(path)
             if corner_states and other_states:
                 expected = join_totals(corner_states, other_states)
-                assert paths._glued_totals(corner_states, other_states, merges) == expected
+                totals = paths._glued_totals(corner_states, other_states, merges, forests)
+                assert totals == expected
                 glued += 1
         assert glued == {1: 1, 2: 1, 3: 5, 4: 63}[d]
 
@@ -626,13 +655,12 @@ class TestGlue:
         # the side with more blocks: 3d - 1 - 2d = d - 1 edges over the other
         # side's d blocks
         dom = path_domain(d, order)
-        corner = next(iter(dom.engines))
         for side in (SIDE_PLUS, SIDE_MINUS):
             arc = dom.left_arc if side == SIDE_PLUS else dom.right_arc
-            assert len(arc) - 1 == (2 * d if side == corner else d)
+            assert len(arc) - 1 == (2 * d if side == dom.corner_side() else d)
             checked = 0
             for path in census_ranks(dom):
-                for labels in dom.engines[side].states(path):
+                for labels in paths._side_states(path, dom, side):
                     assert max(labels) + 1 == len(arc) - 1
                     checked += 1
             assert checked > 0
@@ -643,20 +671,53 @@ class TestReverseSearch:
     @pytest.mark.parametrize("order", [ORDER_XEY, ORDER_ROWMAJOR])
     def test_live_paths_equal_the_census_filter(self, d, order):
         dom = path_domain(d, order)
-        corner = next(iter(dom.engines))
         live = live_paths(dom)
         for path in live:
             assert validate_path(path, dom) == path
-        # the filter runs on its own domain, so it shares no memo with the search;
-        # the listing prints live paths as they come, so the order must match too
+        # the filter runs the forward recursion toward the corner arc on its own
+        # domain, so it shares nothing with the search; the listing prints live
+        # paths as they come, so the order must match too
         ref = path_domain(d, order)
+        forward = paths._DivisionEngine(ref, ref.corner_side())
         census_live = [
             path
             for path in enumerate_paths(ref)
-            if ref.engines[corner].states(tuple(map(ref.rank.__getitem__, path)))
+            if forward.states(tuple(map(ref.rank.__getitem__, path)))
         ]
         assert live == census_live
         assert len(live) == {1: 1, 2: 1, 3: 5, 4: 69, 5: 1833}[d]
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("order", [ORDER_XEY, ORDER_ROWMAJOR])
+    def test_corner_maps_equal_the_forward_recursion(self, d, order):
+        # every census path's corner-side map from the search equals the one the
+        # forward recursion builds; a path the table lacks has an empty map
+        dom = path_domain(d, order)
+        table = paths._corner_maps(dom)
+        forward = paths._DivisionEngine(dom, dom.corner_side())
+        missing = 0
+        for path in census_ranks(dom):
+            expected = forward.states(path)
+            if path in table:
+                assert table[path] == expected and expected
+            else:
+                assert expected == {}
+                missing += 1
+        assert len(table) + missing == census_formula(d)
+
+    @pytest.mark.parametrize("order", [ORDER_XEY, ORDER_ROWMAJOR])
+    def test_the_search_leaves_no_cycle(self, order):
+        # the search frees each level by reference counting alone: with the
+        # cyclic collector off, a collection after it finds nothing to free
+        dom = path_domain(4, order)
+        gc.collect()
+        gc.disable()
+        try:
+            table = paths._corner_maps(dom)
+            del table
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_count_checks_the_census_first(self):
         # the search builds no census; the domain it needs applies the degree gate

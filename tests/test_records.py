@@ -44,7 +44,7 @@ FIELDS = {
 @pytest.fixture(scope="module")
 def samples():
     """One record of each type, built in this module alone: a domain with its
-    engines must not outlive it (tests elsewhere look for stray engines)."""
+    engine must not outlive it (tests elsewhere look for stray engines)."""
     # a conic with a bounded edge, so every curve record occurs
     curve = extract_curve(parse_expression("max(0, x - 1, y - 1, 2x - 4, x + y - 3, 2y - 4)"))
     table = build_table(3)
@@ -122,7 +122,10 @@ def test_cell_weights_are_classified_once_per_curve():
 
 def test_domain_tables_are_built_once_per_domain():
     domain = path_domain(3)
-    built = {name: getattr(domain, name) for name in ("rank", "engines", "merges")}
+    path_multiplicity(live_paths(domain)[0], domain)  # the corner table and the forests fill
+    tables = ("rank", "engine", "corner_maps", "merges", "forests")
+    built = {name: getattr(domain, name) for name in tables}
+    assert domain.corner_maps and domain.forests
     for name, value in built.items():
         assert getattr(domain, name) is value
     twin = path_domain(3)
