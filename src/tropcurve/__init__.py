@@ -53,11 +53,10 @@ from .paths import (
     PathMultiplicity,
     count_both,
     enumerate_paths,
-    live_paths,
+    nonzero_multiplicities,
     path_domain,
     path_multiplicity,
     side_multiplicity,
-    validate_path,
 )
 from .polynomial import (
     TropicalPolynomial,

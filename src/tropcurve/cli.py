@@ -137,24 +137,18 @@ def _format_path(path) -> str:
 def cmd_paths(args) -> None:
     # the domain refuses past the counter's limit, so that refusal comes first
     domain = pathsmod.path_domain(args.degree, args.lambda_order)
-    if not args.nonzero_only:
+    if args.nonzero_only:
+        rows = pathsmod.nonzero_multiplicities(domain)
+    else:
         pathsmod.check_degree(args.degree, pathsmod.FULL_LISTING)
-    # a nonzero total needs a tiling toward the corner arc: list only those paths
-    listed = pathsmod.live_paths if args.nonzero_only else pathsmod.enumerate_paths
-    paths = listed(domain)
+        paths = pathsmod.enumerate_paths(domain)
+        rows = ((path, pathsmod.path_multiplicity(path, domain)) for path in paths)
     print("# path  mu+ mu- mu nu")
-    total_mu = 0
-    total_nu = 0
-    for path in paths:
-        m = pathsmod.path_multiplicity(path, domain)
+    total_mu = total_nu = 0
+    for path, m in rows:
         total_mu += m.complex_total
         total_nu += m.welschinger_total
-        if args.nonzero_only and m.complex_total == 0:
-            continue
-        print(
-            f"{_format_path(path)}  {m.complex_plus} {m.complex_minus} "
-            f"{m.complex_total} {m.welschinger_total}"
-        )
+        print(f"{_format_path(path)}  {' '.join(map(str, m))}")  # mu+ mu- mu nu
     print(f"# total mu={total_mu} nu={total_nu}")
 
 

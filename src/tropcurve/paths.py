@@ -196,8 +196,8 @@ def enumerate_paths(domain: PathDomain) -> Iterator[tuple[Point, ...]]:
     return (head + middle + tail for middle in middles)
 
 
-def _ranks(path, domain: PathDomain, top: bool = False) -> tuple[int, ...]:
-    """The ranks of a path of the domain (with `top`, of 3d points); else InvalidPathError."""
+def _ranks(path, domain: PathDomain) -> tuple[int, ...]:
+    """The ranks of a top-level path of the domain; else InvalidPathError."""
     rank = domain.rank
     try:
         ranks = tuple(map(rank.__getitem__, path))  # only pairs are keys
@@ -214,15 +214,9 @@ def _ranks(path, domain: PathDomain, top: bool = False) -> tuple[int, ...]:
         raise InvalidPathError(f"path must run from {domain.p} to {domain.q}")
     if not all(map(lt, ranks, ranks[1:])):
         raise InvalidPathError("path is not strictly increasing in the point order")
-    if top and len(ranks) != domain.steps() + 1:
+    if len(ranks) != domain.steps() + 1:
         raise InvalidPathError(f"path must visit {domain.steps() + 1} points, got {len(ranks)}")
     return tuple(ranks)
-
-
-def validate_path(path, domain: PathDomain) -> tuple[Point, ...]:
-    """The path's points as int pairs of the domain.  A coordinate equal to an
-    int (float, Fraction) hashes like it, so it finds that point's rank."""
-    return tuple(map(domain.points.__getitem__, _ranks(path, domain)))
 
 
 class _Relabels(dict):
@@ -398,13 +392,6 @@ def _corner_maps(domain: PathDomain) -> dict[tuple[int, ...], States]:
     return maps
 
 
-def live_paths(domain: PathDomain) -> list[tuple[Point, ...]]:
-    """The top-level paths with a tiling toward the corner side's arc, as points,
-    in the order `enumerate_paths` yields them."""
-    points = domain.points
-    return [tuple(map(points.__getitem__, path)) for path in sorted(domain.corner_maps)]
-
-
 def _side_values(states: States) -> tuple[int, int]:
     return sum(mu for mu, _ in states.values()), sum(nu for _, nu in states.values())
 
@@ -475,48 +462,67 @@ class PathMultiplicity(NamedTuple):
     welschinger_total: int
 
 
-def _side_states(ranks: tuple[int, ...], domain: PathDomain, side: str) -> States:
-    """A top-level path's map toward one side; the first corner-side query builds the table."""
-    if side == domain.corner_side():
-        return domain.corner_maps.get(ranks, _NO_STATES)
-    return domain.engine.states(ranks)
+def _glued(domain: PathDomain) -> Iterator[tuple[tuple[int, ...], States, States, int, int]]:
+    """Each path live on the corner side, as ranks, with its corner and direct
+    maps and its connected (complex, Welschinger) totals.  The corner table is
+    the search's own, not the domain's, and each map goes once glued.  Two
+    measurements shape it: paths come in the table's `popitem` order, since
+    gluing in sorted order took `count -d 6` from 434 to 458 MB under either
+    order; and it yields maps and totals, not `PathMultiplicity` rows, since
+    building those in the count's loop slowed `count_both(5)` by 10-20 ms."""
+    corner, merges, forests = _corner_maps(domain), domain.merges, domain.forests
+    while corner:
+        path, states = corner.popitem()
+        direct = domain.engine.states(path)
+        yield path, states, direct, *_glued_totals(states, direct, merges, forests)
+
+
+def _multiplicity(domain: PathDomain, corner: States, direct: States, mu, nu) -> PathMultiplicity:
+    """A path's `PathMultiplicity` from its two side maps and connected totals."""
+    plus, minus = (corner, direct) if domain.corner_side() == SIDE_PLUS else (direct, corner)
+    return PathMultiplicity(_side_values(plus)[0], _side_values(minus)[0], mu, nu)
 
 
 def side_multiplicity(path, domain: PathDomain, side: str, kind: str) -> int:
     """Division value of a top-level path toward one side, for one weight kind."""
-    ranks = _ranks(path, domain, top=True)
+    ranks = _ranks(path, domain)
     if side not in (SIDE_PLUS, SIDE_MINUS):
         raise ValueError(f"side must be {SIDE_PLUS!r} or {SIDE_MINUS!r}")
     if kind not in (KIND_COMPLEX, KIND_WELSCHINGER):
         raise ValueError(f"kind must be {KIND_COMPLEX!r} or {KIND_WELSCHINGER!r}")
-    mu, nu = _side_values(_side_states(ranks, domain, side))
+    if side == domain.corner_side():
+        mu, nu = _side_values(domain.corner_maps.get(ranks, _NO_STATES))
+    else:
+        mu, nu = _side_values(domain.engine.states(ranks))
     return mu if kind == KIND_COMPLEX else nu
 
 
 def path_multiplicity(path, domain: PathDomain) -> PathMultiplicity:
     """Side values and connected totals of one top-level path."""
-    ranks = _ranks(path, domain, top=True)
-    plus, minus = (_side_states(ranks, domain, side) for side in (SIDE_PLUS, SIDE_MINUS))
-    corner, other = (plus, minus) if domain.corner_side() == SIDE_PLUS else (minus, plus)
-    mu, nu = _glued_totals(corner, other, domain.merges, domain.forests)
-    return PathMultiplicity(
-        complex_plus=_side_values(plus)[0],
-        complex_minus=_side_values(minus)[0],
-        complex_total=mu,
-        welschinger_total=nu,
-    )
+    ranks = _ranks(path, domain)
+    corner = domain.corner_maps.get(ranks, _NO_STATES)
+    direct = domain.engine.states(ranks)
+    totals = _glued_totals(corner, direct, domain.merges, domain.forests)
+    return _multiplicity(domain, corner, direct, *totals)
+
+
+def nonzero_multiplicities(domain: PathDomain) -> list[tuple[tuple[Point, ...], PathMultiplicity]]:
+    """The paths with a nonzero complex total, each with its `PathMultiplicity`, in
+    the order `enumerate_paths` yields them.  A live path with a zero complex
+    total has no connected pair, so its Welschinger total is zero too."""
+    rows = [
+        (path, _multiplicity(domain, corner, direct, mu, nu))
+        for path, corner, direct, mu, nu in _glued(domain)
+        if mu
+    ]
+    return [(tuple(map(domain.points.__getitem__, path)), m) for path, m in sorted(rows)]
 
 
 def count_both(d: int, order: str = ORDER_XEY) -> tuple[int, int]:
     """(curve count, Welschinger invariant) from one pass over the paths live on
     the corner side; a path dead there has no completions at all."""
-    domain = path_domain(d, order)
-    corner = _corner_maps(domain)  # not the domain's: each map goes once glued
-    other = domain.engine.states
     total_mu = total_nu = 0
-    while corner:
-        path, states = corner.popitem()
-        mu, nu = _glued_totals(states, other(path), domain.merges, domain.forests)
+    for *_, mu, nu in _glued(path_domain(d, order)):
         total_mu += mu
         total_nu += nu
     return total_mu, total_nu

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import tropcurve
-from tropcurve import cli, invariants
+from tropcurve import cli, invariants, paths
 from tropcurve.document import write_document
 
 CONIC_TABLE = """\
@@ -242,6 +243,31 @@ class TestPaths:
         full, nonzero = full.splitlines(), nonzero.splitlines()
         assert nonzero[0] == full[0] and nonzero[-1] == full[-1]
         assert nonzero[1:-1] == [row for row in full[1:-1] if row.split()[-2] != "0"]
+
+    @pytest.mark.parametrize("order", ["xey", "rowmajor"])
+    def test_the_nonzero_listing_drops_each_corner_map_once_glued(self, capsys, monkeypatch, order):
+        # the listing glues from the search's own table, as the count does: the
+        # domain it builds keeps no corner table, and no engine outlives the call
+        def engines():
+            gc.collect()
+            return sum(isinstance(obj, paths._DivisionEngine) for obj in gc.get_objects())
+
+        built, path_domain = [], paths.path_domain
+
+        def kept_domain(*args):
+            built.append(path_domain(*args))
+            return built[-1]
+
+        monkeypatch.setattr(paths, "path_domain", kept_domain)
+        before = engines()
+        code, out, _ = run_cli(capsys, "paths", "-d", "4", "--lambda", order, "--nonzero-only")
+        assert code == 0
+        assert out.splitlines()[-1] == "# total mu=620 nu=240"
+        (domain,) = built
+        assert "engine" in vars(domain) and "corner_maps" not in vars(domain)
+        del domain
+        built.clear()
+        assert engines() <= before
 
     @pytest.mark.parametrize("order", ["xey", "rowmajor"])
     def test_degree_six_full_listing_refused_up_front(self, capsys, order):

@@ -19,11 +19,10 @@ from tropcurve import (
     count_both,
     enumerate_paths,
     km_count,
-    live_paths,
+    nonzero_multiplicities,
     path_domain,
     path_multiplicity,
     side_multiplicity,
-    validate_path,
 )
 from tropcurve import paths
 from tropcurve.geometry import triangle_weights, turn
@@ -324,10 +323,11 @@ class TestSideMultiplicity:
         # the corner side's table holds paths of 3d points alone: one point
         # fewer or more is refused on either side, not given a zero
         dom = path_domain(d)
-        top = next(p for p in live_paths(dom) if path_multiplicity(p, dom).complex_total)
+        top = nonzero_multiplicities(dom)[0][0]
         inner = [pt for pt in dom.points[1:-1] if pt not in top]
         for path in (top[:1] + top[2:], top[:1] + (inner[0],) + top[1:]):
-            path = validate_path(sorted(path, key=dom.rank.__getitem__), dom)
+            # still increasing from p to q: only the length is refused
+            path = tuple(sorted(path, key=dom.rank.__getitem__))
             assert len(path) in (3 * d - 1, 3 * d + 1)
             with pytest.raises(InvalidPathError, match=f"must visit {3 * d} points"):
                 path_multiplicity(path, dom)
@@ -364,22 +364,29 @@ class TestPathValidation:
     def test_no_lattice_point(self, bad):
         dom = path_domain(2)
         with pytest.raises(InvalidPathError):
-            validate_path(((0, 2), bad, (2, 0)), dom)
+            path_multiplicity(((0, 2), bad, (2, 0)), dom)
 
     @pytest.mark.parametrize("bad", [(0, 2, 99), (0,), 7, [0, 1, 0], "01"])
     def test_no_pair(self, bad):
         # a point is a pair: a longer tuple is not read as its first two entries
         dom = path_domain(2)
         with pytest.raises(InvalidPathError):
-            validate_path(((0, 2), bad, (2, 0)), dom)
+            side_multiplicity(((0, 2), bad, (2, 0)), dom, SIDE_PLUS, KIND_COMPLEX)
         with pytest.raises(InvalidPathError):
             path_multiplicity(((0, 2), bad, (2, 0)), dom)
 
     def test_int_valued_coordinates_are_accepted(self):
+        # a coordinate equal to an int (float, Fraction) hashes like it, so it
+        # finds that point's rank: the path's values are the int path's
         dom = path_domain(2)
-        pts = validate_path(((0, 2.0), (Fraction(0), 1), (1.0, Fraction(2, 2)), (2, 0)), dom)
-        assert pts == ((0, 2), (0, 1), (1, 1), (2, 0))
-        assert all(type(c) is int for pt in pts for c in pt)
+        ints = ((0, 2), (0, 1), (0, 0), (1, 1), (1, 0), (2, 0))
+        mixed = ((0, 2.0), (Fraction(0), 1), (0.0, 0), (1.0, Fraction(2, 2)))
+        mixed += ((Fraction(1), 0.0), (2, 0))
+        assert mixed == ints == dom.points
+        assert path_multiplicity(mixed, dom) == path_multiplicity(ints, dom) == (1, 1, 1, 1)
+        for side in (SIDE_PLUS, SIDE_MINUS):
+            for kind in (KIND_COMPLEX, KIND_WELSCHINGER):
+                assert side_multiplicity(mixed, dom, side, kind) == 1
 
 
 class TestMultiplicity:
@@ -557,7 +564,8 @@ class TestCounts:
             assert len(dom.engine.toward) == 29
             assert not {"corner_maps", "merges", "forests"} & set(vars(dom))
         dom = path_domain(3)
-        path = live_paths(dom)[0]
+        path = nonzero_multiplicities(dom)[0][0]  # builds the listing's own table
+        assert "corner_maps" not in vars(dom)
         table = dom.corner_maps
         path_multiplicity(path, dom)
         side_multiplicity(path, dom, dom.corner_side(), KIND_COMPLEX)
@@ -660,7 +668,11 @@ class TestGlue:
             assert len(arc) - 1 == (2 * d if side == dom.corner_side() else d)
             checked = 0
             for path in census_ranks(dom):
-                for labels in paths._side_states(path, dom, side):
+                if side == dom.corner_side():
+                    states = dom.corner_maps.get(path, paths._NO_STATES)
+                else:
+                    states = dom.engine.states(path)
+                for labels in states:
                     assert max(labels) + 1 == len(arc) - 1
                     checked += 1
             assert checked > 0
@@ -671,21 +683,32 @@ class TestReverseSearch:
     @pytest.mark.parametrize("order", [ORDER_XEY, ORDER_ROWMAJOR])
     def test_live_paths_equal_the_census_filter(self, d, order):
         dom = path_domain(d, order)
-        live = live_paths(dom)
+        live = sorted(paths._corner_maps(dom))
         for path in live:
-            assert validate_path(path, dom) == path
+            assert paths._ranks(tuple(map(dom.points.__getitem__, path)), dom) == path
         # the filter runs the forward recursion toward the corner arc on its own
-        # domain, so it shares nothing with the search; the listing prints live
-        # paths as they come, so the order must match too
+        # domain, so it shares nothing with the search
         ref = path_domain(d, order)
         forward = paths._DivisionEngine(ref, ref.corner_side())
-        census_live = [
-            path
-            for path in enumerate_paths(ref)
-            if forward.states(tuple(map(ref.rank.__getitem__, path)))
-        ]
+        census_live = [path for path in census_ranks(ref) if forward.states(path)]
         assert live == census_live
         assert len(live) == {1: 1, 2: 1, 3: 5, 4: 69, 5: 1833}[d]
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("order", [ORDER_XEY, ORDER_ROWMAJOR])
+    def test_nonzero_rows_equal_the_census_filter(self, d, order):
+        # one pass over the search's table gives the rows the per-path API gives
+        # over the census, in the census order, each domain on its own
+        ref = path_domain(d, order)
+        census = [(path, path_multiplicity(path, ref)) for path in enumerate_paths(ref)]
+        expected = [(path, m) for path, m in census if m.complex_total != 0]
+        assert nonzero_multiplicities(path_domain(d, order)) == expected
+        # the listing prints every row with a nonzero Welschinger total: a live
+        # path with a zero complex total has no connected pair, even where both
+        # of its sides have tilings (the reducible ones, from d = 4 on)
+        zero = [row for row in paths._glued(path_domain(d, order)) if row[3] == 0]
+        assert all(nu == 0 for *_, nu in zero)
+        assert sum(1 for _, _, direct, _, _ in zero if direct) == {4: 5}.get(d, 0)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("order", [ORDER_XEY, ORDER_ROWMAJOR])
@@ -721,7 +744,7 @@ class TestReverseSearch:
 
     def test_count_checks_the_census_first(self):
         # the search builds no census; the domain it needs applies the degree gate
-        for refused in (lambda: live_paths(path_domain(7)), lambda: count_both(7)):
+        for refused in (lambda: nonzero_multiplicities(path_domain(7)), lambda: count_both(7)):
             with pytest.raises(BadDegreeError) as raised:
                 refused()
             assert str(raised.value) == past_the_counter(7)

@@ -22,7 +22,7 @@ from tropcurve import (
     build_table,
     curve_stats,
     extract_curve,
-    live_paths,
+    nonzero_multiplicities,
     parse_expression,
     path_domain,
     path_multiplicity,
@@ -58,7 +58,7 @@ def samples():
         table[0],
         asymptotic_report(table)[-1],
         domain,
-        path_multiplicity(live_paths(domain)[0], domain),
+        path_multiplicity(nonzero_multiplicities(domain)[0][0], domain),
     ]
     assert [type(r) for r in records] == list(FIELDS)
     return dict(zip(FIELDS, records))
@@ -122,7 +122,8 @@ def test_cell_weights_are_classified_once_per_curve():
 
 def test_domain_tables_are_built_once_per_domain():
     domain = path_domain(3)
-    path_multiplicity(live_paths(domain)[0], domain)  # the corner table and the forests fill
+    path = nonzero_multiplicities(domain)[0][0]  # the forests fill
+    path_multiplicity(path, domain)  # and the corner table
     tables = ("rank", "engine", "corner_maps", "merges", "forests")
     built = {name: getattr(domain, name) for name in tables}
     assert domain.corner_maps and domain.forests
