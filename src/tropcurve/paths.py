@@ -108,9 +108,9 @@ class _DomainFields(NamedTuple):
 
 class PathDomain(_DomainFields):
     """Triangle T_d with a total point order and its two boundary arcs.  The
-    rank map, the engine, the corner maps and the glue's memos live in the
-    instance __dict__ (a NamedTuple itself has none), so they last as long as
-    the domain."""
+    rank map, the turn tables, the engine, the corner maps and the glue's memos
+    live in the instance __dict__ (a NamedTuple itself has none), so they last
+    as long as the domain."""
 
     @cached_property
     def rank(self) -> dict[Point, int]:
@@ -119,6 +119,26 @@ class PathDomain(_DomainFields):
     def corner_side(self) -> str:
         """The side whose arc runs through the third corner: 2d + 1 points against d + 1."""
         return SIDE_PLUS if len(self.left_arc) > len(self.right_arc) else SIDE_MINUS
+
+    def arc(self, side: str) -> tuple[int, ...]:
+        """The side's boundary arc as ranks, increasing."""
+        arc = self.left_arc if side == SIDE_PLUS else self.right_arc
+        return tuple(map(self.rank.__getitem__, arc))
+
+    @cached_property
+    def turns(self) -> dict[str, dict[tuple[int, int, int], tuple[int, int, int]]]:
+        """Per side, each rank triple a < b < c whose corner b turns toward the side's
+        arc -> the triangle's weights and the rank of v = a + c - b, or -1 outside T_d.
+        One pass files every non-collinear triple under one side (3276 triples at d = 6)."""
+        points, rank = self.points, self.rank
+        tables: dict = {SIDE_PLUS: {}, SIDE_MINUS: {}}
+        for abc in combinations(range(len(points)), 3):
+            a, b, c = map(points.__getitem__, abc)
+            if turned := turn(a, b, c):
+                v = rank.get((a[0] + c[0] - b[0], a[1] + c[1] - b[1]), -1)
+                side = SIDE_PLUS if turned > 0 else SIDE_MINUS
+                tables[side][abc] = (*triangle_weights(a, b, c), v)
+        return tables
 
     @cached_property
     def engine(self) -> _DivisionEngine:
@@ -198,7 +218,7 @@ def enumerate_paths(domain: PathDomain) -> Iterator[tuple[Point, ...]]:
 
 def _ranks(path, domain: PathDomain) -> tuple[int, ...]:
     """The ranks of a top-level path of the domain; else InvalidPathError."""
-    rank = domain.rank
+    rank, path = domain.rank, tuple(path)  # both passes read it; a tuple stays itself
     try:
         ranks = tuple(map(rank.__getitem__, path))  # only pairs are keys
     except (KeyError, TypeError):
@@ -232,28 +252,6 @@ class _Relabels(dict):
         return cut, swap
 
 
-class _Turns(dict):
-    """Rank triple a < b < c -> None unless its corner b turns toward the side's arc
-    (`arc`, as ranks); else the triangle's weights and the rank of v = a + c - b, or
-    -1 outside T_d.  Filled on first use, so a domain costs nothing up front."""
-
-    def __init__(self, domain: PathDomain, side: str):
-        super().__init__()
-        self.points, self.rank = domain.points, domain.rank
-        self.sign = 1 if side == SIDE_PLUS else -1
-        arc = domain.left_arc if side == SIDE_PLUS else domain.right_arc
-        self.arc = tuple(map(self.rank.__getitem__, arc))
-
-    def __missing__(self, abc: tuple[int, int, int]) -> tuple[int, int, int] | None:
-        a, b, c = map(self.points.__getitem__, abc)
-        corner = None
-        if self.sign * turn(a, b, c) > 0:
-            v = self.rank.get((a[0] + c[0] - b[0], a[1] + c[1] - b[1]), -1)
-            corner = (*triangle_weights(a, b, c), v)
-        self[abc] = corner
-        return corner
-
-
 def _divided(relabels, corner, shorter: States, swapped: States) -> States:
     """A path's map from its children's at its first corner abc turning toward the arc:
     the cut child's times the triangle's weights, ab and bc taking ac's block, plus
@@ -285,18 +283,17 @@ class _DivisionEngine:
 
     def __init__(self, domain: PathDomain, side: str):
         # keep sub-paths only: keeping the top-length swap children (1330 rebuilt at d = 5)
-        # took count_both(6) from 442 to 826 MB, with an engine per side, for no time
+        # took `count -d 6 --method both` from 434 to 769 MB, and made it slower
         self.top_points = domain.steps() + 1
         self.cache: dict[int, States] = {}
         self.interned: dict = {}
         self.relabel = _Relabels()
-        self.toward = _Turns(domain, side)
-        self.arc_mask = sum(map((1).__lshift__, self.toward.arc))
+        self.toward = domain.turns[side]
+        self.arc_mask = sum(map((1).__lshift__, domain.arc(side)))
 
-    def states(self, path: tuple[int, ...], mask: int | None = None, start: int = 1) -> States:
+    def states(self, path: tuple[int, ...], mask: int | None = None) -> States:
         """Step partitions of an increasing path over the tilings toward the arc.  The
-        recursion passes along the bitmask of `path` as `mask`, and as `start` the first
-        corner that can turn: a child made at corner j keeps corners 1..j-2, unturned."""
+        recursion passes along the bitmask of `path` as `mask`."""
         if mask is None:
             mask = sum(map((1).__lshift__, path))
         cached = self.cache.get(mask)
@@ -306,20 +303,19 @@ class _DivisionEngine:
         if mask == self.arc_mask:
             result = {tuple(range(len(path) - 1)): (1, 1)}
         else:
-            toward = self.toward
-            corners = zip(path[start - 1 :], path[start:], path[start + 1 :])
-            for j, abc in enumerate(corners, start):
-                corner = toward[abc]
+            turning = self.toward.get
+            for j, abc in enumerate(zip(path, path[1:], path[2:]), 1):
+                corner = turning(abc)
                 if corner is None:
                     continue
                 # the first corner turning toward the arc
-                v, after = corner[2], j - 1 or 1
+                v = corner[2]
                 without_b = mask ^ 1 << path[j]
-                shorter = self.states(path[:j] + path[j + 1 :], without_b, after)
+                shorter = self.states(path[:j] + path[j + 1 :], without_b)
                 swapped = _NO_STATES
                 if v >= 0:
                     swapped = path[:j] + (v,) + path[j + 1 :]
-                    swapped = self.states(swapped, without_b | 1 << v, after)
+                    swapped = self.states(swapped, without_b | 1 << v)
                 result = _divided(self.relabel[len(path) - 1, j], corner, shorter, swapped)
                 break
         if len(path) < self.top_points:
@@ -337,22 +333,21 @@ def _corner_maps(domain: PathDomain) -> dict[tuple[int, ...], States]:
     The result is live iff j, where b lands, is its first turning corner.  Its
     map adds the cut child's, one level down, and the swap child's, this level,
     as `_DivisionEngine.states` does."""
-    toward = _Turns(domain, domain.corner_side())
+    side = domain.corner_side()
+    toward = domain.turns[side]
     # the b whose corner between a and c turns, and the b a swap turned into v
     between: dict[tuple[int, int], list[int]] = {}
     unswap: dict[tuple[int, int, int], int] = {}
-    for a, b, c in combinations(range(len(domain.points)), 3):
-        turned = toward[a, b, c]
-        if turned:
-            between.setdefault((a, c), []).append(b)
-            if turned[2] >= 0:
-                unswap[a, turned[2], c] = b
+    for (a, b, c), (_, _, v) in toward.items():
+        between.setdefault((a, c), []).append(b)
+        if v >= 0:
+            unswap[a, v, c] = b
 
     def keeps(path, j, b):
         # b, whose corner turns, lands at j: does no corner before it turn?
-        return j == 1 or toward[path[j - 2], path[j - 1], b] is None
+        return j == 1 or (path[j - 2], path[j - 1], b) not in toward
 
-    relabel, interned, arc = _Relabels(), {}, toward.arc
+    relabel, interned, arc = _Relabels(), {}, domain.arc(side)
     # each path's first corner turning toward the arc; on the arc none, so len - 1
     level = {arc: len(arc) - 1}
     below, maps = {}, {arc: {tuple(range(len(arc) - 1)): (1, 1)}}

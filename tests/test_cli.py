@@ -128,7 +128,7 @@ class TestCensusLimit:
 
     @pytest.mark.parametrize("command", ["count", "welschinger"])
     def test_far_degree_is_refused_at_once(self, capsys, command):
-        # the degree is checked before any per-engine table: T_40 has over 10^8 triples
+        # the degree is checked before any per-domain table: T_40 has over 10^8 triples
         start = time.perf_counter()
         code, out, err = run_cli(capsys, command, "-d", "40")
         assert time.perf_counter() - start < 2

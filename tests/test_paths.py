@@ -388,6 +388,23 @@ class TestPathValidation:
             for kind in (KIND_COMPLEX, KIND_WELSCHINGER):
                 assert side_multiplicity(mixed, dom, side, kind) == 1
 
+    def test_an_iterator_path_is_read_once(self):
+        # a path given as an iterator is read as the same points given as a tuple:
+        # the same values, and the same fault named
+        dom = path_domain(2)
+        assert path_multiplicity(iter(dom.points), dom) == path_multiplicity(dom.points, dom)
+        for side in (SIDE_PLUS, SIDE_MINUS):
+            for kind in (KIND_COMPLEX, KIND_WELSCHINGER):
+                expected = side_multiplicity(dom.points, dom, side, kind)
+                assert side_multiplicity(iter(dom.points), dom, side, kind) == expected
+        bad = ((0, 2), (9, 9), (2, 0))
+        fault = r"\(9, 9\) is no lattice point of the side-2 triangle"
+        for path in (bad, iter(bad)):
+            with pytest.raises(InvalidPathError, match=fault):
+                path_multiplicity(path, dom)
+        with pytest.raises(InvalidPathError, match=fault):
+            side_multiplicity(iter(bad), dom, SIDE_PLUS, KIND_COMPLEX)
+
 
 class TestMultiplicity:
     def test_degree_one(self):
@@ -523,53 +540,60 @@ class TestCounts:
         assert all(states is paths._NO_STATES for states in dead)
 
     def test_turn_table_holds_each_corner_turning_toward_the_arc(self):
-        # over all C(|T_d|, 3) increasing rank triples: None unless the corner
-        # turns toward the side's arc, else the triangle's weights and the rank
-        # of the reflected point, which lies between a and c, or -1.  The engine
-        # reads the direct arc's table, the reverse search the corner arc's
+        # over all C(|T_d|, 3) increasing rank triples: a triple sits in the table of
+        # the side its corner turns toward, with the triangle's weights and the rank
+        # of the reflected point, which lies between a and c, or -1; a collinear
+        # triple sits in neither.  The engine reads the direct arc's table, the
+        # reverse search the corner arc's
         total = 0
         for d in range(1, 6):
             for order in (ORDER_XEY, ORDER_ROWMAJOR):
                 dom = path_domain(d, order)
-                assert not dom.engine.toward  # filled on first use
-                for side in (SIDE_PLUS, SIDE_MINUS):
-                    toward = paths._Turns(dom, side)
-                    assert not toward
-                    sign = 1 if side == SIDE_PLUS else -1
-                    for abc in combinations(range(len(dom.points)), 3):
-                        a, b, c = (dom.points[k] for k in abc)
-                        if sign * turn(a, b, c) <= 0:
-                            assert toward[abc] is None
-                            continue
-                        v = (a[0] + c[0] - b[0], a[1] + c[1] - b[1])
-                        v_rank = dom.points.index(v) if v in dom.points else -1
-                        assert v_rank == -1 or abc[0] < v_rank < abc[2]
-                        assert toward[abc] == (*triangle_weights(a, b, c), v_rank)
-                        total += 1
-                    assert len(toward) == math.comb(len(dom.points), 3)
+                assert set(dom.turns) == {SIDE_PLUS, SIDE_MINUS}
+                expected = {SIDE_PLUS: {}, SIDE_MINUS: {}}
+                collinear = 0
+                for abc in combinations(range(len(dom.points)), 3):
+                    a, b, c = (dom.points[k] for k in abc)
+                    if turn(a, b, c) == 0:
+                        assert all(abc not in table for table in dom.turns.values())
+                        collinear += 1
+                        continue
+                    v = (a[0] + c[0] - b[0], a[1] + c[1] - b[1])
+                    v_rank = dom.points.index(v) if v in dom.points else -1
+                    assert v_rank == -1 or abc[0] < v_rank < abc[2]
+                    side = SIDE_PLUS if turn(a, b, c) > 0 else SIDE_MINUS
+                    expected[side][abc] = (*triangle_weights(a, b, c), v_rank)
+                    total += 1
+                assert dom.turns == expected
+                size = sum(map(len, dom.turns.values()))
+                assert size + collinear == math.comb(len(dom.points), 3)
         assert total > 0
 
     def test_a_far_degree_builds_no_table_up_front(self):
-        # at the counter's limit T_6 has C(28, 3) = 3276 rank triples: a domain and
-        # its engine fill none up front, and one path toward the direct arc reads
-        # only the 29 corners its division meets, and builds no corner table: only
-        # a corner-side query does, once
+        # at the counter's limit T_6 has C(28, 3) = 3276 rank triples: a domain walks
+        # none of them up front, and one path toward the direct arc builds the turn
+        # table and no corner table: only a corner-side query does, once
         for order in (ORDER_XEY, ORDER_ROWMAJOR):
             dom = path_domain(6, order)
             assert math.comb(len(dom.points), 3) == 3276
-            assert not dom.engine.toward
+            assert "turns" not in vars(dom)
             path = dom.points[: dom.steps()] + (dom.q,)
             direct = SIDE_MINUS if dom.corner_side() == SIDE_PLUS else SIDE_PLUS
             side_multiplicity(path, dom, direct, KIND_COMPLEX)
-            assert len(dom.engine.toward) == 29
+            assert dom.engine.toward is vars(dom)["turns"][direct]
             assert not {"corner_maps", "merges", "forests"} & set(vars(dom))
         dom = path_domain(3)
         path = nonzero_multiplicities(dom)[0][0]  # builds the listing's own table
         assert "corner_maps" not in vars(dom)
+        dom = path_domain(3)
         table = dom.corner_maps
+        turns = vars(dom)["turns"]  # the search's, before any engine: one serves both sides
+        assert "engine" not in vars(dom)
         path_multiplicity(path, dom)
         side_multiplicity(path, dom, dom.corner_side(), KIND_COMPLEX)
-        assert dom.corner_maps is table
+        assert dom.corner_maps is table and dom.turns is turns
+        direct = SIDE_MINUS if dom.corner_side() == SIDE_PLUS else SIDE_PLUS
+        assert dom.engine.toward is turns[direct]
 
     def test_engines_live_on_their_domain(self):
         # count_both leaves no engine behind; each domain builds its own, once.
@@ -597,7 +621,8 @@ class TestSideChoice:
             assert dom.corner_side() == sides[0]
             arc, direct = (dom.left_arc, dom.right_arc)[:: 1 if sides[0] == SIDE_PLUS else -1]
             assert dom.engine.arc_mask == sum(1 << dom.rank[pt] for pt in direct)
-            assert dom.engine.toward.arc == tuple(map(dom.rank.__getitem__, direct))
+            assert dom.arc(sides[1]) == tuple(map(dom.rank.__getitem__, direct))
+            assert dom.arc(sides[0]) == tuple(map(dom.rank.__getitem__, arc))
             (corner,) = {(0, 0), (d, 0), (0, d)} - {dom.p, dom.q}
             assert corner in arc and corner not in direct
 

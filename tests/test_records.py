@@ -9,6 +9,8 @@ from fractions import Fraction
 import pytest
 
 from tropcurve import (
+    SIDE_MINUS,
+    SIDE_PLUS,
     AsymptoticRow,
     BoundedEdge,
     CurveStats,
@@ -124,9 +126,11 @@ def test_domain_tables_are_built_once_per_domain():
     domain = path_domain(3)
     path = nonzero_multiplicities(domain)[0][0]  # the forests fill
     path_multiplicity(path, domain)  # and the corner table
-    tables = ("rank", "engine", "corner_maps", "merges", "forests")
+    tables = ("rank", "turns", "engine", "corner_maps", "merges", "forests")
     built = {name: getattr(domain, name) for name in tables}
     assert domain.corner_maps and domain.forests
+    direct = SIDE_MINUS if domain.corner_side() == SIDE_PLUS else SIDE_PLUS
+    assert domain.engine.toward is domain.turns[direct]
     for name, value in built.items():
         assert getattr(domain, name) is value
     twin = path_domain(3)
