@@ -74,7 +74,7 @@ PATH_COUNTER = "the lattice-path counter"
 FULL_LISTING = "the full listing"
 RECURSION = "the recursion"
 MAX_DEGREE = {
-    # d = 6: 5311735 census paths, counted in about 16 s at 435 MB (2 vCPUs); d = 7 has
+    # d = 6: 5311735 census paths, counted in 17-20 s at 237 MB (2 vCPUs); d = 7 has
     # 1855967520
     PATH_COUNTER: 6,
     # d = 5 lists 27132 paths; at d = 6 the memos outgrew 1 GiB long before the end
@@ -142,7 +142,8 @@ class PathDomain(_DomainFields):
 
     @cached_property
     def engine(self) -> _DivisionEngine:
-        """The division engine toward the direct arc; its memo lives as long as the domain."""
+        """The division engine toward the direct arc; the per-path API's maps stay as long
+        as the domain."""
         return _DivisionEngine(self, SIDE_MINUS if self.corner_side() == SIDE_PLUS else SIDE_PLUS)
 
     @cached_property
@@ -277,13 +278,15 @@ class _DivisionEngine:
     A sub-path is strictly increasing, so its point set names it: the cache
     key is the bitmask of its ranks.  A cut clears b's bit; a swap clears b's
     and sets v's, and v = a + c - b lies strictly between a and c in the
-    (linear) order.  A sub-path with no tiling maps to `_NO_STATES`.  The memo
-    lives as long as the domain that owns the engine.
+    (linear) order.  A sub-path with no tiling maps to `_NO_STATES`.  A path
+    asked for alone may meet any sub-path again, so its maps stay, interned, as
+    long as the domain; a pass over known paths counts each sub-path's reads
+    first (`reads`), and keeps a map only until its last read.
     """
 
     def __init__(self, domain: PathDomain, side: str):
         # keep sub-paths only: keeping the top-length swap children (1330 rebuilt at d = 5)
-        # took `count -d 6 --method both` from 434 to 769 MB, and made it slower
+        # took `count -d 6` from 434 to 769 MB when every map stayed, and made it slower
         self.top_points = domain.steps() + 1
         self.cache: dict[int, States] = {}
         self.interned: dict = {}
@@ -291,13 +294,43 @@ class _DivisionEngine:
         self.toward = domain.turns[side]
         self.arc_mask = sum(map((1).__lshift__, domain.arc(side)))
 
-    def states(self, path: tuple[int, ...], mask: int | None = None) -> States:
+    def reads(self, paths) -> dict[int, int]:
+        """How often `states` reads each sub-path's map in a pass over `paths`: the
+        recursion on keys alone, expanding a sub-path at its first read unless the
+        memo holds it, and a top-length path, which the memo never holds, at each."""
+        reads: dict[int, int] = {}
+        top, turning, cache = self.top_points, self.toward.get, self.cache
+        for path in paths:
+            work = [(path, sum(map((1).__lshift__, path)))]
+            while work:
+                path, mask = work.pop()
+                if len(path) < top:
+                    seen = reads.get(mask, 0)
+                    reads[mask] = seen + 1
+                    if seen or mask in cache:
+                        continue
+                for j, abc in enumerate(zip(path, path[1:], path[2:]), 1):
+                    corner = turning(abc)
+                    if corner is not None:
+                        without_b, v = mask ^ 1 << path[j], corner[2]
+                        work.append((path[:j] + path[j + 1 :], without_b))
+                        if v >= 0:
+                            work.append((path[:j] + (v,) + path[j + 1 :], without_b | 1 << v))
+                        break
+        return reads
+
+    def states(self, path: tuple[int, ...], mask: int | None = None, reads=None) -> States:
         """Step partitions of an increasing path over the tilings toward the arc.  The
-        recursion passes along the bitmask of `path` as `mask`."""
+        recursion passes along the bitmask of `path` as `mask`, and a pass its `reads`."""
         if mask is None:
             mask = sum(map((1).__lshift__, path))
         cached = self.cache.get(mask)
         if cached is not None:
+            if reads is not None:  # a pass drops the map at its last read
+                if left := reads[mask] - 1:
+                    reads[mask] = left
+                else:
+                    del reads[mask], self.cache[mask]
             return cached
         result = _NO_STATES
         if mask == self.arc_mask:
@@ -311,15 +344,18 @@ class _DivisionEngine:
                 # the first corner turning toward the arc
                 v = corner[2]
                 without_b = mask ^ 1 << path[j]
-                shorter = self.states(path[:j] + path[j + 1 :], without_b)
+                shorter = self.states(path[:j] + path[j + 1 :], without_b, reads)
                 swapped = _NO_STATES
                 if v >= 0:
                     swapped = path[:j] + (v,) + path[j + 1 :]
-                    swapped = self.states(swapped, without_b | 1 << v)
+                    swapped = self.states(swapped, without_b | 1 << v, reads)
                 result = _divided(self.relabel[len(path) - 1, j], corner, shorter, swapped)
                 break
         if len(path) < self.top_points:
-            result = self.cache[mask] = _interned(result, self.interned)
+            if reads is None:
+                result = self.cache[mask] = _interned(result, self.interned)
+            elif left := reads.pop(mask) - 1:
+                self.cache[mask], reads[mask] = result or _NO_STATES, left
         return result
 
 
@@ -460,15 +496,18 @@ class PathMultiplicity(NamedTuple):
 def _glued(domain: PathDomain) -> Iterator[tuple[tuple[int, ...], States, States, int, int]]:
     """Each path live on the corner side, as ranks, with its corner and direct
     maps and its connected (complex, Welschinger) totals.  The corner table is
-    the search's own, not the domain's, and each map goes once glued.  Two
-    measurements shape it: paths come in the table's `popitem` order, since
-    gluing in sorted order took `count -d 6` from 434 to 458 MB under either
-    order; and it yields maps and totals, not `PathMultiplicity` rows, since
-    building those in the count's loop slowed `count_both(5)` by 10-20 ms."""
+    the search's own, not the domain's, and each map goes once glued; each
+    direct sub-path's map goes at its last read, which the pass counts first.
+    Two measurements shape it: paths come in the table's `popitem` order, since
+    gluing in sorted order took `count -d 6` from 236 to 340 MB under `xey`;
+    and it yields maps and totals, not `PathMultiplicity` rows, since building
+    those in the count's loop slowed `count_both(5)` by 10-20 ms."""
     corner, merges, forests = _corner_maps(domain), domain.merges, domain.forests
+    engine = domain.engine
+    reads = engine.reads(corner)
     while corner:
         path, states = corner.popitem()
-        direct = domain.engine.states(path)
+        direct = engine.states(path, None, reads)
         yield path, states, direct, *_glued_totals(states, direct, merges, forests)
 
 

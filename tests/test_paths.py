@@ -54,6 +54,19 @@ def census_ranks(dom):
     return [tuple(map(dom.rank.__getitem__, path)) for path in enumerate_paths(dom)]
 
 
+@pytest.fixture
+def read_tables(monkeypatch):
+    """The read counts of each pass's direct engine, kept to look at after the pass."""
+    tables, reads = [], paths._DivisionEngine.reads
+
+    def kept(engine, live):
+        tables.append(reads(engine, live))
+        return tables[-1]
+
+    monkeypatch.setattr(paths._DivisionEngine, "reads", kept)
+    return tables
+
+
 def walked_arcs(d, p, q):
     """Reference (left, right) arcs: walk the boundary from p straight to q, and
     from p through the third corner r to q, one primitive step at a time."""
@@ -608,6 +621,42 @@ class TestCounts:
         dom = path_domain(4)
         assert dom.engine is dom.engine
         assert path_domain(4).engine is not dom.engine
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("order", [ORDER_XEY, ORDER_ROWMAJOR])
+    def test_a_pass_reads_each_direct_map_as_often_as_counted(self, d, order, read_tables):
+        # a pass drops each direct map at its last counted read: a count too low
+        # raises KeyError, one too high leaves the map and its count behind
+        dom = path_domain(d, order)
+        totals = [(mu, nu) for *_, mu, nu in paths._glued(dom)]
+        assert dom.engine.cache == {} and read_tables == [{}]
+        assert sum(mu for mu, _ in totals) == km_count(d)
+        assert sum(nu for _, nu in totals) == {1: 1, 2: 1, 3: 8, 4: 240, 5: 18264}[d]
+
+    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("order", [ORDER_XEY, ORDER_ROWMAJOR])
+    def test_the_per_path_api_after_a_pass(self, d, order, read_tables):
+        # the read counts belong to the pass: after a full pass, or one dropped
+        # after its first row, a domain answers per path as a fresh one does,
+        # and a second pass reads the maps the memo holds without walking below
+        fresh = path_domain(d, order)
+        full, dropped = path_domain(d, order), path_domain(d, order)
+        expected = nonzero_multiplicities(path_domain(d, order))
+        assert nonzero_multiplicities(full) == expected
+        next(paths._glued(dropped))
+        for path in enumerate_paths(fresh):
+            for dom in (full, dropped):
+                assert path_multiplicity(path, dom) == path_multiplicity(path, fresh)
+                for side in (SIDE_PLUS, SIDE_MINUS):
+                    for kind in (KIND_COMPLEX, KIND_WELSCHINGER):
+                        got = side_multiplicity(path, dom, side, kind)
+                        assert got == side_multiplicity(path, fresh, side, kind)
+        read_tables.clear()
+        for dom in (full, dropped):
+            held = set(dom.engine.cache)
+            assert nonzero_multiplicities(dom) == expected
+            assert set(dom.engine.cache) < held
+        assert read_tables == [{}, {}]
 
 
 class TestSideChoice:
