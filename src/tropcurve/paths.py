@@ -44,8 +44,9 @@ paths have a tiling toward the arc through the third corner of the triangle
 (1833 of 27132 at d = 5).  A reverse search (Avis-Fukuda) grows exactly those
 out of that arc by the recursion's moves run backwards, building their maps
 toward it as it goes; only they meet the direct arc's engine, and a path with
-a nonzero total is one of them.  Inside, a path is the tuple of its points'
-ranks in the domain's order.
+a nonzero total is one of them.  That engine splits each where it meets the
+direct arc, and builds the pieces (1999 at d = 5, 56467 at d = 6).  Inside, a
+path is the tuple of its points' ranks in the domain's order.
 """
 
 from __future__ import annotations
@@ -74,8 +75,7 @@ PATH_COUNTER = "the lattice-path counter"
 FULL_LISTING = "the full listing"
 RECURSION = "the recursion"
 MAX_DEGREE = {
-    # d = 6: 5311735 census paths, counted in 17-20 s at 237 MB (2 vCPUs); d = 7 has
-    # 1855967520
+    # d = 6: 5311735 census paths, counted in 12-19 s at 194 MB (2 vCPUs); d = 7: 1855967520
     PATH_COUNTER: 6,
     # d = 5 lists 27132 paths; at d = 6 the memos outgrew 1 GiB long before the end
     FULL_LISTING: 5,
@@ -142,8 +142,7 @@ class PathDomain(_DomainFields):
 
     @cached_property
     def engine(self) -> _DivisionEngine:
-        """The division engine toward the direct arc; the per-path API's maps stay as long
-        as the domain."""
+        """The division engine toward the direct arc."""
         return _DivisionEngine(self, SIDE_MINUS if self.corner_side() == SIDE_PLUS else SIDE_PLUS)
 
     @cached_property
@@ -273,89 +272,90 @@ def _interned(states: States, interned: dict) -> States:
 
 
 class _DivisionEngine:
-    """Memoized connectivity-state division recursion toward one boundary arc.
+    """Memoized connectivity-state division recursion toward one boundary arc, by piece.
 
-    A sub-path is strictly increasing, so its point set names it: the cache
-    key is the bitmask of its ranks.  A cut clears b's bit; a swap clears b's
-    and sets v's, and v = a + c - b lies strictly between a and c in the
-    (linear) order.  A sub-path with no tiling maps to `_NO_STATES`.  A path
-    asked for alone may meet any sub-path again, so its maps stay, interned, as
-    long as the domain; a pass over known paths counts each sub-path's reads
-    first (`reads`), and keeps a map only until its last read.
+    T_d is convex, so no corner on its boundary turns toward an arc: a path's arc
+    points stay through every cut and swap, and cut the region between the path
+    and the arc into pieces, the runs of the path between consecutive arc points.
+    A piece's map labels each block by the index of its arc step, so a path's map
+    is the product of its pieces' maps, labels concatenated.  The memo keys a piece
+    by its ranks; a dead one maps to `_NO_STATES`.  The per-path API's maps stay as
+    long as the domain; a pass over known paths counts each piece's reads first
+    (`reads`), and keeps a map only until its last read.
     """
 
     def __init__(self, domain: PathDomain, side: str):
-        # keep sub-paths only: keeping the top-length swap children (1330 rebuilt at d = 5)
-        # took `count -d 6` from 434 to 769 MB when every map stayed, and made it slower
-        self.top_points = domain.steps() + 1
-        self.cache: dict[int, States] = {}
-        self.interned: dict = {}
+        self.cache: dict[tuple[int, ...], States] = {}
         self.relabel = _Relabels()
         self.toward = domain.turns[side]
-        self.arc_mask = sum(map((1).__lshift__, domain.arc(side)))
+        arc = domain.arc(side)
+        self.on_arc = set(arc)
+        self.arc_steps = {(a, c): {(i,): (1, 1)} for i, (a, c) in enumerate(zip(arc, arc[1:]))}
 
-    def reads(self, paths) -> dict[int, int]:
-        """How often `states` reads each sub-path's map in a pass over `paths`: the
-        recursion on keys alone, expanding a sub-path at its first read unless the
-        memo holds it, and a top-length path, which the memo never holds, at each."""
-        reads: dict[int, int] = {}
-        top, turning, cache = self.top_points, self.toward.get, self.cache
+    def pieces(self, path: tuple[int, ...]) -> list[tuple[int, ...]]:
+        """The runs of a path between consecutive arc points; its ends lie on the arc."""
+        ends = [j for j, rank in enumerate(path) if rank in self.on_arc]
+        return [path[i : j + 1] for i, j in zip(ends, ends[1:])]
+
+    def _peeled(self, piece: tuple[int, ...]):
+        """A piece's first corner turning toward the arc, its step j, and the pieces of
+        its cut and swap children (no swap child where v is outside T_d), or None."""
+        turning = self.toward.get
+        for j, abc in enumerate(zip(piece, piece[1:], piece[2:]), 1):
+            corner = turning(abc)
+            if corner is not None:
+                v, head, tail = corner[2], piece[:j], piece[j + 1 :]
+                swapped = [head + (v,) + tail] if v >= 0 else None
+                if v in self.on_arc:  # the swap splits the piece
+                    swapped = [head + (v,), (v,) + tail]
+                return corner, j, [head + tail], swapped
+        return None
+
+    def reads(self, paths) -> dict[tuple[int, ...], int]:
+        """How often `states` reads each piece's map in a pass over `paths`: the recursion
+        on keys alone, expanding a piece at its first read unless the memo holds it."""
+        reads: dict[tuple[int, ...], int] = {}
         for path in paths:
-            work = [(path, sum(map((1).__lshift__, path)))]
+            work = self.pieces(path)
             while work:
-                path, mask = work.pop()
-                if len(path) < top:
-                    seen = reads.get(mask, 0)
-                    reads[mask] = seen + 1
-                    if seen or mask in cache:
-                        continue
-                for j, abc in enumerate(zip(path, path[1:], path[2:]), 1):
-                    corner = turning(abc)
-                    if corner is not None:
-                        without_b, v = mask ^ 1 << path[j], corner[2]
-                        work.append((path[:j] + path[j + 1 :], without_b))
-                        if v >= 0:
-                            work.append((path[:j] + (v,) + path[j + 1 :], without_b | 1 << v))
-                        break
+                piece = work.pop()
+                if len(piece) > 2:
+                    seen = reads.get(piece, 0)
+                    reads[piece] = seen + 1
+                    if not (seen or piece in self.cache) and (peeled := self._peeled(piece)):
+                        work += peeled[2] + (peeled[3] or [])
         return reads
 
-    def states(self, path: tuple[int, ...], mask: int | None = None, reads=None) -> States:
-        """Step partitions of an increasing path over the tilings toward the arc.  The
-        recursion passes along the bitmask of `path` as `mask`, and a pass its `reads`."""
-        if mask is None:
-            mask = sum(map((1).__lshift__, path))
-        cached = self.cache.get(mask)
-        if cached is not None:
-            if reads is not None:  # a pass drops the map at its last read
-                if left := reads[mask] - 1:
-                    reads[mask] = left
-                else:
-                    del reads[mask], self.cache[mask]
-            return cached
-        result = _NO_STATES
-        if mask == self.arc_mask:
-            result = {tuple(range(len(path) - 1)): (1, 1)}
-        else:
-            turning = self.toward.get
-            for j, abc in enumerate(zip(path, path[1:], path[2:]), 1):
-                corner = turning(abc)
-                if corner is None:
-                    continue
-                # the first corner turning toward the arc
-                v = corner[2]
-                without_b = mask ^ 1 << path[j]
-                shorter = self.states(path[:j] + path[j + 1 :], without_b, reads)
-                swapped = _NO_STATES
-                if v >= 0:
-                    swapped = path[:j] + (v,) + path[j + 1 :]
-                    swapped = self.states(swapped, without_b | 1 << v, reads)
-                result = _divided(self.relabel[len(path) - 1, j], corner, shorter, swapped)
-                break
-        if len(path) < self.top_points:
-            if reads is None:
-                result = self.cache[mask] = _interned(result, self.interned)
-            elif left := reads.pop(mask) - 1:
-                self.cache[mask], reads[mask] = result or _NO_STATES, left
+    def states(self, path: tuple[int, ...], reads=None) -> States:
+        """Step partitions of an increasing path from arc to arc over the tilings toward
+        the arc: the product of its pieces' maps.  A pass passes its `reads`."""
+        return self._product(self.pieces(path), reads)
+
+    def _product(self, pieces, reads) -> States:
+        # every piece is read, so that a pass consumes each counted read even past a dead one
+        out, *rest = [self._piece(piece, reads) for piece in pieces]
+        for one in rest:
+            out = {k + l: (m * n, w * x) for k, (m, w) in out.items() for l, (n, x) in one.items()}
+        return out or _NO_STATES
+
+    def _piece(self, piece: tuple[int, ...], reads) -> States:
+        if len(piece) == 2:
+            return self.arc_steps.get(piece, _NO_STATES)
+        result = self.cache.get(piece)
+        if result is None:
+            result = _NO_STATES
+            if peeled := self._peeled(piece):
+                corner, j, cut, swap = peeled
+                shorter = self._product(cut, reads)
+                swapped = _NO_STATES if swap is None else self._product(swap, reads)
+                divided = _divided(self.relabel[len(piece) - 1, j], corner, shorter, swapped)
+                result = divided or _NO_STATES
+            self.cache[piece] = result
+        if reads is not None:  # a pass drops the map at its last read
+            if left := reads.pop(piece) - 1:
+                reads[piece] = left
+            else:
+                del self.cache[piece]
         return result
 
 
@@ -497,9 +497,9 @@ def _glued(domain: PathDomain) -> Iterator[tuple[tuple[int, ...], States, States
     """Each path live on the corner side, as ranks, with its corner and direct
     maps and its connected (complex, Welschinger) totals.  The corner table is
     the search's own, not the domain's, and each map goes once glued; each
-    direct sub-path's map goes at its last read, which the pass counts first.
+    direct piece's map goes at its last read, which the pass counts first.
     Two measurements shape it: paths come in the table's `popitem` order, since
-    gluing in sorted order took `count -d 6` from 236 to 340 MB under `xey`;
+    gluing in sorted order took `count -d 6` from 194 to 235 MB under `xey`;
     and it yields maps and totals, not `PathMultiplicity` rows, since building
     those in the count's loop slowed `count_both(5)` by 10-20 ms."""
     corner, merges, forests = _corner_maps(domain), domain.merges, domain.forests
@@ -507,7 +507,7 @@ def _glued(domain: PathDomain) -> Iterator[tuple[tuple[int, ...], States, States
     reads = engine.reads(corner)
     while corner:
         path, states = corner.popitem()
-        direct = engine.states(path, None, reads)
+        direct = engine.states(path, reads)
         yield path, states, direct, *_glued_totals(states, direct, merges, forests)
 
 

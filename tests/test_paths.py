@@ -56,7 +56,7 @@ def census_ranks(dom):
 
 @pytest.fixture
 def read_tables(monkeypatch):
-    """The read counts of each pass's direct engine, kept to look at after the pass."""
+    """The piece read counts of each pass's direct engine, kept to look at after the pass."""
     tables, reads = [], paths._DivisionEngine.reads
 
     def kept(engine, live):
@@ -520,37 +520,53 @@ class TestCounts:
     @pytest.mark.parametrize("order", [ORDER_XEY, ORDER_ROWMAJOR])
     def test_state_labels_are_dense(self, order):
         # no relabelling after a swap: the glue sizes its union-find over the
-        # other side's blocks by max + 1, so the k blocks of every state key
-        # must be labelled exactly 0..k-1
+        # other side's blocks by max + 1, so the k blocks of every corner-side
+        # state key must be labelled exactly 0..k-1 (the direct side's pieces
+        # are held to their arc steps below)
         dom = path_domain(4, order)
-        for path in enumerate_paths(dom):
-            path_multiplicity(path, dom)
         keys = 0
-        for states in [*dom.engine.cache.values(), *dom.corner_maps.values()]:
+        for states in dom.corner_maps.values():
             for labels in states:
                 assert set(labels) == set(range(max(labels) + 1)), labels
                 keys += 1
         assert keys > 0
 
     @pytest.mark.parametrize("order", [ORDER_XEY, ORDER_ROWMAJOR])
-    def test_engine_keys_are_proper_sub_paths(self, order):
-        # a key is the bitmask of a sub-path's points: p and q included, fewer
-        # points than a top-level path; a dead sub-path maps to the shared
-        # `_NO_STATES`, so one memo holds both kinds
-        d = 4
-        dom = path_domain(d, order)
+    def test_engine_keys_are_pieces(self, order):
+        # the memo keys a piece by its ranks: it starts and ends on the direct arc
+        # with no arc point inside, and each of its partitions labels its steps
+        # with exactly the indices of the arc steps between its ends.  Two-point
+        # pieces are never stored; a dead piece maps to the shared `_NO_STATES`
+        dom = path_domain(5, order)
         for path in enumerate_paths(dom):
             path_multiplicity(path, dom)
-        everything = (1 << len(dom.points)) - 1
-        ends = 1 << dom.rank[dom.p] | 1 << dom.rank[dom.q]
+        direct = SIDE_MINUS if dom.corner_side() == SIDE_PLUS else SIDE_PLUS
+        index = {rank: i for i, rank in enumerate(dom.arc(direct))}
         cache = dom.engine.cache
-        for key in cache:
-            assert key & everything == key != everything
-            assert key & ends == ends
-            assert bin(key).count("1") < 3 * d
+        for piece, states in cache.items():
+            assert len(piece) > 2 and piece[0] in index and piece[-1] in index
+            assert not index.keys() & set(piece[1:-1])
+            assert list(piece) == sorted(set(piece))
+            steps = set(range(index[piece[0]], index[piece[-1]]))
+            for labels in states:
+                assert len(labels) == len(piece) - 1 and set(labels) == steps
         dead = [states for states in cache.values() if not states]
         assert dead and len(dead) < len(cache)
         assert all(states is paths._NO_STATES for states in dead)
+
+    def test_no_corner_on_an_arc_turns_toward_it(self):
+        # T_d is convex, so a corner at a boundary point turns away from both arcs:
+        # no cut or swap takes a path's arc points away, and the engine splits a
+        # path at them.  A swap may still land v on the direct arc, and split a piece
+        for d in range(1, 7):
+            for order in (ORDER_XEY, ORDER_ROWMAJOR):
+                dom = path_domain(d, order)
+                for side in (SIDE_PLUS, SIDE_MINUS):
+                    arc = set(dom.arc(side))
+                    assert not any(b in arc for _, b, _ in dom.turns[side])
+                direct = SIDE_MINUS if dom.corner_side() == SIDE_PLUS else SIDE_PLUS
+                landed = sum(v in set(dom.arc(direct)) for *_, v in dom.turns[direct].values())
+                assert landed == {1: 0, 2: 3, 3: 18, 4: 62, 5: 162, 6: 357}[d]
 
     def test_turn_table_holds_each_corner_turning_toward_the_arc(self):
         # over all C(|T_d|, 3) increasing rank triples: a triple sits in the table of
@@ -658,6 +674,25 @@ class TestCounts:
             assert set(dom.engine.cache) < held
         assert read_tables == [{}, {}]
 
+    @pytest.mark.parametrize("order", [ORDER_XEY, ORDER_ROWMAJOR])
+    def test_a_pass_reads_the_pieces_after_a_dead_one(self, order):
+        # a path dead in its first piece is dead, yet a pass still reads its later
+        # pieces, whose reads the walk counted, so none of their maps outlives it
+        probe = path_domain(4, order).engine
+
+        def dead_first(pieces):
+            later = [piece for piece in pieces[1:] if len(piece) > 2]
+            return not probe.states(pieces[0]) and any(map(probe.states, later))
+
+        dom = path_domain(4, order)
+        (path,) = [path for path in census_ranks(dom) if dead_first(probe.pieces(path))]
+        later = {piece for piece in dom.engine.pieces(path)[1:] if len(piece) > 2}
+        reads = dom.engine.reads([path, path])
+        assert later <= set(reads)
+        for _ in range(2):
+            assert dom.engine.states(path, reads) is paths._NO_STATES
+        assert reads == {} and dom.engine.cache == {}
+
 
 class TestSideChoice:
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
@@ -669,7 +704,8 @@ class TestSideChoice:
             dom = path_domain(d, order)
             assert dom.corner_side() == sides[0]
             arc, direct = (dom.left_arc, dom.right_arc)[:: 1 if sides[0] == SIDE_PLUS else -1]
-            assert dom.engine.arc_mask == sum(1 << dom.rank[pt] for pt in direct)
+            ranks = tuple(map(dom.rank.__getitem__, direct))
+            assert list(dom.engine.arc_steps) == list(zip(ranks, ranks[1:]))
             assert dom.arc(sides[1]) == tuple(map(dom.rank.__getitem__, direct))
             assert dom.arc(sides[0]) == tuple(map(dom.rank.__getitem__, arc))
             (corner,) = {(0, 0), (d, 0), (0, d)} - {dom.p, dom.q}
