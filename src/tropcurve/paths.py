@@ -35,9 +35,9 @@ a spanning forest of the other (each step linked to the previous step of its
 block), form one component.  A top-level partition has one block per arc
 step, so the forest of the corner side's 2d blocks has d - 1 edges over the
 other side's d blocks.  Few distinct labellings of the forest's edge ends
-occur (189 at d = 5, 3605 at d = 6), so the domain memoizes the merges each
-makes.  Side values are the sums of the map's weights.  No component escapes
-the partitions: every cell branch owns a step of its path.
+occur (189 at d = 5, 3605 at d = 6), so the domain memoizes whether each
+joins the d blocks into one.  Side values are weight sums.  No component
+escapes the partitions: every cell branch owns a step of its path.
 
 The counts and the listing of nonzero paths do not scan the census.  Few
 paths have a tiling toward the arc through the third corner of the triangle
@@ -45,15 +45,18 @@ paths have a tiling toward the arc through the third corner of the triangle
 out of that arc by the recursion's moves run backwards, building their maps
 toward it as it goes; only they meet the direct arc's engine, and a path with
 a nonzero total is one of them.  That engine splits each where it meets the
-direct arc, and builds the pieces (1999 at d = 5, 56467 at d = 6).  Inside, a
-path is the tuple of its points' ranks in the domain's order.
+direct arc and builds the pieces (1999 at d = 5, 56467 at d = 6).  A path's
+map is their product, which the glue reads as flat lists and no dict, and its
+value is the product of their sums.  Inside, a path is the tuple of its
+points' ranks in the domain's order.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from itertools import combinations, compress
-from operator import eq, itemgetter, lt
+from math import prod
+from operator import itemgetter, lt
 from typing import Iterator, NamedTuple
 
 from .errors import BadDegreeError, InvalidPathError
@@ -75,7 +78,7 @@ PATH_COUNTER = "the lattice-path counter"
 FULL_LISTING = "the full listing"
 RECURSION = "the recursion"
 MAX_DEGREE = {
-    # d = 6: 5311735 census paths, counted in 12-19 s at 194 MB (2 vCPUs); d = 7: 1855967520
+    # d = 6: 5311735 census paths, counted in 11-16 s at 194 MB (2 vCPUs); d = 7: 1855967520
     PATH_COUNTER: 6,
     # d = 5 lists 27132 paths; at d = 6 the memos outgrew 1 GiB long before the end
     FULL_LISTING: 5,
@@ -150,8 +153,8 @@ class PathDomain(_DomainFields):
         return _corner_maps(self)
 
     @cached_property
-    def merges(self) -> _Merges:
-        return _Merges()
+    def joins(self) -> _Joins:
+        return _Joins(self.d)  # the direct side's top-level partitions have d blocks
 
     @cached_property
     def forests(self) -> _Forests:
@@ -265,6 +268,24 @@ def _divided(relabels, corner, shorter: States, swapped: States) -> States:
     return out
 
 
+def _product(maps: list[States]) -> States:
+    """The map of a run of pieces from their maps: labels concatenated, weights multiplied."""
+    out, *rest = maps
+    for one in rest:
+        out = {k + l: (m * n, w * x) for k, (m, w) in out.items() for l, (n, x) in one.items()}
+    return out or _NO_STATES
+
+
+def _flat(maps: list[States]) -> tuple[list, list, list]:
+    """`_product` as lists of partitions, complex and Welschinger weights, for `_glue`."""
+    first, *rest = maps
+    keys, weights = list(first), list(first.values())
+    for one in rest:
+        keys = [k + l for k in keys for l in one]
+        weights = [(m * n, w * x) for m, w in weights for n, x in one.values()]
+    return keys, [m for m, _ in weights], [w for _, w in weights]
+
+
 def _interned(states: States, interned: dict) -> States:
     """The map with one copy of each label tuple and weight pair: many maps share them."""
     one = interned.setdefault
@@ -298,21 +319,21 @@ class _DivisionEngine:
         return [path[i : j + 1] for i, j in zip(ends, ends[1:])]
 
     def _peeled(self, piece: tuple[int, ...]):
-        """A piece's first corner turning toward the arc, its step j, and the pieces of
-        its cut and swap children (no swap child where v is outside T_d), or None."""
+        """A piece's first corner turning toward the arc, its step j and its children's
+        pieces: the cut child's, then the swap child's (none with v outside T_d); or None."""
         turning = self.toward.get
         for j, abc in enumerate(zip(piece, piece[1:], piece[2:]), 1):
             corner = turning(abc)
             if corner is not None:
                 v, head, tail = corner[2], piece[:j], piece[j + 1 :]
-                swapped = [head + (v,) + tail] if v >= 0 else None
+                swapped = [head + (v,) + tail] if v >= 0 else []
                 if v in self.on_arc:  # the swap splits the piece
                     swapped = [head + (v,), (v,) + tail]
-                return corner, j, [head + tail], swapped
+                return corner, j, [head + tail, *swapped]
         return None
 
     def reads(self, paths) -> dict[tuple[int, ...], int]:
-        """How often `states` reads each piece's map in a pass over `paths`: the recursion
+        """How often `maps` reads each piece's map in a pass over `paths`: the recursion
         on keys alone, expanding a piece at its first read unless the memo holds it."""
         reads: dict[tuple[int, ...], int] = {}
         for path in paths:
@@ -323,20 +344,17 @@ class _DivisionEngine:
                     seen = reads.get(piece, 0)
                     reads[piece] = seen + 1
                     if not (seen or piece in self.cache) and (peeled := self._peeled(piece)):
-                        work += peeled[2] + (peeled[3] or [])
+                        work += peeled[2]
         return reads
 
-    def states(self, path: tuple[int, ...], reads=None) -> States:
-        """Step partitions of an increasing path from arc to arc over the tilings toward
-        the arc: the product of its pieces' maps.  A pass passes its `reads`."""
-        return self._product(self.pieces(path), reads)
+    def maps(self, path: tuple[int, ...], reads=None) -> list[States]:
+        """Each piece's map of an increasing path from arc to arc.  A pass passes its
+        `reads`; every piece is read, consuming each counted read even past a dead one."""
+        return [self._piece(piece, reads) for piece in self.pieces(path)]
 
-    def _product(self, pieces, reads) -> States:
-        # every piece is read, so that a pass consumes each counted read even past a dead one
-        out, *rest = [self._piece(piece, reads) for piece in pieces]
-        for one in rest:
-            out = {k + l: (m * n, w * x) for k, (m, w) in out.items() for l, (n, x) in one.items()}
-        return out or _NO_STATES
+    def states(self, path: tuple[int, ...], reads=None) -> States:
+        """A path's step partitions as one map, the product of its pieces' maps."""
+        return _product(self.maps(path, reads))
 
     def _piece(self, piece: tuple[int, ...], reads) -> States:
         if len(piece) == 2:
@@ -345,9 +363,9 @@ class _DivisionEngine:
         if result is None:
             result = _NO_STATES
             if peeled := self._peeled(piece):
-                corner, j, cut, swap = peeled
-                shorter = self._product(cut, reads)
-                swapped = _NO_STATES if swap is None else self._product(swap, reads)
+                corner, j, children = peeled
+                shorter, *swapped = [self._piece(child, reads) for child in children]
+                swapped = _product(swapped) if swapped else _NO_STATES
                 divided = _divided(self.relabel[len(piece) - 1, j], corner, shorter, swapped)
                 result = divided or _NO_STATES
             self.cache[piece] = result
@@ -423,8 +441,10 @@ def _corner_maps(domain: PathDomain) -> dict[tuple[int, ...], States]:
     return maps
 
 
-def _side_values(states: States) -> tuple[int, int]:
-    return sum(mu for mu, _ in states.values()), sum(nu for _, nu in states.values())
+def _side_value(maps: list[States], kind: str) -> int:
+    """The sum of one kind of weight over the maps' product: the product of its sums."""
+    weight = itemgetter(0 if kind == KIND_COMPLEX else 1)
+    return prod([sum(map(weight, states.values())) for states in maps])
 
 
 class _Forests(dict):
@@ -443,38 +463,32 @@ class _Forests(dict):
         return getter
 
 
-class _Merges(dict):
-    """The glue's memo: a tuple of block labels -> how many merges joining the
-    blocks of each of its pairs ends[0:2], ends[2:4], ... makes."""
+class _Joins(dict):
+    """The glue's memo for partitions into `blocks` blocks: a tuple of labels, ends ->
+    whether joining the blocks of its pairs ends[0:2], ends[2:4], ... leaves one."""
 
-    def __missing__(self, ends: tuple[int, ...]) -> int:
-        component = list(range(max(ends) + 1))
-        merged = 0
+    def __init__(self, blocks: int):  # dict.__init__ would only fill it
+        self.blocks = blocks
+
+    def __missing__(self, ends: tuple[int, ...]) -> bool:
+        component = list(range(self.blocks))
         for x, y in zip(ends[::2], ends[1::2]):
             keep, gone = component[x], component[y]
-            if keep != gone:
-                component = [keep if c == gone else c for c in component]
-                merged += 1
-        self[ends] = merged
-        return merged
+            component = [keep if c == gone else c for c in component]
+        joined = self[ends] = len(set(component)) == 1
+        return joined
 
 
-def _glued_totals(corner: States, other: States, merges, forests) -> tuple[int, int]:
+def _glue(corner: States, direct: tuple[list, list, list], joins, forests) -> tuple[int, int]:
     """(complex, Welschinger) sums over glued pairs forming a connected curve.
-
-    `forests` holds each corner-side partition's forest.  An other-side partition
-    of k blocks joins it to one block iff its labels on the forest's ends make
-    k - 1 = max(labels) merges; `merges` memoizes the count per end labelling."""
-    keys = list(other)
-    needed = list(map(max, keys))
-    mus = [mu for mu, _ in other.values()]
-    nus = [nu for _, nu in other.values()]
+    `direct` holds the other side's `_flat` lists, each partition of `joins.blocks`
+    blocks; it joins a corner-side one iff its labels on that one's forest do."""
+    keys, mus, nus = direct
     total_mu = total_nu = 0
-    for labels, (mu_c, nu_c) in corner.items():
-        ends = map(forests[labels], keys)
-        connected = list(map(eq, map(merges.__getitem__, ends), needed))
-        total_mu += mu_c * sum(compress(mus, connected))
-        total_nu += nu_c * sum(compress(nus, connected))
+    for labels, (mu_c, nu_c) in corner.items() if keys else ():
+        joined = list(map(joins.__getitem__, map(forests[labels], keys)))
+        total_mu += mu_c * sum(compress(mus, joined))
+        total_nu += nu_c * sum(compress(nus, joined))
     return total_mu, total_nu
 
 
@@ -493,28 +507,27 @@ class PathMultiplicity(NamedTuple):
     welschinger_total: int
 
 
-def _glued(domain: PathDomain) -> Iterator[tuple[tuple[int, ...], States, States, int, int]]:
-    """Each path live on the corner side, as ranks, with its corner and direct
-    maps and its connected (complex, Welschinger) totals.  The corner table is
-    the search's own, not the domain's, and each map goes once glued; each
-    direct piece's map goes at its last read, which the pass counts first.
-    Two measurements shape it: paths come in the table's `popitem` order, since
-    gluing in sorted order took `count -d 6` from 194 to 235 MB under `xey`;
-    and it yields maps and totals, not `PathMultiplicity` rows, since building
-    those in the count's loop slowed `count_both(5)` by 10-20 ms."""
-    corner, merges, forests = _corner_maps(domain), domain.merges, domain.forests
-    engine = domain.engine
+def _glued(domain: PathDomain) -> Iterator[tuple[tuple[int, ...], States, list[States], int, int]]:
+    """Each path live on the corner side, as ranks, with its corner map, its direct
+    pieces' maps and its connected (complex, Welschinger) totals from `_glue`, as
+    `path_multiplicity` glues one path.  The corner table is the search's own and
+    each map goes once glued; each piece's map goes at its last read, which the
+    pass counts first.  Paths come in `popitem` order, since the sorted order took
+    `count -d 6` from 194 to 235 MB under `xey`; it yields no `PathMultiplicity`
+    rows, which slowed `count_both(5)` by 10-20 ms."""
+    corner, engine = _corner_maps(domain), domain.engine
     reads = engine.reads(corner)
     while corner:
         path, states = corner.popitem()
-        direct = engine.states(path, reads)
-        yield path, states, direct, *_glued_totals(states, direct, merges, forests)
+        maps = engine.maps(path, reads)
+        yield path, states, maps, *_glue(states, _flat(maps), domain.joins, domain.forests)
 
 
-def _multiplicity(domain: PathDomain, corner: States, direct: States, mu, nu) -> PathMultiplicity:
-    """A path's `PathMultiplicity` from its two side maps and connected totals."""
-    plus, minus = (corner, direct) if domain.corner_side() == SIDE_PLUS else (direct, corner)
-    return PathMultiplicity(_side_values(plus)[0], _side_values(minus)[0], mu, nu)
+def _multiplicity(domain: PathDomain, corner: States, direct: list, mu, nu) -> PathMultiplicity:
+    """A path's `PathMultiplicity` from its corner and direct pieces' maps and totals."""
+    values = _side_value([corner], KIND_COMPLEX), _side_value(direct, KIND_COMPLEX)
+    plus, minus = values if domain.corner_side() == SIDE_PLUS else values[::-1]
+    return PathMultiplicity(plus, minus, mu, nu)
 
 
 def side_multiplicity(path, domain: PathDomain, side: str, kind: str) -> int:
@@ -525,18 +538,18 @@ def side_multiplicity(path, domain: PathDomain, side: str, kind: str) -> int:
     if kind not in (KIND_COMPLEX, KIND_WELSCHINGER):
         raise ValueError(f"kind must be {KIND_COMPLEX!r} or {KIND_WELSCHINGER!r}")
     if side == domain.corner_side():
-        mu, nu = _side_values(domain.corner_maps.get(ranks, _NO_STATES))
+        maps = [domain.corner_maps.get(ranks, _NO_STATES)]
     else:
-        mu, nu = _side_values(domain.engine.states(ranks))
-    return mu if kind == KIND_COMPLEX else nu
+        maps = domain.engine.maps(ranks)
+    return _side_value(maps, kind)
 
 
 def path_multiplicity(path, domain: PathDomain) -> PathMultiplicity:
     """Side values and connected totals of one top-level path."""
     ranks = _ranks(path, domain)
     corner = domain.corner_maps.get(ranks, _NO_STATES)
-    direct = domain.engine.states(ranks)
-    totals = _glued_totals(corner, direct, domain.merges, domain.forests)
+    direct = domain.engine.maps(ranks)
+    totals = _glue(corner, _flat(direct), domain.joins, domain.forests) if corner else (0, 0)
     return _multiplicity(domain, corner, direct, *totals)
 
 

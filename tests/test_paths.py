@@ -348,6 +348,30 @@ class TestSideMultiplicity:
                 with pytest.raises(InvalidPathError, match=f"must visit {3 * d} points"):
                     side_multiplicity(path, dom, side, KIND_COMPLEX)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("order", [ORDER_XEY, ORDER_ROWMAJOR])
+    def test_direct_side_value_is_the_product_of_its_pieces_sums(self, d, order):
+        # a product map's weight sum is the product of its factors' sums, so the
+        # direct side's value needs no top-level map.  It equals the sum over
+        # the product map for both kinds, and the per-path API and the nonzero
+        # listing's pass report that value as the direct side's
+        dom, ref = path_domain(d, order), path_domain(d, order)
+        direct = SIDE_MINUS if dom.corner_side() == SIDE_PLUS else SIDE_PLUS
+
+        def direct_value(m):
+            return m.complex_plus if direct == SIDE_PLUS else m.complex_minus
+
+        expected = {}
+        for path in enumerate_paths(dom):
+            states = ref.engine.states(tuple(map(ref.rank.__getitem__, path)))
+            mu, nu = sum(mu for mu, _ in states.values()), sum(nu for _, nu in states.values())
+            assert side_multiplicity(path, dom, direct, KIND_COMPLEX) == mu
+            assert side_multiplicity(path, dom, direct, KIND_WELSCHINGER) == nu
+            assert direct_value(path_multiplicity(path, dom)) == mu
+            expected[path] = mu
+        rows = nonzero_multiplicities(path_domain(d, order))
+        assert rows and all(direct_value(m) == expected[path] for path, m in rows)
+
     def test_bad_side_and_kind(self):
         dom = path_domain(1)
         path = ((0, 1), (0, 0), (1, 0))
@@ -610,7 +634,7 @@ class TestCounts:
             direct = SIDE_MINUS if dom.corner_side() == SIDE_PLUS else SIDE_PLUS
             side_multiplicity(path, dom, direct, KIND_COMPLEX)
             assert dom.engine.toward is vars(dom)["turns"][direct]
-            assert not {"corner_maps", "merges", "forests"} & set(vars(dom))
+            assert not {"corner_maps", "joins", "forests"} & set(vars(dom))
         dom = path_domain(3)
         path = nonzero_multiplicities(dom)[0][0]  # builds the listing's own table
         assert "corner_maps" not in vars(dom)
@@ -726,6 +750,24 @@ def random_states(rng, steps, entries):
     return states
 
 
+def glue_by_blocks(corner, other, joins, forests):
+    """`paths._glue` of two state maps whose partitions may have any block count:
+    the glue reads the other side's partitions of one block count per call, with
+    that count's memo from `joins`, one `_Joins(blocks)` per block count."""
+    by_blocks = {}
+    for labels, (mu, nu) in other.items():
+        keys, mus, nus = by_blocks.setdefault(max(labels) + 1, ([], [], []))
+        keys.append(labels)
+        mus.append(mu)
+        nus.append(nu)
+    total_mu = total_nu = 0
+    for blocks, direct in by_blocks.items():
+        memo = joins.setdefault(blocks, paths._Joins(blocks))
+        mu, nu = paths._glue(corner, direct, memo, forests)
+        total_mu, total_nu = total_mu + mu, total_nu + nu
+    return total_mu, total_nu
+
+
 class TestGlue:
     @pytest.mark.parametrize("seed", range(20))
     def test_forest_test_equals_the_join_on_random_partitions(self, seed):
@@ -735,32 +777,40 @@ class TestGlue:
         second = random_states(rng, steps, rng.randint(1, 30))
         expected = join_totals(first, second)
         forests = paths._Forests()  # one memo for both calls: each is a step partition
-        assert paths._glued_totals(first, second, paths._Merges(), forests) == expected
-        assert paths._glued_totals(second, first, paths._Merges(), forests) == expected
+        assert glue_by_blocks(first, second, {}, forests) == expected
+        assert glue_by_blocks(second, first, {}, forests) == expected
 
     @pytest.mark.parametrize("seed", range(5))
     def test_merge_memo_equals_a_plain_union_find(self, seed):
         rng = random.Random(seed)
-        memo = paths._Merges()
+        memos, seen = {}, set()
         for _ in range(300):
             blocks = rng.randint(1, 9)
             ends = tuple(rng.randrange(blocks) for _ in range(2 * rng.randint(1, 9)))
-            assert memo[ends] == union_merges(ends)
-            assert ends in memo and memo[ends] == union_merges(ends)
+            memo = memos.setdefault(blocks, paths._Joins(blocks))
+            joined = union_merges(ends) == blocks - 1
+            assert memo[ends] is joined
+            assert ends in memo and memo[ends] is joined
+            seen.add(joined)
+        assert seen == {True, False}
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     @pytest.mark.parametrize("order", [ORDER_XEY, ORDER_ROWMAJOR])
     def test_forest_test_equals_the_join_on_every_live_path(self, d, order):
+        # the glue reads the direct side as flat lists built off its pieces' maps;
+        # the oracle joins against the product map, which those lists must equal
         dom = path_domain(d, order)
         glued = 0
-        merges, forests = paths._Merges(), paths._Forests()  # one each, as the domain keeps them
+        joins, forests = paths._Joins(d), paths._Forests()  # one each, as the domain keeps them
         for path in census_ranks(dom):
             corner_states = dom.corner_maps.get(path, paths._NO_STATES)
             other_states = dom.engine.states(path)
+            keys, mus, nus = direct = paths._flat(dom.engine.maps(path))
+            assert dict(zip(keys, zip(mus, nus))) == other_states
+            assert len(keys) == len(other_states)
             if corner_states and other_states:
                 expected = join_totals(corner_states, other_states)
-                totals = paths._glued_totals(corner_states, other_states, merges, forests)
-                assert totals == expected
+                assert paths._glue(corner_states, direct, joins, forests) == expected
                 glued += 1
         assert glued == {1: 1, 2: 1, 3: 5, 4: 63}[d]
 
@@ -818,7 +868,7 @@ class TestReverseSearch:
         # of its sides have tilings (the reducible ones, from d = 4 on)
         zero = [row for row in paths._glued(path_domain(d, order)) if row[3] == 0]
         assert all(nu == 0 for *_, nu in zero)
-        assert sum(1 for _, _, direct, _, _ in zero if direct) == {4: 5}.get(d, 0)
+        assert sum(1 for _, _, direct, _, _ in zero if all(direct)) == {4: 5}.get(d, 0)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("order", [ORDER_XEY, ORDER_ROWMAJOR])

@@ -126,7 +126,7 @@ def test_domain_tables_are_built_once_per_domain():
     domain = path_domain(3)
     path = nonzero_multiplicities(domain)[0][0]  # the forests fill
     path_multiplicity(path, domain)  # and the corner table
-    tables = ("rank", "turns", "engine", "corner_maps", "merges", "forests")
+    tables = ("rank", "turns", "engine", "corner_maps", "joins", "forests")
     built = {name: getattr(domain, name) for name in tables}
     assert domain.corner_maps and domain.forests
     direct = SIDE_MINUS if domain.corner_side() == SIDE_PLUS else SIDE_PLUS
