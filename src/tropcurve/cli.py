@@ -90,10 +90,11 @@ def cmd_curve(args) -> None:
         raise CrossCheckMismatchError(f"balancing violated at vertices {violations}")
     doc = curve_document(curve)
     text = write_document(doc)
+    svg = render_svg(doc) if args.svg_path else None  # a refused SVG leaves no JSON file behind
     if args.json_path:
         Path(args.json_path).write_text(text, encoding="utf-8")
     if args.svg_path:
-        Path(args.svg_path).write_text(render_svg(doc), encoding="utf-8")
+        Path(args.svg_path).write_text(svg, encoding="utf-8")
     if not (args.json_path or args.svg_path):
         sys.stdout.write(text)
 

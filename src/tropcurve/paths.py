@@ -41,14 +41,15 @@ escapes the partitions: every cell branch owns a step of its path.
 
 The counts and the listing of nonzero paths do not scan the census.  Few
 paths have a tiling toward the arc through the third corner of the triangle
-(1833 of 27132 at d = 5).  A reverse search (Avis-Fukuda) grows exactly those
-out of that arc by the recursion's moves run backwards, building their maps
-toward it as it goes; only they meet the direct arc's engine, and a path with
-a nonzero total is one of them.  That engine splits each where it meets the
-direct arc and builds the pieces (1999 at d = 5, 56467 at d = 6).  A path's
-map is their product, which the glue reads as flat lists and no dict, and its
-value is the product of their sums.  Inside, a path is the tuple of its
-points' ranks in the domain's order.
+(1833 of 27132 at d = 5).  A reverse search (Avis-Fukuda) lists exactly those,
+grown out of that arc by the recursion's moves run backwards; only they meet
+the engines, and a path with a nonzero total is one of them.  One engine per
+side runs the recursion forwards toward its arc.  It splits each path where
+the path meets the arc and memoizes the pieces (986 toward the corner arc and
+1999 toward the direct one at d = 5; 24309 and 56467 at d = 6).  A path's map
+on a side is the product of its pieces' maps, which the glue reads as flat
+lists and no dict, and its value is the product of their sums.  Inside, a path
+is the tuple of its points' ranks in the domain's order.
 """
 
 from __future__ import annotations
@@ -111,9 +112,9 @@ class _DomainFields(NamedTuple):
 
 class PathDomain(_DomainFields):
     """Triangle T_d with a total point order and its two boundary arcs.  The
-    rank map, the turn tables, the engine, the corner maps and the glue's memos
-    live in the instance __dict__ (a NamedTuple itself has none), so they last
-    as long as the domain."""
+    rank map, the turn tables, the two engines and the glue's memos live in the
+    instance __dict__ (a NamedTuple itself has none), so they last as long as
+    the domain."""
 
     @cached_property
     def rank(self) -> dict[Point, int]:
@@ -144,13 +145,11 @@ class PathDomain(_DomainFields):
         return tables
 
     @cached_property
-    def engine(self) -> _DivisionEngine:
-        """The division engine toward the direct arc."""
-        return _DivisionEngine(self, SIDE_MINUS if self.corner_side() == SIDE_PLUS else SIDE_PLUS)
-
-    @cached_property
-    def corner_maps(self) -> dict[tuple[int, ...], States]:
-        return _corner_maps(self)
+    def engines(self) -> dict[str, _DivisionEngine]:
+        """Per side, the division engine toward that side's arc: the corner side's first."""
+        corner = self.corner_side()
+        sides = (corner, SIDE_MINUS if corner == SIDE_PLUS else SIDE_PLUS)
+        return {side: _DivisionEngine(self, side) for side in sides}
 
     @cached_property
     def joins(self) -> _Joins:
@@ -277,19 +276,26 @@ def _product(maps: list[States]) -> States:
 
 
 def _flat(maps: list[States]) -> tuple[list, list, list]:
-    """`_product` as lists of partitions, complex and Welschinger weights, for `_glue`."""
-    first, *rest = maps
-    keys, weights = list(first), list(first.values())
-    for one in rest:
-        keys = [k + l for k in keys for l in one]
-        weights = [(m * n, w * x) for m, w in weights for n, x in one.values()]
-    return keys, [m for m, _ in weights], [w for _, w in weights]
-
-
-def _interned(states: States, interned: dict) -> States:
-    """The map with one copy of each label tuple and weight pair: many maps share them."""
-    one = interned.setdefault
-    return {one(k, k): one(v, v) for k, v in states.items()} or _NO_STATES
+    """`_product` as lists of partitions, complex and Welschinger weights, for `_glue`.
+    Most pieces are arc steps, with one entry each: a run of them joins the next
+    piece's labels once, and their weights, which scale every entry, come last."""
+    keys, mus, nus = [()], [1], [1]
+    run, scale_mu, scale_nu = (), 1, 1
+    for one in maps:
+        if len(one) == 1:
+            ((labels, (m, w)),) = one.items()
+            run, scale_mu, scale_nu = run + labels, scale_mu * m, scale_nu * w
+        else:
+            tails = [run + l for l in one] if run else one
+            run = ()
+            keys = [k + l for k in keys for l in tails]
+            mus = [m * n for m in mus for n, _ in one.values()]
+            nus = [w * x for w in nus for _, x in one.values()]
+    if run:
+        keys = [k + run for k in keys]
+    if scale_mu != 1 or scale_nu != 1:
+        mus, nus = [m * scale_mu for m in mus], [w * scale_nu for w in nus]
+    return keys, mus, nus
 
 
 class _DivisionEngine:
@@ -300,9 +306,9 @@ class _DivisionEngine:
     and the arc into pieces, the runs of the path between consecutive arc points.
     A piece's map labels each block by the index of its arc step, so a path's map
     is the product of its pieces' maps, labels concatenated.  The memo keys a piece
-    by its ranks; a dead one maps to `_NO_STATES`.  The per-path API's maps stay as
-    long as the domain; a pass over known paths counts each piece's reads first
-    (`reads`), and keeps a map only until its last read.
+    by its ranks; a dead one maps to `_NO_STATES`.  Maps read with no read counts
+    stay as long as the domain; a pass over known paths may count each piece's
+    reads first (`reads`), and keep a map only until its last read.
     """
 
     def __init__(self, domain: PathDomain, side: str):
@@ -377,16 +383,14 @@ class _DivisionEngine:
         return result
 
 
-def _corner_maps(domain: PathDomain) -> dict[tuple[int, ...], States]:
-    """The corner side's map of each top-level path with a tiling toward that
-    side's arc, keyed by ranks, by reverse search level by level in the number
-    of points.  The recursion peels a live path at its first corner j turning
-    toward the arc, to a live path that is shorter (cut) or as long (swap).
-    Backwards: insert b between consecutive a and c (inverse cut), or replace v
-    between a and c by b = a + c - v (inverse swap), a < b < c in the order.
-    The result is live iff j, where b lands, is its first turning corner.  Its
-    map adds the cut child's, one level down, and the swap child's, this level,
-    as `_DivisionEngine.states` does."""
+def _live_paths(domain: PathDomain) -> list[tuple[int, ...]]:
+    """The top-level paths, as ranks, with a tiling toward the corner side's arc,
+    by reverse search level by level in the number of points.  The recursion
+    peels a live path at its first corner j turning toward the arc, to a live
+    path that is shorter (cut) or as long (swap).  Backwards: insert b between
+    consecutive a and c (inverse cut), or replace v between a and c by
+    b = a + c - v (inverse swap), a < b < c in the order.  The result is live
+    iff j, where b lands, is its first turning corner."""
     side = domain.corner_side()
     toward = domain.turns[side]
     # the b whose corner between a and c turns, and the b a swap turned into v
@@ -401,13 +405,11 @@ def _corner_maps(domain: PathDomain) -> dict[tuple[int, ...], States]:
         # b, whose corner turns, lands at j: does no corner before it turn?
         return j == 1 or (path[j - 2], path[j - 1], b) not in toward
 
-    relabel, interned, arc = _Relabels(), {}, domain.arc(side)
+    arc = domain.arc(side)
     # each path's first corner turning toward the arc; on the arc none, so len - 1
     level = {arc: len(arc) - 1}
-    below, maps = {}, {arc: {tuple(range(len(arc) - 1)): (1, 1)}}
     for size in range(len(arc), domain.steps() + 2):
         if size > len(arc):  # a move puts b at j <= first + 1: corners 1..j-2 stay
-            below, maps = maps, {}
             level = {
                 path[:j] + (b,) + path[j:]: j
                 for path, first in level.items()
@@ -425,20 +427,7 @@ def _corner_maps(domain: PathDomain) -> dict[tuple[int, ...], States]:
                     if swapped not in level:
                         level[swapped] = j
                         work.append(swapped)
-        for path in level:
-            # fill the path's chain of swap children, down to one filled or dead
-            chain = []
-            while path not in maps and path in level:
-                j = level[path]
-                corner = toward[path[j - 1 : j + 2]]
-                chain.append((path, j, corner))
-                path = path[:j] + (corner[2],) + path[j + 1 :]
-            swapped = maps.get(path, _NO_STATES)
-            for path, j, corner in reversed(chain):
-                shorter = below.get(path[:j] + path[j + 1 :], _NO_STATES)
-                divided = _divided(relabel[size - 1, j], corner, shorter, swapped)
-                swapped = maps[path] = _interned(divided, interned)
-    return maps
+    return list(level)
 
 
 def _side_value(maps: list[States], kind: str) -> int:
@@ -479,13 +468,13 @@ class _Joins(dict):
         return joined
 
 
-def _glue(corner: States, direct: tuple[list, list, list], joins, forests) -> tuple[int, int]:
-    """(complex, Welschinger) sums over glued pairs forming a connected curve.
-    `direct` holds the other side's `_flat` lists, each partition of `joins.blocks`
-    blocks; it joins a corner-side one iff its labels on that one's forest do."""
+def _glue(corner: tuple, direct: tuple, joins, forests) -> tuple[int, int]:
+    """(complex, Welschinger) sums over glued pairs forming a connected curve, from
+    each side's `_flat` lists.  A direct partition, of `joins.blocks` blocks, joins
+    a corner-side one iff its labels on that one's forest do."""
     keys, mus, nus = direct
     total_mu = total_nu = 0
-    for labels, (mu_c, nu_c) in corner.items() if keys else ():
+    for labels, mu_c, nu_c in zip(*corner) if keys else ():
         joined = list(map(joins.__getitem__, map(forests[labels], keys)))
         total_mu += mu_c * sum(compress(mus, joined))
         total_nu += nu_c * sum(compress(nus, joined))
@@ -507,25 +496,27 @@ class PathMultiplicity(NamedTuple):
     welschinger_total: int
 
 
-def _glued(domain: PathDomain) -> Iterator[tuple[tuple[int, ...], States, list[States], int, int]]:
-    """Each path live on the corner side, as ranks, with its corner map, its direct
-    pieces' maps and its connected (complex, Welschinger) totals from `_glue`, as
-    `path_multiplicity` glues one path.  The corner table is the search's own and
-    each map goes once glued; each piece's map goes at its last read, which the
-    pass counts first.  Paths come in `popitem` order, since the sorted order took
-    `count -d 6` from 194 to 235 MB under `xey`; it yields no `PathMultiplicity`
-    rows, which slowed `count_both(5)` by 10-20 ms."""
-    corner, engine = _corner_maps(domain), domain.engine
-    reads = engine.reads(corner)
-    while corner:
-        path, states = corner.popitem()
-        maps = engine.maps(path, reads)
-        yield path, states, maps, *_glue(states, _flat(maps), domain.joins, domain.forests)
+def _glued(domain: PathDomain) -> Iterator[tuple[tuple[int, ...], list[States], list[States], int, int]]:
+    """Each path live on the corner side, as ranks, with both sides' pieces' maps and
+    its connected (complex, Welschinger) totals from `_glue`, as `path_multiplicity`
+    glues one path.  The corner pieces stay for the pass, since freeing them at
+    their last read cost more time than it saved; each direct piece's map goes at
+    its last read, which the pass counts first.  Paths come in the live list's
+    order: `count -d 6` peaks at 211 MB in it under `xey`, and at 222 MB in the
+    reverse order.  It yields no `PathMultiplicity` rows, which slowed
+    `count_both(5)` by 10-20 ms."""
+    corner, direct = domain.engines.values()
+    live = _live_paths(domain)
+    reads = direct.reads(live)
+    for path in live:
+        corner_maps, direct_maps = corner.maps(path), direct.maps(path, reads)
+        totals = _glue(_flat(corner_maps), _flat(direct_maps), domain.joins, domain.forests)
+        yield path, corner_maps, direct_maps, *totals
 
 
-def _multiplicity(domain: PathDomain, corner: States, direct: list, mu, nu) -> PathMultiplicity:
-    """A path's `PathMultiplicity` from its corner and direct pieces' maps and totals."""
-    values = _side_value([corner], KIND_COMPLEX), _side_value(direct, KIND_COMPLEX)
+def _multiplicity(domain: PathDomain, corner: list, direct: list, mu, nu) -> PathMultiplicity:
+    """A path's `PathMultiplicity` from both sides' pieces' maps and its totals."""
+    values = _side_value(corner, KIND_COMPLEX), _side_value(direct, KIND_COMPLEX)
     plus, minus = values if domain.corner_side() == SIDE_PLUS else values[::-1]
     return PathMultiplicity(plus, minus, mu, nu)
 
@@ -537,19 +528,14 @@ def side_multiplicity(path, domain: PathDomain, side: str, kind: str) -> int:
         raise ValueError(f"side must be {SIDE_PLUS!r} or {SIDE_MINUS!r}")
     if kind not in (KIND_COMPLEX, KIND_WELSCHINGER):
         raise ValueError(f"kind must be {KIND_COMPLEX!r} or {KIND_WELSCHINGER!r}")
-    if side == domain.corner_side():
-        maps = [domain.corner_maps.get(ranks, _NO_STATES)]
-    else:
-        maps = domain.engine.maps(ranks)
-    return _side_value(maps, kind)
+    return _side_value(domain.engines[side].maps(ranks), kind)
 
 
 def path_multiplicity(path, domain: PathDomain) -> PathMultiplicity:
     """Side values and connected totals of one top-level path."""
     ranks = _ranks(path, domain)
-    corner = domain.corner_maps.get(ranks, _NO_STATES)
-    direct = domain.engine.maps(ranks)
-    totals = _glue(corner, _flat(direct), domain.joins, domain.forests) if corner else (0, 0)
+    corner, direct = (engine.maps(ranks) for engine in domain.engines.values())
+    totals = _glue(_flat(corner), _flat(direct), domain.joins, domain.forests)
     return _multiplicity(domain, corner, direct, *totals)
 
 

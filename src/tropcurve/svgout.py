@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import TropcurveError
+
 RAY_LENGTH = 2.0  # drawn length of each ray, also the viewport padding
 SCALE = 60.0  # pixels per unit
 
@@ -21,9 +23,16 @@ def render_svg(doc: dict) -> str:
     """Well-formed SVG for a curve document.
 
     The viewport is the bounding box of the vertices padded by the ray
-    truncation length; edge stroke width grows with weight.
+    truncation length; edge stroke width grows with weight.  A vertex past
+    float range raises TropcurveError.
     """
-    vertices = [(float(Fraction(v["x"])), float(Fraction(v["y"]))) for v in doc["vertices"]]
+    vertices = []
+    for k, v in enumerate(doc["vertices"]):
+        try:
+            vertices.append((float(Fraction(v["x"])), float(Fraction(v["y"]))))
+        except OverflowError:
+            msg = f"vertex {k} lies outside float range, so no SVG can draw it"
+            raise TropcurveError(msg) from None
     # flipped y for screen coordinates
     pts = [(x, -y) for x, y in vertices]
     xs = [p[0] for p in pts]

@@ -157,6 +157,39 @@ class TilingOracle:
         )
 
 
+class ForwardRecursion:
+    """One side's state map of a whole path by the division recursion on points,
+    memoized by whole sub-path: no split into pieces, no rank tables, and weights
+    from `brute_triangle_weights`.  Labels are the arc's step indices, as in
+    `tropcurve.paths`."""
+
+    def __init__(self, domain: PathDomain, side):
+        self.oracle = TilingOracle(domain)  # its corner rule and T_d test
+        self.side = side
+        self.arc = self.oracle.arcs[side]
+        self.memo: dict = {self.arc: {tuple(range(len(self.arc) - 1)): (1, 1)}}
+
+    def states(self, pts) -> dict:
+        pts = tuple(pts)
+        if pts in self.memo:
+            return self.memo[pts]
+        out: dict = {}
+        j = self.oracle._divisible_corner(pts, self.side)
+        if j is not None:
+            a, b, c = pts[j - 1], pts[j], pts[j + 1]
+            m, fw = brute_triangle_weights(a, b, c)
+            for labels, (mu, nu) in self.states(pts[:j] + pts[j + 1 :]).items():
+                out[labels[:j] + labels[j - 1 :]] = (m * mu, fw * nu)  # ab, bc take ac's
+            v = (a[0] + c[0] - b[0], a[1] + c[1] - b[1])
+            if min(v) >= 0 and sum(v) <= self.oracle.d:
+                for labels, (mu, nu) in self.states(pts[:j] + (v,) + pts[j + 1 :]).items():
+                    key = labels[: j - 1] + (labels[j], labels[j - 1]) + labels[j + 1 :]
+                    old_mu, old_nu = out.get(key, (0, 0))  # ab ~ vc, bc ~ av
+                    out[key] = (old_mu + mu, old_nu + nu)
+        self.memo[pts] = out
+        return out
+
+
 def joined(plus, minus) -> bool:
     """Whether the join of two step partitions is a single block, by a
     union-find over every step of both (one node per block of each)."""

@@ -245,9 +245,10 @@ class TestPaths:
         assert nonzero[1:-1] == [row for row in full[1:-1] if row.split()[-2] != "0"]
 
     @pytest.mark.parametrize("order", ["xey", "rowmajor"])
-    def test_the_nonzero_listing_drops_each_corner_map_once_glued(self, capsys, monkeypatch, order):
-        # the listing glues from the search's own table, as the count does: the
-        # domain it builds keeps no corner table, and no engine outlives the call
+    def test_the_nonzero_listing_frees_its_engines_with_its_domain(self, capsys, monkeypatch, order):
+        # the listing glues in one pass, as the count does: its domain's direct
+        # engine drops each map at its last read, the corner engine keeps its
+        # pieces for the pass, and no engine outlives the call
         def engines():
             gc.collect()
             return sum(isinstance(obj, paths._DivisionEngine) for obj in gc.get_objects())
@@ -264,8 +265,9 @@ class TestPaths:
         assert code == 0
         assert out.splitlines()[-1] == "# total mu=620 nu=240"
         (domain,) = built
-        assert "engine" in vars(domain) and "corner_maps" not in vars(domain)
-        del domain
+        corner, direct = vars(domain)["engines"].values()
+        assert corner.cache and direct.cache == {}
+        del domain, corner, direct
         built.clear()
         assert engines() <= before
 
@@ -393,6 +395,22 @@ class TestCurve:
         )
         assert (code, out) == (2, "")
         assert err == "error: balancing violated at vertices [(0, (1, 0))]\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("kinds", [("svg",), ("json", "svg")])
+    def test_vertex_past_float_range_refused_before_any_file(self, tmp_path, kinds):
+        # the JSON keeps exact values, but the SVG draws floats: a vertex at
+        # x = -10^400 exits 1 with one line, and writes neither file
+        flags = [arg for kind in kinds for arg in (f"--{kind}", str(tmp_path / f"curve.{kind}"))]
+        expr = f"max(0, x + 1{'0' * 400}, y)"
+        run = subprocess.run(
+            [sys.executable, "-m", "tropcurve.cli", "curve", "--expr", expr, *flags],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (run.returncode, run.stdout) == (1, "")
+        assert run.stderr == "error: vertex 0 lies outside float range, so no SVG can draw it\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_missing_file_exits_one(self, capsys):

@@ -11,6 +11,8 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import tropcurve
 from tropcurve import (
@@ -35,7 +37,7 @@ from tropcurve.paths import (
     SIDE_PLUS,
 )
 
-from path_oracle import TilingOracle, brute_triangle_weights, join_totals, union_merges
+from path_oracle import ForwardRecursion, TilingOracle, brute_triangle_weights, join_totals, union_merges
 
 
 def side_product_total(dom):
@@ -52,6 +54,15 @@ def side_product_total(dom):
 def census_ranks(dom):
     """The census paths as tuples of their points' ranks, as the engines take them."""
     return [tuple(map(dom.rank.__getitem__, path)) for path in enumerate_paths(dom)]
+
+
+def direct_side(dom):
+    return SIDE_MINUS if dom.corner_side() == SIDE_PLUS else SIDE_PLUS
+
+
+def flat(states):
+    """A state map as `paths._flat` lists: partitions, complex and Welschinger weights."""
+    return list(states), [mu for mu, _ in states.values()], [nu for _, nu in states.values()]
 
 
 @pytest.fixture
@@ -363,7 +374,7 @@ class TestSideMultiplicity:
 
         expected = {}
         for path in enumerate_paths(dom):
-            states = ref.engine.states(tuple(map(ref.rank.__getitem__, path)))
+            states = ref.engines[direct].states(tuple(map(ref.rank.__getitem__, path)))
             mu, nu = sum(mu for mu, _ in states.values()), sum(nu for _, nu in states.values())
             assert side_multiplicity(path, dom, direct, KIND_COMPLEX) == mu
             assert side_multiplicity(path, dom, direct, KIND_WELSCHINGER) == nu
@@ -544,39 +555,40 @@ class TestCounts:
     @pytest.mark.parametrize("order", [ORDER_XEY, ORDER_ROWMAJOR])
     def test_state_labels_are_dense(self, order):
         # no relabelling after a swap: the glue sizes its union-find over the
-        # other side's blocks by max + 1, so the k blocks of every corner-side
-        # state key must be labelled exactly 0..k-1 (the direct side's pieces
+        # direct side's blocks by max + 1, so the k blocks of every live path's
+        # product map on either side must be labelled exactly 0..k-1 (the pieces
         # are held to their arc steps below)
         dom = path_domain(4, order)
-        keys = 0
-        for states in dom.corner_maps.values():
-            for labels in states:
-                assert set(labels) == set(range(max(labels) + 1)), labels
-                keys += 1
-        assert keys > 0
+        for engine in dom.engines.values():
+            keys = 0
+            for path in paths._live_paths(dom):
+                for labels in engine.states(path):
+                    assert set(labels) == set(range(max(labels) + 1)), labels
+                    keys += 1
+            assert keys > 0
 
     @pytest.mark.parametrize("order", [ORDER_XEY, ORDER_ROWMAJOR])
     def test_engine_keys_are_pieces(self, order):
-        # the memo keys a piece by its ranks: it starts and ends on the direct arc
-        # with no arc point inside, and each of its partitions labels its steps
-        # with exactly the indices of the arc steps between its ends.  Two-point
-        # pieces are never stored; a dead piece maps to the shared `_NO_STATES`
+        # each side's memo keys a piece by its ranks: it starts and ends on the
+        # side's arc with no arc point inside, and each of its partitions labels
+        # its steps with exactly the indices of the arc steps between its ends.
+        # Two-point pieces are never stored; a dead piece maps to the shared
+        # `_NO_STATES`
         dom = path_domain(5, order)
         for path in enumerate_paths(dom):
             path_multiplicity(path, dom)
-        direct = SIDE_MINUS if dom.corner_side() == SIDE_PLUS else SIDE_PLUS
-        index = {rank: i for i, rank in enumerate(dom.arc(direct))}
-        cache = dom.engine.cache
-        for piece, states in cache.items():
-            assert len(piece) > 2 and piece[0] in index and piece[-1] in index
-            assert not index.keys() & set(piece[1:-1])
-            assert list(piece) == sorted(set(piece))
-            steps = set(range(index[piece[0]], index[piece[-1]]))
-            for labels in states:
-                assert len(labels) == len(piece) - 1 and set(labels) == steps
-        dead = [states for states in cache.values() if not states]
-        assert dead and len(dead) < len(cache)
-        assert all(states is paths._NO_STATES for states in dead)
+        for side, engine in dom.engines.items():
+            index = {rank: i for i, rank in enumerate(dom.arc(side))}
+            for piece, states in engine.cache.items():
+                assert len(piece) > 2 and piece[0] in index and piece[-1] in index
+                assert not index.keys() & set(piece[1:-1])
+                assert list(piece) == sorted(set(piece))
+                steps = set(range(index[piece[0]], index[piece[-1]]))
+                for labels in states:
+                    assert len(labels) == len(piece) - 1 and set(labels) == steps
+            dead = [states for states in engine.cache.values() if not states]
+            assert dead and len(dead) < len(engine.cache)
+            assert all(states is paths._NO_STATES for states in dead)
 
     def test_no_corner_on_an_arc_turns_toward_it(self):
         # T_d is convex, so a corner at a boundary point turns away from both arcs:
@@ -625,28 +637,25 @@ class TestCounts:
     def test_a_far_degree_builds_no_table_up_front(self):
         # at the counter's limit T_6 has C(28, 3) = 3276 rank triples: a domain walks
         # none of them up front, and one path toward the direct arc builds the turn
-        # table and no corner table: only a corner-side query does, once
+        # table and both engines, of which only the direct one fills, and no glue memo
         for order in (ORDER_XEY, ORDER_ROWMAJOR):
             dom = path_domain(6, order)
             assert math.comb(len(dom.points), 3) == 3276
             assert "turns" not in vars(dom)
             path = dom.points[: dom.steps()] + (dom.q,)
-            direct = SIDE_MINUS if dom.corner_side() == SIDE_PLUS else SIDE_PLUS
+            direct = direct_side(dom)
             side_multiplicity(path, dom, direct, KIND_COMPLEX)
-            assert dom.engine.toward is vars(dom)["turns"][direct]
-            assert not {"corner_maps", "joins", "forests"} & set(vars(dom))
+            for side, engine in vars(dom)["engines"].items():
+                assert engine.toward is vars(dom)["turns"][side]
+            assert dom.engines[dom.corner_side()].cache == {} and dom.engines[direct].cache
+            assert not {"joins", "forests"} & set(vars(dom))
         dom = path_domain(3)
-        path = nonzero_multiplicities(dom)[0][0]  # builds the listing's own table
-        assert "corner_maps" not in vars(dom)
-        dom = path_domain(3)
-        table = dom.corner_maps
-        turns = vars(dom)["turns"]  # the search's, before any engine: one serves both sides
-        assert "engine" not in vars(dom)
+        path = nonzero_multiplicities(dom)[0][0]
+        turns, engines = vars(dom)["turns"], vars(dom)["engines"]  # the pass's: one of each
         path_multiplicity(path, dom)
         side_multiplicity(path, dom, dom.corner_side(), KIND_COMPLEX)
-        assert dom.corner_maps is table and dom.turns is turns
-        direct = SIDE_MINUS if dom.corner_side() == SIDE_PLUS else SIDE_PLUS
-        assert dom.engine.toward is turns[direct]
+        assert dom.turns is turns and dom.engines is engines
+        assert all(engines[side].toward is turns[side] for side in (SIDE_PLUS, SIDE_MINUS))
 
     def test_engines_live_on_their_domain(self):
         # count_both leaves no engine behind; each domain builds its own, once.
@@ -659,17 +668,20 @@ class TestCounts:
         count_both(4)
         assert engines() <= before
         dom = path_domain(4)
-        assert dom.engine is dom.engine
-        assert path_domain(4).engine is not dom.engine
+        assert dom.engines is dom.engines
+        assert list(dom.engines) == [dom.corner_side(), direct_side(dom)]  # as the pass reads them
+        other = path_domain(4).engines
+        assert all(other[side] is not dom.engines[side] for side in (SIDE_PLUS, SIDE_MINUS))
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("order", [ORDER_XEY, ORDER_ROWMAJOR])
     def test_a_pass_reads_each_direct_map_as_often_as_counted(self, d, order, read_tables):
         # a pass drops each direct map at its last counted read: a count too low
-        # raises KeyError, one too high leaves the map and its count behind
+        # raises KeyError, one too high leaves the map and its count behind.  The
+        # corner engine reads with no count, and keeps its pieces for the pass
         dom = path_domain(d, order)
         totals = [(mu, nu) for *_, mu, nu in paths._glued(dom)]
-        assert dom.engine.cache == {} and read_tables == [{}]
+        assert dom.engines[direct_side(dom)].cache == {} and read_tables == [{}]
         assert sum(mu for mu, _ in totals) == km_count(d)
         assert sum(nu for _, nu in totals) == {1: 1, 2: 1, 3: 8, 4: 240, 5: 18264}[d]
 
@@ -693,29 +705,32 @@ class TestCounts:
                         assert got == side_multiplicity(path, fresh, side, kind)
         read_tables.clear()
         for dom in (full, dropped):
-            held = set(dom.engine.cache)
+            engine = dom.engines[direct_side(dom)]
+            held = set(engine.cache)
             assert nonzero_multiplicities(dom) == expected
-            assert set(dom.engine.cache) < held
+            assert set(engine.cache) < held
         assert read_tables == [{}, {}]
 
     @pytest.mark.parametrize("order", [ORDER_XEY, ORDER_ROWMAJOR])
     def test_a_pass_reads_the_pieces_after_a_dead_one(self, order):
         # a path dead in its first piece is dead, yet a pass still reads its later
         # pieces, whose reads the walk counted, so none of their maps outlives it
-        probe = path_domain(4, order).engine
+        other = path_domain(4, order)
+        probe = other.engines[direct_side(other)]
 
         def dead_first(pieces):
             later = [piece for piece in pieces[1:] if len(piece) > 2]
             return not probe.states(pieces[0]) and any(map(probe.states, later))
 
         dom = path_domain(4, order)
+        engine = dom.engines[direct_side(dom)]
         (path,) = [path for path in census_ranks(dom) if dead_first(probe.pieces(path))]
-        later = {piece for piece in dom.engine.pieces(path)[1:] if len(piece) > 2}
-        reads = dom.engine.reads([path, path])
+        later = {piece for piece in engine.pieces(path)[1:] if len(piece) > 2}
+        reads = engine.reads([path, path])
         assert later <= set(reads)
         for _ in range(2):
-            assert dom.engine.states(path, reads) is paths._NO_STATES
-        assert reads == {} and dom.engine.cache == {}
+            assert engine.states(path, reads) is paths._NO_STATES
+        assert reads == {} and engine.cache == {}
 
 
 class TestSideChoice:
@@ -728,8 +743,9 @@ class TestSideChoice:
             dom = path_domain(d, order)
             assert dom.corner_side() == sides[0]
             arc, direct = (dom.left_arc, dom.right_arc)[:: 1 if sides[0] == SIDE_PLUS else -1]
-            ranks = tuple(map(dom.rank.__getitem__, direct))
-            assert list(dom.engine.arc_steps) == list(zip(ranks, ranks[1:]))
+            for side, points in zip(sides, (arc, direct)):
+                ranks = tuple(map(dom.rank.__getitem__, points))
+                assert list(dom.engines[side].arc_steps) == list(zip(ranks, ranks[1:]))
             assert dom.arc(sides[1]) == tuple(map(dom.rank.__getitem__, direct))
             assert dom.arc(sides[0]) == tuple(map(dom.rank.__getitem__, arc))
             (corner,) = {(0, 0), (d, 0), (0, d)} - {dom.p, dom.q}
@@ -763,12 +779,33 @@ def glue_by_blocks(corner, other, joins, forests):
     total_mu = total_nu = 0
     for blocks, direct in by_blocks.items():
         memo = joins.setdefault(blocks, paths._Joins(blocks))
-        mu, nu = paths._glue(corner, direct, memo, forests)
+        mu, nu = paths._glue(flat(corner), direct, memo, forests)
         total_mu, total_nu = total_mu + mu, total_nu + nu
     return total_mu, total_nu
 
 
+WEIGHTS = st.tuples(st.integers(-9, 9), st.integers(-9, 9))
+ONE_ENTRY = st.builds(lambda labels, weights: {labels: weights}, st.tuples(st.integers(0, 9)), WEIGHTS)
+# a piece's partitions all have its step count, so concatenated labels never collide
+MULTI_ENTRY = st.integers(1, 3).flatmap(
+    lambda steps: st.dictionaries(st.tuples(*[st.integers(0, 3)] * steps), WEIGHTS, min_size=2, max_size=4)
+)
+PIECES = st.lists(st.one_of(ONE_ENTRY, MULTI_ENTRY, st.just(paths._NO_STATES)), min_size=1, max_size=8)
+ARC_STEP = {(0,): (1, 1)}
+
+
 class TestGlue:
+    @given(PIECES)
+    @example([paths._NO_STATES, ARC_STEP, {(0,): (3, -1)}, {(0,): (1, 1), (1,): (2, 1)}])
+    @example([ARC_STEP, {(1,): (2, 3)}, paths._NO_STATES, {(0,): (1, 1), (1,): (2, 1)}, ARC_STEP])
+    @example([{(0,): (1, 1), (1,): (2, 1)}, ARC_STEP, {(2,): (5, 1)}, paths._NO_STATES])
+    @example([ARC_STEP, {(1,): (3, -1)}, {(0, 1): (1, 1), (1, 0): (4, 0)}, ARC_STEP, {(2,): (-2, 7)}])
+    def test_flat_lists_equal_the_product_map(self, maps):
+        # runs of one-entry pieces, weights (1, 1) or not, between pieces of
+        # several entries, with a dead piece anywhere: the same entries in order
+        keys, mus, nus = paths._flat(maps)
+        assert list(zip(keys, zip(mus, nus))) == list(paths._product(maps).items())
+
     @pytest.mark.parametrize("seed", range(20))
     def test_forest_test_equals_the_join_on_random_partitions(self, seed):
         rng = random.Random(seed)
@@ -797,20 +834,21 @@ class TestGlue:
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     @pytest.mark.parametrize("order", [ORDER_XEY, ORDER_ROWMAJOR])
     def test_forest_test_equals_the_join_on_every_live_path(self, d, order):
-        # the glue reads the direct side as flat lists built off its pieces' maps;
-        # the oracle joins against the product map, which those lists must equal
+        # the glue reads both sides as flat lists built off their pieces' maps;
+        # the oracle joins the product maps, which those lists must equal
         dom = path_domain(d, order)
         glued = 0
         joins, forests = paths._Joins(d), paths._Forests()  # one each, as the domain keeps them
         for path in census_ranks(dom):
-            corner_states = dom.corner_maps.get(path, paths._NO_STATES)
-            other_states = dom.engine.states(path)
-            keys, mus, nus = direct = paths._flat(dom.engine.maps(path))
-            assert dict(zip(keys, zip(mus, nus))) == other_states
-            assert len(keys) == len(other_states)
+            (corner_states, corner), (other_states, direct) = [
+                (engine.states(path), paths._flat(engine.maps(path))) for engine in dom.engines.values()
+            ]
+            for states, (keys, mus, nus) in ((corner_states, corner), (other_states, direct)):
+                assert dict(zip(keys, zip(mus, nus))) == states
+                assert len(keys) == len(states)
             if corner_states and other_states:
                 expected = join_totals(corner_states, other_states)
-                assert paths._glue(corner_states, direct, joins, forests) == expected
+                assert paths._glue(corner, direct, joins, forests) == expected
                 glued += 1
         assert glued == {1: 1, 2: 1, 3: 5, 4: 63}[d]
 
@@ -828,11 +866,7 @@ class TestGlue:
             assert len(arc) - 1 == (2 * d if side == dom.corner_side() else d)
             checked = 0
             for path in census_ranks(dom):
-                if side == dom.corner_side():
-                    states = dom.corner_maps.get(path, paths._NO_STATES)
-                else:
-                    states = dom.engine.states(path)
-                for labels in states:
+                for labels in dom.engines[side].states(path):
                     assert max(labels) + 1 == len(arc) - 1
                     checked += 1
             assert checked > 0
@@ -843,7 +877,7 @@ class TestReverseSearch:
     @pytest.mark.parametrize("order", [ORDER_XEY, ORDER_ROWMAJOR])
     def test_live_paths_equal_the_census_filter(self, d, order):
         dom = path_domain(d, order)
-        live = sorted(paths._corner_maps(dom))
+        live = sorted(paths._live_paths(dom))
         for path in live:
             assert paths._ranks(tuple(map(dom.points.__getitem__, path)), dom) == path
         # the filter runs the forward recursion toward the corner arc on its own
@@ -873,20 +907,23 @@ class TestReverseSearch:
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("order", [ORDER_XEY, ORDER_ROWMAJOR])
     def test_corner_maps_equal_the_forward_recursion(self, d, order):
-        # every census path's corner-side map from the search equals the one the
-        # forward recursion builds; a path the table lacks has an empty map
+        # every census path's corner-side map, the product of its pieces' maps,
+        # equals the one the recursion builds on the whole path, in the oracle's
+        # own terms; it is nonempty exactly on the search's live paths
         dom = path_domain(d, order)
-        table = paths._corner_maps(dom)
-        forward = paths._DivisionEngine(dom, dom.corner_side())
+        live = set(paths._live_paths(dom))
+        engine = dom.engines[dom.corner_side()]
+        forward = ForwardRecursion(path_domain(d, order), dom.corner_side())
         missing = 0
-        for path in census_ranks(dom):
+        for path, ranks in zip(enumerate_paths(dom), census_ranks(dom)):
             expected = forward.states(path)
-            if path in table:
-                assert table[path] == expected and expected
+            assert engine.states(ranks) == expected
+            if ranks in live:
+                assert expected
             else:
                 assert expected == {}
                 missing += 1
-        assert len(table) + missing == census_formula(d)
+        assert len(live) + missing == census_formula(d)
 
     @pytest.mark.parametrize("order", [ORDER_XEY, ORDER_ROWMAJOR])
     def test_the_search_leaves_no_cycle(self, order):
@@ -896,8 +933,8 @@ class TestReverseSearch:
         gc.collect()
         gc.disable()
         try:
-            table = paths._corner_maps(dom)
-            del table
+            live = paths._live_paths(dom)
+            del live
             assert gc.collect() == 0
         finally:
             gc.enable()

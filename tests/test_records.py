@@ -125,12 +125,12 @@ def test_cell_weights_are_classified_once_per_curve():
 def test_domain_tables_are_built_once_per_domain():
     domain = path_domain(3)
     path = nonzero_multiplicities(domain)[0][0]  # the forests fill
-    path_multiplicity(path, domain)  # and the corner table
-    tables = ("rank", "turns", "engine", "corner_maps", "joins", "forests")
+    path_multiplicity(path, domain)
+    tables = ("rank", "turns", "engines", "joins", "forests")
     built = {name: getattr(domain, name) for name in tables}
-    assert domain.corner_maps and domain.forests
-    direct = SIDE_MINUS if domain.corner_side() == SIDE_PLUS else SIDE_PLUS
-    assert domain.engine.toward is domain.turns[direct]
+    assert domain.engines[domain.corner_side()].cache and domain.forests
+    for side in (SIDE_PLUS, SIDE_MINUS):
+        assert domain.engines[side].toward is domain.turns[side]
     for name, value in built.items():
         assert getattr(domain, name) is value
     twin = path_domain(3)
