@@ -47,9 +47,9 @@ the engines, and a path with a nonzero total is one of them.  One engine per
 side runs the recursion forwards toward its arc.  It splits each path where
 the path meets the arc and memoizes the pieces (986 toward the corner arc and
 1999 toward the direct one at d = 5; 24309 and 56467 at d = 6).  A path's map
-on a side is the product of its pieces' maps, which the glue reads as flat
-lists and no dict, and its value is the product of their sums.  Inside, a path
-is the tuple of its points' ranks in the domain's order.
+on a side is the product of its pieces' maps, in the one form of every map from
+the memo to the glue, and its value is the product of their sums.  Inside, a
+path is the tuple of its points' ranks in the domain's order.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from functools import cached_property
 from itertools import combinations, compress
 from math import prod
 from operator import itemgetter, lt
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import BadDegreeError, InvalidPathError
 from .geometry import Point, triangle_weights, turn
@@ -79,7 +79,7 @@ PATH_COUNTER = "the lattice-path counter"
 FULL_LISTING = "the full listing"
 RECURSION = "the recursion"
 MAX_DEGREE = {
-    # d = 6: 5311735 census paths, counted in 11-16 s at 194 MB (2 vCPUs); d = 7: 1855967520
+    # d = 6: 5311735 census paths, counted in 8-9 s at 168 MB (2 vCPUs); d = 7: 1855967520
     PATH_COUNTER: 6,
     # d = 5 lists 27132 paths; at d = 6 the memos outgrew 1 GiB long before the end
     FULL_LISTING: 5,
@@ -94,11 +94,12 @@ _PAST_MAX = {
 
 # A side's state map sends a partition of a path's steps into curve
 # components, one block label per step, to the summed (complex, Welschinger)
-# weight of the tilings that induce it.  Labels are dense, 0..k-1 in no set
-# order, as the glue needs: arcs start as range, cuts copy, swaps exchange.
-States = dict[tuple[int, ...], tuple[int, int]]
+# weight of the tilings that induce it, as three parallel sequences: distinct
+# partitions, complex and Welschinger weights.  Labels are dense, 0..k-1 in no
+# set order, as the glue needs: arcs start as range, cuts copy, swaps exchange.
+States = tuple[Sequence[tuple[int, ...]], Sequence[int], Sequence[int]]
 
-_NO_STATES: States = {}  # shared by every dead side; never mutated
+_NO_STATES: States = ((), (), ())  # shared by every dead side; a truth test reads its keys
 
 
 class _DomainFields(NamedTuple):
@@ -259,38 +260,31 @@ def _divided(relabels, corner, shorter: States, swapped: States) -> States:
     the cut child's times the triangle's weights, ab and bc taking ac's block, plus
     the swap child's, where the parallelogram's branches cross: ab ~ vc, bc ~ av."""
     (cut, swap), (m, fw, _) = relabels, corner
-    out = {cut(labels): (m * mu, fw * nu) for labels, (mu, nu) in shorter.items()}
-    for labels, (mu, nu) in swapped.items():
+    out = {cut(labels): (m * mu, fw * nu) for labels, mu, nu in zip(*shorter)}
+    for labels, mu, nu in zip(*swapped):
         key = swap(labels)
         old_mu, old_nu = out.get(key, (0, 0))
         out[key] = (old_mu + mu, old_nu + nu)
-    return out
+    return (tuple(out), *zip(*out.values())) if out else _NO_STATES
 
 
-def _product(maps: list[States]) -> States:
-    """The map of a run of pieces from their maps: labels concatenated, weights multiplied."""
-    out, *rest = maps
-    for one in rest:
-        out = {k + l: (m * n, w * x) for k, (m, w) in out.items() for l, (n, x) in one.items()}
-    return out or _NO_STATES
-
-
-def _flat(maps: list[States]) -> tuple[list, list, list]:
-    """`_product` as lists of partitions, complex and Welschinger weights, for `_glue`.
-    Most pieces are arc steps, with one entry each: a run of them joins the next
-    piece's labels once, and their weights, which scale every entry, come last."""
+def _flat(maps: list[States]) -> States:
+    """The map of a run of pieces, labels concatenated and weights multiplied; one
+    map comes back as it is.  Most pieces are arc steps, with one entry each: a run
+    of them joins the next piece's labels once, and scales every entry last."""
+    if len(maps) == 1:
+        return maps[0]
     keys, mus, nus = [()], [1], [1]
     run, scale_mu, scale_nu = (), 1, 1
-    for one in maps:
-        if len(one) == 1:
-            ((labels, (m, w)),) = one.items()
-            run, scale_mu, scale_nu = run + labels, scale_mu * m, scale_nu * w
+    for labels, ms, ws in maps:
+        if len(labels) == 1:
+            run, scale_mu, scale_nu = run + labels[0], scale_mu * ms[0], scale_nu * ws[0]
         else:
-            tails = [run + l for l in one] if run else one
+            tails = [run + l for l in labels] if run else labels
             run = ()
             keys = [k + l for k in keys for l in tails]
-            mus = [m * n for m in mus for n, _ in one.values()]
-            nus = [w * x for w in nus for _, x in one.values()]
+            mus = [m * n for m in mus for n in ms]
+            nus = [w * x for w in nus for x in ws]
     if run:
         keys = [k + run for k in keys]
     if scale_mu != 1 or scale_nu != 1:
@@ -317,7 +311,7 @@ class _DivisionEngine:
         self.toward = domain.turns[side]
         arc = domain.arc(side)
         self.on_arc = set(arc)
-        self.arc_steps = {(a, c): {(i,): (1, 1)} for i, (a, c) in enumerate(zip(arc, arc[1:]))}
+        self.arc_steps = {(a, c): (((i,),), (1,), (1,)) for i, (a, c) in enumerate(zip(arc, arc[1:]))}
 
     def pieces(self, path: tuple[int, ...]) -> list[tuple[int, ...]]:
         """The runs of a path between consecutive arc points; its ends lie on the arc."""
@@ -358,9 +352,10 @@ class _DivisionEngine:
         `reads`; every piece is read, consuming each counted read even past a dead one."""
         return [self._piece(piece, reads) for piece in self.pieces(path)]
 
-    def states(self, path: tuple[int, ...], reads=None) -> States:
-        """A path's step partitions as one map, the product of its pieces' maps."""
-        return _product(self.maps(path, reads))
+    def states(self, path: tuple[int, ...], reads=None) -> dict[tuple[int, ...], tuple[int, int]]:
+        """A path's map as a dict, partition -> (complex, Welschinger) weight."""
+        keys, mus, nus = _flat(self.maps(path, reads))
+        return dict(zip(keys, zip(mus, nus)))
 
     def _piece(self, piece: tuple[int, ...], reads) -> States:
         if len(piece) == 2:
@@ -371,9 +366,8 @@ class _DivisionEngine:
             if peeled := self._peeled(piece):
                 corner, j, children = peeled
                 shorter, *swapped = [self._piece(child, reads) for child in children]
-                swapped = _product(swapped) if swapped else _NO_STATES
-                divided = _divided(self.relabel[len(piece) - 1, j], corner, shorter, swapped)
-                result = divided or _NO_STATES
+                swapped = _flat(swapped) if swapped else _NO_STATES
+                result = _divided(self.relabel[len(piece) - 1, j], corner, shorter, swapped)
             self.cache[piece] = result
         if reads is not None:  # a pass drops the map at its last read
             if left := reads.pop(piece) - 1:
@@ -432,8 +426,8 @@ def _live_paths(domain: PathDomain) -> list[tuple[int, ...]]:
 
 def _side_value(maps: list[States], kind: str) -> int:
     """The sum of one kind of weight over the maps' product: the product of its sums."""
-    weight = itemgetter(0 if kind == KIND_COMPLEX else 1)
-    return prod([sum(map(weight, states.values())) for states in maps])
+    k = 1 if kind == KIND_COMPLEX else 2
+    return prod([sum(states[k]) for states in maps])
 
 
 class _Forests(dict):
@@ -468,10 +462,10 @@ class _Joins(dict):
         return joined
 
 
-def _glue(corner: tuple, direct: tuple, joins, forests) -> tuple[int, int]:
+def _glue(corner: States, direct: States, joins, forests) -> tuple[int, int]:
     """(complex, Welschinger) sums over glued pairs forming a connected curve, from
-    each side's `_flat` lists.  A direct partition, of `joins.blocks` blocks, joins
-    a corner-side one iff its labels on that one's forest do."""
+    each side's map, its pieces' `_flat`.  A direct partition, of `joins.blocks`
+    blocks, joins a corner-side one iff its labels on that one's forest do."""
     keys, mus, nus = direct
     total_mu = total_nu = 0
     for labels, mu_c, nu_c in zip(*corner) if keys else ():
@@ -502,13 +496,15 @@ def _glued(domain: PathDomain) -> Iterator[tuple[tuple[int, ...], list[States], 
     glues one path.  The corner pieces stay for the pass, since freeing them at
     their last read cost more time than it saved; each direct piece's map goes at
     its last read, which the pass counts first.  Paths come in the live list's
-    order: `count -d 6` peaks at 211 MB in it under `xey`, and at 222 MB in the
-    reverse order.  It yields no `PathMultiplicity` rows, which slowed
-    `count_both(5)` by 10-20 ms."""
+    order, each leaving the list once glued: `count -d 6` peaks at 168 MB so, at
+    171 MB keeping the list, and at 175 MB in the reverse order.  It yields no
+    `PathMultiplicity` rows, which slowed `count_both(5)` by 10-20 ms."""
     corner, direct = domain.engines.values()
     live = _live_paths(domain)
     reads = direct.reads(live)
-    for path in live:
+    live.reverse()
+    while live:
+        path = live.pop()
         corner_maps, direct_maps = corner.maps(path), direct.maps(path, reads)
         totals = _glue(_flat(corner_maps), _flat(direct_maps), domain.joins, domain.forests)
         yield path, corner_maps, direct_maps, *totals

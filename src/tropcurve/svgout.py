@@ -7,6 +7,7 @@ deterministic for identical inputs.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import TropcurveError
@@ -24,7 +25,7 @@ def render_svg(doc: dict) -> str:
 
     The viewport is the bounding box of the vertices padded by the ray
     truncation length; edge stroke width grows with weight.  A vertex past
-    float range raises TropcurveError.
+    float range, or a viewport too large for a float, raises TropcurveError.
     """
     vertices = []
     for k, v in enumerate(doc["vertices"]):
@@ -41,6 +42,8 @@ def render_svg(doc: dict) -> str:
     min_y, max_y = min(ys) - RAY_LENGTH, max(ys) + RAY_LENGTH
     width = max_x - min_x
     height = max_y - min_y
+    if not (math.isfinite(width * SCALE) and math.isfinite(height * SCALE)):
+        raise TropcurveError("the vertices span past float range, so no SVG viewport can frame them")
 
     lines = [
         '<svg xmlns="http://www.w3.org/2000/svg" '

@@ -8,7 +8,8 @@ oracle that `tropcurve.paths` is compared against.  Its triangle weights come
 from `brute_triangle_weights`, which counts lattice points one by one and
 shares no code with `tropcurve.geometry.triangle_weights`.  `join_totals`
 glues two state maps by a union-find over every step, the reference for the
-forest test in `tropcurve.paths`.
+forest test in `tropcurve.paths`, and `product` multiplies state maps as
+dicts, the reference for its flat product.
 """
 
 from __future__ import annotations
@@ -188,6 +189,15 @@ class ForwardRecursion:
                     out[key] = (old_mu + mu, old_nu + nu)
         self.memo[pts] = out
         return out
+
+
+def product(maps) -> dict:
+    """The state map of a run of pieces from theirs, as dicts: labels concatenated,
+    weights multiplied."""
+    out, *rest = maps
+    for one in rest:
+        out = {k + l: (m * n, w * x) for k, (m, w) in out.items() for l, (n, x) in one.items()}
+    return out
 
 
 def joined(plus, minus) -> bool:

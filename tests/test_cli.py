@@ -400,18 +400,24 @@ class TestCurve:
     @pytest.mark.parametrize("kinds", [("svg",), ("json", "svg")])
     def test_vertex_past_float_range_refused_before_any_file(self, tmp_path, kinds):
         # the JSON keeps exact values, but the SVG draws floats: a vertex at
-        # x = -10^400 exits 1 with one line, and writes neither file
+        # x = -10^400, or vertices at x = -10^307 and 10^307 whose span at 60 px
+        # per unit is past float range (width="inf"), exits 1 with one line, and
+        # writes neither file
         flags = [arg for kind in kinds for arg in (f"--{kind}", str(tmp_path / f"curve.{kind}"))]
-        expr = f"max(0, x + 1{'0' * 400}, y)"
-        run = subprocess.run(
-            [sys.executable, "-m", "tropcurve.cli", "curve", "--expr", expr, *flags],
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert (run.returncode, run.stdout) == (1, "")
-        assert run.stderr == "error: vertex 0 lies outside float range, so no SVG can draw it\n"
-        assert list(tmp_path.iterdir()) == []
+        refusals = {
+            f"max(0, x + 1{'0' * 400}, y)": "vertex 0 lies outside float range, so no SVG can draw it",
+            f"max(0, x + 1{'0' * 307}, 2x, y)": "the vertices span past float range, so no SVG viewport can frame them",
+        }
+        for expr, message in refusals.items():
+            run = subprocess.run(
+                [sys.executable, "-m", "tropcurve.cli", "curve", "--expr", expr, *flags],
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+            assert (run.returncode, run.stdout) == (1, "")
+            assert run.stderr == f"error: {message}\n"
+            assert list(tmp_path.iterdir()) == []
 
     def test_missing_file_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "curve", "--poly", "/nonexistent/poly.txt")

@@ -37,7 +37,14 @@ from tropcurve.paths import (
     SIDE_PLUS,
 )
 
-from path_oracle import ForwardRecursion, TilingOracle, brute_triangle_weights, join_totals, union_merges
+from path_oracle import (
+    ForwardRecursion,
+    TilingOracle,
+    brute_triangle_weights,
+    join_totals,
+    product,
+    union_merges,
+)
 
 
 def side_product_total(dom):
@@ -61,7 +68,7 @@ def direct_side(dom):
 
 
 def flat(states):
-    """A state map as `paths._flat` lists: partitions, complex and Welschinger weights."""
+    """A dict state map as three lists: partitions, complex and Welschinger weights."""
     return list(states), [mu for mu, _ in states.values()], [nu for _, nu in states.values()]
 
 
@@ -579,16 +586,46 @@ class TestCounts:
             path_multiplicity(path, dom)
         for side, engine in dom.engines.items():
             index = {rank: i for i, rank in enumerate(dom.arc(side))}
-            for piece, states in engine.cache.items():
+            for piece, (keys, _, _) in engine.cache.items():
                 assert len(piece) > 2 and piece[0] in index and piece[-1] in index
                 assert not index.keys() & set(piece[1:-1])
                 assert list(piece) == sorted(set(piece))
                 steps = set(range(index[piece[0]], index[piece[-1]]))
-                for labels in states:
+                for labels in keys:
                     assert len(labels) == len(piece) - 1 and set(labels) == steps
-            dead = [states for states in engine.cache.values() if not states]
+            dead = [states for states in engine.cache.values() if not states[0]]
             assert dead and len(dead) < len(engine.cache)
             assert all(states is paths._NO_STATES for states in dead)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("order", [ORDER_XEY, ORDER_ROWMAJOR])
+    def test_memo_maps_are_parallel_with_distinct_keys(self, d, order):
+        # a map is three parallel sequences, and no dict keeps its partitions
+        # distinct: every map the engines hold, after a pass and after per-path
+        # calls over the census, has three equal lengths and distinct partitions,
+        # and every dead one is the shared `_NO_STATES`
+        dom = path_domain(d, order)
+
+        def held_maps():
+            held = dead = 0
+            for engine in dom.engines.values():
+                for states in [*engine.cache.values(), *engine.arc_steps.values()]:
+                    keys, mus, nus = states
+                    assert len(keys) == len(mus) == len(nus)
+                    assert len(set(keys)) == len(keys)
+                    if not keys:
+                        assert states is paths._NO_STATES
+                        dead += 1
+                    held += 1
+            return held, dead
+
+        nonzero_multiplicities(dom)
+        after_pass = held_maps()
+        for path in enumerate_paths(dom):
+            path_multiplicity(path, dom)
+        after_census = held_maps()
+        assert after_census[0] > after_pass[0] > 0
+        assert (after_census[1] > 0) == (d >= 3)  # T_1 and T_2 have no dead piece
 
     def test_no_corner_on_an_arc_turns_toward_it(self):
         # T_d is convex, so a corner at a boundary point turns away from both arcs:
@@ -729,7 +766,8 @@ class TestCounts:
         reads = engine.reads([path, path])
         assert later <= set(reads)
         for _ in range(2):
-            assert engine.states(path, reads) is paths._NO_STATES
+            maps = engine.maps(path, reads)
+            assert maps[0] is paths._NO_STATES and paths._flat(maps)[0] == []
         assert reads == {} and engine.cache == {}
 
 
@@ -790,21 +828,30 @@ ONE_ENTRY = st.builds(lambda labels, weights: {labels: weights}, st.tuples(st.in
 MULTI_ENTRY = st.integers(1, 3).flatmap(
     lambda steps: st.dictionaries(st.tuples(*[st.integers(0, 3)] * steps), WEIGHTS, min_size=2, max_size=4)
 )
-PIECES = st.lists(st.one_of(ONE_ENTRY, MULTI_ENTRY, st.just(paths._NO_STATES)), min_size=1, max_size=8)
+PIECES = st.lists(st.one_of(ONE_ENTRY, MULTI_ENTRY, st.just({})), min_size=1, max_size=8)
 ARC_STEP = {(0,): (1, 1)}
+
+
+def engine_form(states):
+    """A dict state map as an engine holds it: `flat`, or `_NO_STATES` if empty."""
+    return flat(states) if states else paths._NO_STATES
 
 
 class TestGlue:
     @given(PIECES)
-    @example([paths._NO_STATES, ARC_STEP, {(0,): (3, -1)}, {(0,): (1, 1), (1,): (2, 1)}])
-    @example([ARC_STEP, {(1,): (2, 3)}, paths._NO_STATES, {(0,): (1, 1), (1,): (2, 1)}, ARC_STEP])
-    @example([{(0,): (1, 1), (1,): (2, 1)}, ARC_STEP, {(2,): (5, 1)}, paths._NO_STATES])
+    @example([{}, ARC_STEP, {(0,): (3, -1)}, {(0,): (1, 1), (1,): (2, 1)}])
+    @example([ARC_STEP, {(1,): (2, 3)}, {}, {(0,): (1, 1), (1,): (2, 1)}, ARC_STEP])
+    @example([{(0,): (1, 1), (1,): (2, 1)}, ARC_STEP, {(2,): (5, 1)}, {}])
     @example([ARC_STEP, {(1,): (3, -1)}, {(0, 1): (1, 1), (1, 0): (4, 0)}, ARC_STEP, {(2,): (-2, 7)}])
+    @example([{}])
     def test_flat_lists_equal_the_product_map(self, maps):
         # runs of one-entry pieces, weights (1, 1) or not, between pieces of
         # several entries, with a dead piece anywhere: the same entries in order
-        keys, mus, nus = paths._flat(maps)
-        assert list(zip(keys, zip(mus, nus))) == list(paths._product(maps).items())
+        # as the dict product of the oracle.  A lone map comes back uncopied
+        pieces = list(map(engine_form, maps))
+        keys, mus, nus = paths._flat(pieces)
+        assert list(zip(keys, zip(mus, nus))) == list(product(maps).items())
+        assert len(pieces) > 1 or paths._flat(pieces) is pieces[0]
 
     @pytest.mark.parametrize("seed", range(20))
     def test_forest_test_equals_the_join_on_random_partitions(self, seed):
@@ -902,7 +949,7 @@ class TestReverseSearch:
         # of its sides have tilings (the reducible ones, from d = 4 on)
         zero = [row for row in paths._glued(path_domain(d, order)) if row[3] == 0]
         assert all(nu == 0 for *_, nu in zero)
-        assert sum(1 for _, _, direct, _, _ in zero if all(direct)) == {4: 5}.get(d, 0)
+        assert sum(1 for _, _, direct, _, _ in zero if all(keys for keys, _, _ in direct)) == {4: 5}.get(d, 0)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("order", [ORDER_XEY, ORDER_ROWMAJOR])
