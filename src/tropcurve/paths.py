@@ -79,7 +79,7 @@ PATH_COUNTER = "the lattice-path counter"
 FULL_LISTING = "the full listing"
 RECURSION = "the recursion"
 MAX_DEGREE = {
-    # d = 6: 5311735 census paths, counted in 8-9 s at 168 MB (2 vCPUs); d = 7: 1855967520
+    # d = 6: 5311735 census paths, counted in 8-10 s at 152 MB (2 vCPUs); d = 7: 1855967520
     PATH_COUNTER: 6,
     # d = 5 lists 27132 paths; at d = 6 the memos outgrew 1 GiB long before the end
     FULL_LISTING: 5,
@@ -113,8 +113,8 @@ class _DomainFields(NamedTuple):
 
 class PathDomain(_DomainFields):
     """Triangle T_d with a total point order and its two boundary arcs.  The
-    rank map, the turn tables, the two engines and the glue's memos live in the
-    instance __dict__ (a NamedTuple itself has none), so they last as long as
+    rank map, the turn tables, the two engines and the glue's join memo live in
+    the instance __dict__ (a NamedTuple itself has none), so they last as long as
     the domain."""
 
     @cached_property
@@ -155,10 +155,6 @@ class PathDomain(_DomainFields):
     @cached_property
     def joins(self) -> _Joins:
         return _Joins(self.d)  # the direct side's top-level partitions have d blocks
-
-    @cached_property
-    def forests(self) -> _Forests:
-        return _Forests()
 
     def steps(self) -> int:
         """Step count of a top-level path."""
@@ -352,11 +348,6 @@ class _DivisionEngine:
         `reads`; every piece is read, consuming each counted read even past a dead one."""
         return [self._piece(piece, reads) for piece in self.pieces(path)]
 
-    def states(self, path: tuple[int, ...], reads=None) -> dict[tuple[int, ...], tuple[int, int]]:
-        """A path's map as a dict, partition -> (complex, Welschinger) weight."""
-        keys, mus, nus = _flat(self.maps(path, reads))
-        return dict(zip(keys, zip(mus, nus)))
-
     def _piece(self, piece: tuple[int, ...], reads) -> States:
         if len(piece) == 2:
             return self.arc_steps.get(piece, _NO_STATES)
@@ -430,22 +421,6 @@ def _side_value(maps: list[States], kind: str) -> int:
     return prod([sum(states[k]) for states in maps])
 
 
-class _Forests(dict):
-    """The glue's memo of forests: a step partition -> a getter of the ends of its
-    spanning forest (each step linked to the previous step of its block),
-    flattened; with no edge, a loop at 0."""
-
-    def __missing__(self, labels: tuple[int, ...]) -> itemgetter:
-        last: dict[int, int] = {}
-        ends: list[int] = []
-        for step, block in enumerate(labels):
-            if block in last:
-                ends += last[block], step
-            last[block] = step
-        getter = self[labels] = itemgetter(*(ends or (0, 0)))
-        return getter
-
-
 class _Joins(dict):
     """The glue's memo for partitions into `blocks` blocks: a tuple of labels, ends ->
     whether joining the blocks of its pairs ends[0:2], ends[2:4], ... leaves one."""
@@ -462,14 +437,22 @@ class _Joins(dict):
         return joined
 
 
-def _glue(corner: States, direct: States, joins, forests) -> tuple[int, int]:
+def _glue(corner: States, direct: States, joins) -> tuple[int, int]:
     """(complex, Welschinger) sums over glued pairs forming a connected curve, from
     each side's map, its pieces' `_flat`.  A direct partition, of `joins.blocks`
-    blocks, joins a corner-side one iff its labels on that one's forest do."""
+    blocks, joins a corner-side one iff its labels on that one's spanning forest
+    do: the forest links each step to the previous step of its block, and with
+    no edge it is a loop at 0."""
     keys, mus, nus = direct
     total_mu = total_nu = 0
     for labels, mu_c, nu_c in zip(*corner) if keys else ():
-        joined = list(map(joins.__getitem__, map(forests[labels], keys)))
+        last: dict[int, int] = {}
+        ends: list[int] = []
+        for step, block in enumerate(labels):
+            if block in last:
+                ends += last[block], step
+            last[block] = step
+        joined = list(map(joins.__getitem__, map(itemgetter(*(ends or (0, 0))), keys)))
         total_mu += mu_c * sum(compress(mus, joined))
         total_nu += nu_c * sum(compress(nus, joined))
     return total_mu, total_nu
@@ -496,9 +479,10 @@ def _glued(domain: PathDomain) -> Iterator[tuple[tuple[int, ...], list[States], 
     glues one path.  The corner pieces stay for the pass, since freeing them at
     their last read cost more time than it saved; each direct piece's map goes at
     its last read, which the pass counts first.  Paths come in the live list's
-    order, each leaving the list once glued: `count -d 6` peaks at 168 MB so, at
-    171 MB keeping the list, and at 175 MB in the reverse order.  It yields no
-    `PathMultiplicity` rows, which slowed `count_both(5)` by 10-20 ms."""
+    order, each leaving the list once glued: `count -d 6` peaks at 152 MB so and
+    at 153 MB keeping the list; the reverse order peaks at 143 MB but took
+    `count_both(5)` about 2% longer.  It yields no `PathMultiplicity` rows, which
+    slowed `count_both(5)` by 10-20 ms."""
     corner, direct = domain.engines.values()
     live = _live_paths(domain)
     reads = direct.reads(live)
@@ -506,7 +490,7 @@ def _glued(domain: PathDomain) -> Iterator[tuple[tuple[int, ...], list[States], 
     while live:
         path = live.pop()
         corner_maps, direct_maps = corner.maps(path), direct.maps(path, reads)
-        totals = _glue(_flat(corner_maps), _flat(direct_maps), domain.joins, domain.forests)
+        totals = _glue(_flat(corner_maps), _flat(direct_maps), domain.joins)
         yield path, corner_maps, direct_maps, *totals
 
 
@@ -531,7 +515,7 @@ def path_multiplicity(path, domain: PathDomain) -> PathMultiplicity:
     """Side values and connected totals of one top-level path."""
     ranks = _ranks(path, domain)
     corner, direct = (engine.maps(ranks) for engine in domain.engines.values())
-    totals = _glue(_flat(corner), _flat(direct), domain.joins, domain.forests)
+    totals = _glue(_flat(corner), _flat(direct), domain.joins)
     return _multiplicity(domain, corner, direct, *totals)
 
 

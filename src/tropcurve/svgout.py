@@ -24,8 +24,9 @@ def render_svg(doc: dict) -> str:
     """Well-formed SVG for a curve document.
 
     The viewport is the bounding box of the vertices padded by the ray
-    truncation length; edge stroke width grows with weight.  A vertex past
-    float range, or a viewport too large for a float, raises TropcurveError.
+    truncation length; edge stroke width grows with weight.  A vertex, an edge's
+    weight or a ray's weight or direction past float range, or a viewport too
+    large for a float, raises TropcurveError.
     """
     vertices = []
     for k, v in enumerate(doc["vertices"]):
@@ -51,24 +52,29 @@ def render_svg(doc: dict) -> str:
         f'width="{_fmt(width * SCALE)}" height="{_fmt(height * SCALE)}">',
         '<g stroke="black" stroke-linecap="round" fill="none">',
     ]
-    for edge in doc["edges"]:
-        x1, y1 = pts[edge["from"]]
-        x2, y2 = pts[edge["to"]]
-        lines.append(
-            f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
-            f'stroke-width="{_fmt(0.05 * edge["weight"])}"/>'
-        )
-    for ray in doc["rays"]:
-        x1, y1 = pts[ray["vertex"]]
-        dx, dy = ray["dir"]
-        dy = -dy
-        norm = (dx * dx + dy * dy) ** 0.5
-        x2 = x1 + RAY_LENGTH * dx / norm
-        y2 = y1 + RAY_LENGTH * dy / norm
-        lines.append(
-            f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
-            f'stroke-width="{_fmt(0.05 * ray["weight"])}"/>'
-        )
+    try:
+        for k, edge in enumerate(doc["edges"]):
+            drawn = f"edge {k}"
+            x1, y1 = pts[edge["from"]]
+            x2, y2 = pts[edge["to"]]
+            lines.append(
+                f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
+                f'stroke-width="{_fmt(0.05 * edge["weight"])}"/>'
+            )
+        for k, ray in enumerate(doc["rays"]):
+            drawn = f"ray {k}"
+            x1, y1 = pts[ray["vertex"]]
+            dx, dy = ray["dir"]
+            dy = -dy
+            norm = math.hypot(dx, dy)
+            x2 = x1 + RAY_LENGTH * dx / norm
+            y2 = y1 + RAY_LENGTH * dy / norm
+            lines.append(
+                f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
+                f'stroke-width="{_fmt(0.05 * ray["weight"])}"/>'
+            )
+    except OverflowError:
+        raise TropcurveError(f"{drawn} has a weight or direction outside float range, so no SVG can draw it") from None
     for x, y in pts:
         lines.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="0.07" fill="black"/>')
     lines += ["</g>", "</svg>"]

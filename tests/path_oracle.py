@@ -8,13 +8,14 @@ oracle that `tropcurve.paths` is compared against.  Its triangle weights come
 from `brute_triangle_weights`, which counts lattice points one by one and
 shares no code with `tropcurve.geometry.triangle_weights`.  `join_totals`
 glues two state maps by a union-find over every step, the reference for the
-forest test in `tropcurve.paths`, and `product` multiplies state maps as
-dicts, the reference for its flat product.
+forest test in `tropcurve.paths`, `product` multiplies state maps as
+dicts, the reference for its flat product, and `engine_states` reads a
+division engine's map of a path in that dict form.
 """
 
 from __future__ import annotations
 
-from tropcurve.paths import SIDE_MINUS, SIDE_PLUS, PathDomain
+from tropcurve.paths import SIDE_MINUS, SIDE_PLUS, PathDomain, _flat
 
 
 def _orientation(p, q, r) -> int:
@@ -189,6 +190,13 @@ class ForwardRecursion:
                     out[key] = (old_mu + mu, old_nu + nu)
         self.memo[pts] = out
         return out
+
+
+def engine_states(engine, path) -> dict:
+    """A division engine's map of a path as a dict, partition -> (complex, Welschinger)
+    weight: the product of its pieces' maps, in the oracles' form."""
+    keys, mus, nus = _flat(engine.maps(path))
+    return dict(zip(keys, zip(mus, nus)))
 
 
 def product(maps) -> dict:

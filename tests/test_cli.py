@@ -400,13 +400,14 @@ class TestCurve:
     @pytest.mark.parametrize("kinds", [("svg",), ("json", "svg")])
     def test_vertex_past_float_range_refused_before_any_file(self, tmp_path, kinds):
         # the JSON keeps exact values, but the SVG draws floats: a vertex at
-        # x = -10^400, or vertices at x = -10^307 and 10^307 whose span at 60 px
-        # per unit is past float range (width="inf"), exits 1 with one line, and
-        # writes neither file
+        # x = -10^400, vertices at x = -10^307 and 10^307 whose span at 60 px
+        # per unit is past float range (width="inf"), or a ray of weight 10^400
+        # exits 1 with one line, and writes neither file
         flags = [arg for kind in kinds for arg in (f"--{kind}", str(tmp_path / f"curve.{kind}"))]
         refusals = {
             f"max(0, x + 1{'0' * 400}, y)": "vertex 0 lies outside float range, so no SVG can draw it",
             f"max(0, x + 1{'0' * 307}, 2x, y)": "the vertices span past float range, so no SVG viewport can frame them",
+            f"max(0, 1{'0' * 400}x, y)": "ray 0 has a weight or direction outside float range, so no SVG can draw it",
         }
         for expr, message in refusals.items():
             run = subprocess.run(
@@ -418,6 +419,20 @@ class TestCurve:
             assert (run.returncode, run.stdout) == (1, "")
             assert run.stderr == f"error: {message}\n"
             assert list(tmp_path.iterdir()) == []
+
+    def test_ray_direction_past_float_squares_is_drawn(self, tmp_path):
+        # a ray of direction (1, 10^300) and one of weight 10^300: the squared
+        # length is past float range, but each float is not, so the SVG draws them
+        svg = tmp_path / "curve.svg"
+        expr = f"max(0, 1{'0' * 300}x, y)"
+        run = subprocess.run(
+            [sys.executable, "-m", "tropcurve.cli", "curve", "--expr", expr, "--svg", str(svg)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (run.returncode, run.stderr) == (0, "")
+        assert svg.read_text().count("<line ") == 3
 
     def test_missing_file_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "curve", "--poly", "/nonexistent/poly.txt")

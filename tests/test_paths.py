@@ -41,6 +41,7 @@ from path_oracle import (
     ForwardRecursion,
     TilingOracle,
     brute_triangle_weights,
+    engine_states,
     join_totals,
     product,
     union_merges,
@@ -381,7 +382,7 @@ class TestSideMultiplicity:
 
         expected = {}
         for path in enumerate_paths(dom):
-            states = ref.engines[direct].states(tuple(map(ref.rank.__getitem__, path)))
+            states = engine_states(ref.engines[direct], tuple(map(ref.rank.__getitem__, path)))
             mu, nu = sum(mu for mu, _ in states.values()), sum(nu for _, nu in states.values())
             assert side_multiplicity(path, dom, direct, KIND_COMPLEX) == mu
             assert side_multiplicity(path, dom, direct, KIND_WELSCHINGER) == nu
@@ -569,7 +570,7 @@ class TestCounts:
         for engine in dom.engines.values():
             keys = 0
             for path in paths._live_paths(dom):
-                for labels in engine.states(path):
+                for labels in engine_states(engine, path):
                     assert set(labels) == set(range(max(labels) + 1)), labels
                     keys += 1
             assert keys > 0
@@ -685,7 +686,7 @@ class TestCounts:
             for side, engine in vars(dom)["engines"].items():
                 assert engine.toward is vars(dom)["turns"][side]
             assert dom.engines[dom.corner_side()].cache == {} and dom.engines[direct].cache
-            assert not {"joins", "forests"} & set(vars(dom))
+            assert "joins" not in vars(dom)
         dom = path_domain(3)
         path = nonzero_multiplicities(dom)[0][0]
         turns, engines = vars(dom)["turns"], vars(dom)["engines"]  # the pass's: one of each
@@ -757,7 +758,7 @@ class TestCounts:
 
         def dead_first(pieces):
             later = [piece for piece in pieces[1:] if len(piece) > 2]
-            return not probe.states(pieces[0]) and any(map(probe.states, later))
+            return not engine_states(probe, pieces[0]) and any(engine_states(probe, piece) for piece in later)
 
         dom = path_domain(4, order)
         engine = dom.engines[direct_side(dom)]
@@ -804,7 +805,7 @@ def random_states(rng, steps, entries):
     return states
 
 
-def glue_by_blocks(corner, other, joins, forests):
+def glue_by_blocks(corner, other, joins):
     """`paths._glue` of two state maps whose partitions may have any block count:
     the glue reads the other side's partitions of one block count per call, with
     that count's memo from `joins`, one `_Joins(blocks)` per block count."""
@@ -817,7 +818,7 @@ def glue_by_blocks(corner, other, joins, forests):
     total_mu = total_nu = 0
     for blocks, direct in by_blocks.items():
         memo = joins.setdefault(blocks, paths._Joins(blocks))
-        mu, nu = paths._glue(flat(corner), direct, memo, forests)
+        mu, nu = paths._glue(flat(corner), direct, memo)
         total_mu, total_nu = total_mu + mu, total_nu + nu
     return total_mu, total_nu
 
@@ -860,9 +861,8 @@ class TestGlue:
         first = random_states(rng, steps, rng.randint(1, 30))
         second = random_states(rng, steps, rng.randint(1, 30))
         expected = join_totals(first, second)
-        forests = paths._Forests()  # one memo for both calls: each is a step partition
-        assert glue_by_blocks(first, second, {}, forests) == expected
-        assert glue_by_blocks(second, first, {}, forests) == expected
+        assert glue_by_blocks(first, second, {}) == expected
+        assert glue_by_blocks(second, first, {}) == expected
 
     @pytest.mark.parametrize("seed", range(5))
     def test_merge_memo_equals_a_plain_union_find(self, seed):
@@ -885,17 +885,17 @@ class TestGlue:
         # the oracle joins the product maps, which those lists must equal
         dom = path_domain(d, order)
         glued = 0
-        joins, forests = paths._Joins(d), paths._Forests()  # one each, as the domain keeps them
+        joins = paths._Joins(d)  # one, as the domain keeps it
         for path in census_ranks(dom):
             (corner_states, corner), (other_states, direct) = [
-                (engine.states(path), paths._flat(engine.maps(path))) for engine in dom.engines.values()
+                (engine_states(engine, path), paths._flat(engine.maps(path))) for engine in dom.engines.values()
             ]
             for states, (keys, mus, nus) in ((corner_states, corner), (other_states, direct)):
                 assert dict(zip(keys, zip(mus, nus))) == states
                 assert len(keys) == len(states)
             if corner_states and other_states:
                 expected = join_totals(corner_states, other_states)
-                assert paths._glue(corner, direct, joins, forests) == expected
+                assert paths._glue(corner, direct, joins) == expected
                 glued += 1
         assert glued == {1: 1, 2: 1, 3: 5, 4: 63}[d]
 
@@ -913,7 +913,7 @@ class TestGlue:
             assert len(arc) - 1 == (2 * d if side == dom.corner_side() else d)
             checked = 0
             for path in census_ranks(dom):
-                for labels in dom.engines[side].states(path):
+                for labels in engine_states(dom.engines[side], path):
                     assert max(labels) + 1 == len(arc) - 1
                     checked += 1
             assert checked > 0
@@ -931,7 +931,7 @@ class TestReverseSearch:
         # domain, so it shares nothing with the search
         ref = path_domain(d, order)
         forward = paths._DivisionEngine(ref, ref.corner_side())
-        census_live = [path for path in census_ranks(ref) if forward.states(path)]
+        census_live = [path for path in census_ranks(ref) if engine_states(forward, path)]
         assert live == census_live
         assert len(live) == {1: 1, 2: 1, 3: 5, 4: 69, 5: 1833}[d]
 
@@ -964,7 +964,7 @@ class TestReverseSearch:
         missing = 0
         for path, ranks in zip(enumerate_paths(dom), census_ranks(dom)):
             expected = forward.states(path)
-            assert engine.states(ranks) == expected
+            assert engine_states(engine, ranks) == expected
             if ranks in live:
                 assert expected
             else:

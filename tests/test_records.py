@@ -124,11 +124,12 @@ def test_cell_weights_are_classified_once_per_curve():
 
 def test_domain_tables_are_built_once_per_domain():
     domain = path_domain(3)
-    path = nonzero_multiplicities(domain)[0][0]  # the forests fill
+    path = nonzero_multiplicities(domain)[0][0]  # the join memo fills
     path_multiplicity(path, domain)
-    tables = ("rank", "turns", "engines", "joins", "forests")
+    tables = ("rank", "turns", "engines", "joins")
+    assert set(vars(domain)) == set(tables)  # the glue keeps no other table
     built = {name: getattr(domain, name) for name in tables}
-    assert domain.engines[domain.corner_side()].cache and domain.forests
+    assert domain.engines[domain.corner_side()].cache and domain.joins
     for side in (SIDE_PLUS, SIDE_MINUS):
         assert domain.engines[side].toward is domain.turns[side]
     for name, value in built.items():
