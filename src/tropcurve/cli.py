@@ -88,8 +88,12 @@ def cmd_curve(args) -> None:
     violations = curvemod.check_balancing(curve)
     if violations:
         raise CrossCheckMismatchError(f"balancing violated at vertices {violations}")
-    doc = curve_document(curve)
-    text = write_document(doc)
+    try:
+        doc = curve_document(curve)
+        text = write_document(doc)
+    except ValueError:  # the JSON keeps exact values: an int past CPython's int-to-str digit limit
+        limit = f"the int-to-str digit limit ({sys.get_int_max_str_digits()} digits)"
+        raise TropcurveError(f"a number in the curve is past {limit}, so no JSON can write it") from None
     svg = render_svg(doc) if args.svg_path else None  # a refused SVG leaves no JSON file behind
     if args.json_path:
         Path(args.json_path).write_text(text, encoding="utf-8")

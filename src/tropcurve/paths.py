@@ -79,7 +79,7 @@ PATH_COUNTER = "the lattice-path counter"
 FULL_LISTING = "the full listing"
 RECURSION = "the recursion"
 MAX_DEGREE = {
-    # d = 6: 5311735 census paths, counted in 8-10 s at 152 MB (2 vCPUs); d = 7: 1855967520
+    # d = 6: 5311735 census paths, counted in 9-12 s at 91 MB (2 vCPUs); d = 7: 1855967520
     PATH_COUNTER: 6,
     # d = 5 lists 27132 paths; at d = 6 the memos outgrew 1 GiB long before the end
     FULL_LISTING: 5,
@@ -238,27 +238,15 @@ def _ranks(path, domain: PathDomain) -> tuple[int, ...]:
     return tuple(ranks)
 
 
-class _Relabels(dict):
-    """(s, j) -> the label maps of a corner at step j of a path with s steps: a
-    cut reads the shorter path's labels with ab and bc both taking ac's, a swap
-    exchanges ab's and bc's."""
-
-    def __missing__(self, key: tuple[int, int]) -> tuple[itemgetter, itemgetter]:
-        s, j = key
-        cut = itemgetter(*range(j), *range(j - 1, s - 1))
-        swap = itemgetter(*range(j - 1), j, j - 1, *range(j + 1, s))
-        self[key] = cut, swap
-        return cut, swap
-
-
-def _divided(relabels, corner, shorter: States, swapped: States) -> States:
-    """A path's map from its children's at its first corner abc turning toward the arc:
-    the cut child's times the triangle's weights, ab and bc taking ac's block, plus
-    the swap child's, where the parallelogram's branches cross: ab ~ vc, bc ~ av."""
-    (cut, swap), (m, fw, _) = relabels, corner
-    out = {cut(labels): (m * mu, fw * nu) for labels, mu, nu in zip(*shorter)}
+def _divided(j: int, corner, shorter: States, swapped: States) -> States:
+    """A path's map from its children's at its first corner abc, at step j, turning
+    toward the arc: the cut child's times the triangle's weights, ab and bc taking
+    ac's block, plus the swap child's, where the parallelogram's branches cross:
+    ab ~ vc, bc ~ av."""
+    m, fw, _ = corner
+    out = {labels[:j] + labels[j - 1 :]: (m * mu, fw * nu) for labels, mu, nu in zip(*shorter)}
     for labels, mu, nu in zip(*swapped):
-        key = swap(labels)
+        key = labels[: j - 1] + (labels[j], labels[j - 1]) + labels[j + 1 :]
         old_mu, old_nu = out.get(key, (0, 0))
         out[key] = (old_mu + mu, old_nu + nu)
     return (tuple(out), *zip(*out.values())) if out else _NO_STATES
@@ -303,7 +291,6 @@ class _DivisionEngine:
 
     def __init__(self, domain: PathDomain, side: str):
         self.cache: dict[tuple[int, ...], States] = {}
-        self.relabel = _Relabels()
         self.toward = domain.turns[side]
         arc = domain.arc(side)
         self.on_arc = set(arc)
@@ -358,7 +345,7 @@ class _DivisionEngine:
                 corner, j, children = peeled
                 shorter, *swapped = [self._piece(child, reads) for child in children]
                 swapped = _flat(swapped) if swapped else _NO_STATES
-                result = _divided(self.relabel[len(piece) - 1, j], corner, shorter, swapped)
+                result = _divided(j, corner, shorter, swapped)
             self.cache[piece] = result
         if reads is not None:  # a pass drops the map at its last read
             if left := reads.pop(piece) - 1:
@@ -478,15 +465,17 @@ def _glued(domain: PathDomain) -> Iterator[tuple[tuple[int, ...], list[States], 
     its connected (complex, Welschinger) totals from `_glue`, as `path_multiplicity`
     glues one path.  The corner pieces stay for the pass, since freeing them at
     their last read cost more time than it saved; each direct piece's map goes at
-    its last read, which the pass counts first.  Paths come in the live list's
-    order, each leaving the list once glued: `count -d 6` peaks at 152 MB so and
-    at 153 MB keeping the list; the reverse order peaks at 143 MB but took
-    `count_both(5)` about 2% longer.  It yields no `PathMultiplicity` rows, which
-    slowed `count_both(5)` by 10-20 ms."""
+    its last read, which the pass counts first.  Paths come in ascending order of
+    their reversed ranks, each leaving the list once glued.  The recursion peels a
+    piece at its first turning corner, so its descendants differ from it near the
+    front and share its tail: paths with a common tail read their direct pieces
+    together, and each map is freed soon after it is built (`count -d 6` peaks at
+    91 MB so, against 152 MB in the search's order).  It yields no
+    `PathMultiplicity` rows, which slowed `count_both(5)` by 10-20 ms."""
     corner, direct = domain.engines.values()
     live = _live_paths(domain)
     reads = direct.reads(live)
-    live.reverse()
+    live.sort(key=lambda path: path[::-1], reverse=True)
     while live:
         path = live.pop()
         corner_maps, direct_maps = corner.maps(path), direct.maps(path, reads)

@@ -16,6 +16,7 @@ compared as Python ints.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import lcm
 from typing import Iterable
@@ -30,13 +31,18 @@ _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse 'p' or 'p/q' (q > 0) into a Fraction."""
+    """Parse 'p' or 'p/q' (q > 0) into a Fraction: ValueError if malformed, and a
+    ParseError naming the size of a numeral past CPython's int-to-str digit limit."""
     if not _RATIONAL_RE.match(text):
         raise ValueError(f"not a rational: {text!r}")
     try:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator: {text!r}") from None
+    except ValueError:  # `sys.get_int_max_str_digits()`: 4300 unless set otherwise
+        digits = max(map(len, re.findall("[0-9]+", text)))
+        limit = f"the int-to-str digit limit ({sys.get_int_max_str_digits()} digits)"
+        raise ParseError(f"a numeral of {digits} digits is past {limit}") from None
 
 
 def format_rational(value: Fraction) -> str:
@@ -151,12 +157,12 @@ def parse_term_table(text: str) -> TropicalPolynomial:
             raise ParseError(f"expected `i j c`, got {raw.strip()!r}", line=lineno)
         if not (_INTEGER_RE.match(fields[0]) and _INTEGER_RE.match(fields[1])):
             raise ParseError(f"exponents must be integers: {raw.strip()!r}", line=lineno)
-        i = int(fields[0])
-        j = int(fields[1])
         try:
-            c = parse_rational(fields[2])
+            i, j, c = map(parse_rational, fields)  # the exponents are integers, as checked
         except ValueError:
             raise ParseError(f"bad coefficient {fields[2]!r}", line=lineno)
+        except ParseError as exc:  # a numeral past the digit limit
+            raise ParseError(str(exc), line=lineno) from None
         terms.append(((i, j), c))
     return TropicalPolynomial(terms)
 
@@ -219,13 +225,13 @@ def parse_expression(text: str) -> TropicalPolynomial:
                 num = take()
                 if not num.isdigit():
                     raise ParseError(f"expected a number, got {num!r}")
-                value = sign * Fraction(int(num))
+                value = sign * parse_rational(num)
                 if stack[-1] == "/":
                     take()
                     den = take()
-                    if not den.isdigit() or int(den) == 0:
+                    if not den.isdigit() or not parse_rational(den):
                         raise ParseError(f"bad denominator {den!r}")
-                    value /= int(den)
+                    value /= parse_rational(den)
                 var = ""
                 if stack[-1] == "*":
                     take()

@@ -420,6 +420,43 @@ class TestCurve:
             assert run.stderr == f"error: {message}\n"
             assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit"
+    )
+    def test_number_past_the_digit_limit_refused_before_any_file(self, tmp_path):
+        # a fresh interpreter's limit is 4300 digits: a numeral past it, in an
+        # expression or a term table, is named by its size, and a vertex with a
+        # denominator past it (y = 1/a - 1/b, of about 4400 digits), or a slope
+        # summed past it, cannot be written as JSON.  Each exits 1 with one line,
+        # no traceback and neither file
+        out = tmp_path / "out"
+        out.mkdir()
+        flags = ["--json", str(out / "curve.json"), "--svg", str(out / "curve.svg")]
+        long, a, b, nines = "1" * 5000, "1" * 2200, "1" * 2199 + "3", "9" * 4300
+        tables = {"exponent": f"0 0 0\n{long} 0 0\n0 1 0\n", "coefficient": f"0 0 0\n1 0 {long}\n0 1 0\n"}
+        for name, table in tables.items():
+            (tmp_path / f"{name}.txt").write_text(table, encoding="utf-8")
+        numeral = "a numeral of {} digits is past the int-to-str digit limit (4300 digits)"
+        written = "a number in the curve is past the int-to-str digit limit (4300 digits), so no JSON can write it"
+        refusals = [
+            (["--expr", f"max({long}, x, y)"], numeral.format(5000)),
+            (["--expr", f"max(1/{'1' * 4301}, x, y)"], numeral.format(4301)),
+            (["--poly", str(tmp_path / "exponent.txt")], "line 2: " + numeral.format(5000)),
+            (["--poly", str(tmp_path / "coefficient.txt")], "line 2: " + numeral.format(5000)),
+            (["--expr", f"max(0, x + 1/{a}, x + y + 1/{b})"], written),
+            (["--expr", f"max(0, {nines}x + {nines}x, y)"], written),
+        ]
+        for args, message in refusals:
+            run = subprocess.run(
+                [sys.executable, "-m", "tropcurve.cli", "curve", *args, *flags],
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+            assert (run.returncode, run.stdout) == (1, "")
+            assert run.stderr == f"error: {message}\n"
+            assert list(out.iterdir()) == []
+
     def test_ray_direction_past_float_squares_is_drawn(self, tmp_path):
         # a ray of direction (1, 10^300) and one of weight 10^300: the squared
         # length is past float range, but each float is not, so the SVG draws them

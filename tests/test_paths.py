@@ -115,17 +115,6 @@ def past_the_counter(shown):
     )
 
 
-@pytest.fixture
-def digit_limit():
-    """Set CPython's int-to-str digit limit for one test, whatever the environment
-    set it to (PYTHONINTMAXSTRDIGITS), and restore it after."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        pytest.skip("this Python has no int-to-str digit limit")
-    before = sys.get_int_max_str_digits()
-    yield sys.set_int_max_str_digits
-    sys.set_int_max_str_digits(before)
-
-
 class TestDomain:
     def test_xey_degree_one(self):
         dom = path_domain(1)
@@ -770,6 +759,21 @@ class TestCounts:
             maps = engine.maps(path, reads)
             assert maps[0] is paths._NO_STATES and paths._flat(maps)[0] == []
         assert reads == {} and engine.cache == {}
+
+    @pytest.mark.parametrize("order", [ORDER_XEY, ORDER_ROWMAJOR])
+    def test_a_pass_glues_paths_sharing_a_tail_together(self, order):
+        # the recursion peels a piece at its first turning corner, so paths with a
+        # common tail share direct pieces: the pass glues them in ascending order
+        # of their reversed ranks, and the direct engine holds at most 2014
+        # partition entries at once at d = 5 (3599 in the search's order)
+        dom = path_domain(5, order)
+        direct = dom.engines[direct_side(dom)]
+        order_keys, peak = [], 0
+        for path, *_ in paths._glued(dom):
+            order_keys.append(path[::-1])
+            peak = max(peak, sum(len(keys) for keys, _, _ in direct.cache.values()))
+        assert len(order_keys) == 1833 and order_keys == sorted(order_keys)
+        assert 0 < peak <= 2014
 
 
 class TestSideChoice:

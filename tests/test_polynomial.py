@@ -104,6 +104,15 @@ class TestTermTable:
             parse_term_table("0 1 0\n" + line)
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize("line", ["{} 0 0", "0 -{} 0", "0 0 {}", "0 0 -1/{}"])
+    def test_a_numeral_past_the_digit_limit_is_named_by_its_size(self, digit_limit, line):
+        digit_limit(640)
+        with pytest.raises(ParseError) as exc:
+            parse_term_table("0 1 0\n" + line.format("7" * 641))
+        assert str(exc.value) == "line 2: a numeral of 641 digits is past the int-to-str digit limit (640 digits)"
+        digit_limit(0)  # no limit: the numeral is read as written
+        assert parse_term_table(line.format("7" * 641)).support
+
 
 class TestExpression:
     def test_line(self):
@@ -159,6 +168,15 @@ class TestExpression:
     def test_malformed_rejected_with_message(self, text, message):
         with pytest.raises(ParseError, match=re.escape(message)):
             parse_expression(text)
+
+    @pytest.mark.parametrize("text", ["max({}, x, y)", "max(0, -{}x, y)", "max(0, x, y + 1/{})"])
+    def test_a_numeral_past_the_digit_limit_is_named_by_its_size(self, digit_limit, text):
+        digit_limit(640)
+        with pytest.raises(ParseError) as exc:
+            parse_expression(text.format("7" * 641))
+        assert str(exc.value) == "a numeral of 641 digits is past the int-to-str digit limit (640 digits)"
+        digit_limit(0)  # no limit: the numeral is read as written
+        assert len(parse_expression(text.format("7" * 641))) == 3
 
     @pytest.mark.parametrize("text", ["max(--1)", "max(0 - -1)"])
     def test_signed_rational(self, text):
@@ -353,6 +371,15 @@ def test_parse_rational_rejects_junk():
     for bad in ("", "x", "1/", "/2", "1.5", "1/2/3", "1/0", "-3/00"):
         with pytest.raises(ValueError):
             parse_rational(bad)
+
+
+def test_parse_rational_names_a_numeral_past_the_digit_limit_by_its_size(digit_limit):
+    digit_limit(640)
+    for text in ("-" + "7" * 641, "1/" + "7" * 641, "7" * 700 + "/" + "7" * 641):
+        with pytest.raises(ParseError) as exc:
+            parse_rational(text)
+        digits = 700 if text.startswith("7") else 641
+        assert str(exc.value) == f"a numeral of {digits} digits is past the int-to-str digit limit (640 digits)"
 
 
 def test_repr_mentions_terms():
