@@ -45,18 +45,18 @@ paths have a tiling toward the arc through the third corner of the triangle
 grown out of that arc by the recursion's moves run backwards; only they meet
 the engines, and a path with a nonzero total is one of them.  One engine per
 side runs the recursion forwards toward its arc.  It splits each path where
-the path meets the arc and memoizes the pieces (986 toward the corner arc and
-1999 toward the direct one at d = 5; 24309 and 56467 at d = 6).  A path's map
-on a side is the product of its pieces' maps, in the one form of every map from
-the memo to the glue, and its value is the product of their sums.  Inside, a
-path is the tuple of its points' ranks in the domain's order.
+the path meets the arc and memoizes the pieces: 1999 toward the direct arc at
+d = 5, and 904 toward the corner one, read for the 1432 live paths with a
+direct tiling alone (56467 and 19756 at d = 6).  A side's map of a path, its
+engine's `product` of the pieces' maps, has the one form of every map from the
+memo to the glue; a side value sums it.  Inside, a path is the tuple of its
+points' ranks in the domain's order.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from itertools import combinations, compress
-from math import prod
 from operator import itemgetter, lt
 from typing import Iterator, NamedTuple, Sequence
 
@@ -79,7 +79,7 @@ PATH_COUNTER = "the lattice-path counter"
 FULL_LISTING = "the full listing"
 RECURSION = "the recursion"
 MAX_DEGREE = {
-    # d = 6: 5311735 census paths, counted in 9-12 s at 91 MB (2 vCPUs); d = 7: 1855967520
+    # d = 6: 5311735 census paths, counted in 9-10 s at 90 MB (2 vCPUs); d = 7: 1855967520
     PATH_COUNTER: 6,
     # d = 5 lists 27132 paths; at d = 6 the memos outgrew 1 GiB long before the end
     FULL_LISTING: 5,
@@ -252,30 +252,6 @@ def _divided(j: int, corner, shorter: States, swapped: States) -> States:
     return (tuple(out), *zip(*out.values())) if out else _NO_STATES
 
 
-def _flat(maps: list[States]) -> States:
-    """The map of a run of pieces, labels concatenated and weights multiplied; one
-    map comes back as it is.  Most pieces are arc steps, with one entry each: a run
-    of them joins the next piece's labels once, and scales every entry last."""
-    if len(maps) == 1:
-        return maps[0]
-    keys, mus, nus = [()], [1], [1]
-    run, scale_mu, scale_nu = (), 1, 1
-    for labels, ms, ws in maps:
-        if len(labels) == 1:
-            run, scale_mu, scale_nu = run + labels[0], scale_mu * ms[0], scale_nu * ws[0]
-        else:
-            tails = [run + l for l in labels] if run else labels
-            run = ()
-            keys = [k + l for k in keys for l in tails]
-            mus = [m * n for m in mus for n in ms]
-            nus = [w * x for w in nus for x in ws]
-    if run:
-        keys = [k + run for k in keys]
-    if scale_mu != 1 or scale_nu != 1:
-        mus, nus = [m * scale_mu for m in mus], [w * scale_nu for w in nus]
-    return keys, mus, nus
-
-
 class _DivisionEngine:
     """Memoized connectivity-state division recursion toward one boundary arc, by piece.
 
@@ -302,21 +278,18 @@ class _DivisionEngine:
         return [path[i : j + 1] for i, j in zip(ends, ends[1:])]
 
     def _peeled(self, piece: tuple[int, ...]):
-        """A piece's first corner turning toward the arc, its step j and its children's
-        pieces: the cut child's, then the swap child's (none with v outside T_d); or None."""
+        """A piece's first corner turning toward the arc, its step j, the cut child's
+        piece and the swap child's path (empty with v outside T_d); or None."""
         turning = self.toward.get
         for j, abc in enumerate(zip(piece, piece[1:], piece[2:]), 1):
             corner = turning(abc)
             if corner is not None:
                 v, head, tail = corner[2], piece[:j], piece[j + 1 :]
-                swapped = [head + (v,) + tail] if v >= 0 else []
-                if v in self.on_arc:  # the swap splits the piece
-                    swapped = [head + (v,), (v,) + tail]
-                return corner, j, [head + tail, *swapped]
+                return corner, j, head + tail, head + (v,) + tail if v >= 0 else ()
         return None
 
     def reads(self, paths) -> dict[tuple[int, ...], int]:
-        """How often `maps` reads each piece's map in a pass over `paths`: the recursion
+        """How often `product` reads each piece's map in a pass over `paths`: the recursion
         on keys alone, expanding a piece at its first read unless the memo holds it."""
         reads: dict[tuple[int, ...], int] = {}
         for path in paths:
@@ -327,25 +300,48 @@ class _DivisionEngine:
                     seen = reads.get(piece, 0)
                     reads[piece] = seen + 1
                     if not (seen or piece in self.cache) and (peeled := self._peeled(piece)):
-                        work += peeled[2]
+                        work += [peeled[2], *self.pieces(peeled[3])]
         return reads
 
-    def maps(self, path: tuple[int, ...], reads=None) -> list[States]:
-        """Each piece's map of an increasing path from arc to arc.  A pass passes its
-        `reads`; every piece is read, consuming each counted read even past a dead one."""
-        return [self._piece(piece, reads) for piece in self.pieces(path)]
+    def product(self, path: tuple[int, ...], reads=None) -> States:
+        """The map of an increasing path from arc to arc, in one walk: its pieces' maps,
+        labels concatenated and weights multiplied.  Most pieces are arc steps, of one
+        entry: a run of them joins the next piece's labels once, and scales every entry
+        last; a lone piece's map of several entries comes back uncopied.  A pass passes
+        its `reads`; every piece is read, consuming each counted read past a dead one."""
+        unit = out = (((),), (1,), (1,))
+        run, scale_mu, scale_nu = (), 1, 1
+        begin, on_arc, arc_step = 0, self.on_arc, self.arc_steps.get
+        for end, rank in enumerate(path[1:], 1):
+            if rank in on_arc:
+                piece = path[begin : end + 1]
+                states = arc_step(piece, _NO_STATES) if end - begin == 1 else self._piece(piece, reads)
+                begin, (labels, mus, nus) = end, states
+                if len(labels) == 1:
+                    run, scale_mu, scale_nu = run + labels[0], scale_mu * mus[0], scale_nu * nus[0]
+                    continue
+                if run:
+                    states, run = ([run + l for l in labels], mus, nus), ()
+                if out is not unit:
+                    (keys, ms, ws), (labels, mus, nus) = out, states
+                    keys, ms = [k + l for k in keys for l in labels], [m * n for m in ms for n in mus]
+                    states = keys, ms, [w * x for w in ws for x in nus]
+                out = states
+        if run:
+            out = [k + run for k in out[0]], out[1], out[2]
+        if scale_mu != 1 or scale_nu != 1:
+            out = out[0], [m * scale_mu for m in out[1]], [w * scale_nu for w in out[2]]
+        return out
 
     def _piece(self, piece: tuple[int, ...], reads) -> States:
-        if len(piece) == 2:
-            return self.arc_steps.get(piece, _NO_STATES)
+        """The map of a piece of three points or more."""
         result = self.cache.get(piece)
         if result is None:
             result = _NO_STATES
             if peeled := self._peeled(piece):
-                corner, j, children = peeled
-                shorter, *swapped = [self._piece(child, reads) for child in children]
-                swapped = _flat(swapped) if swapped else _NO_STATES
-                result = _divided(j, corner, shorter, swapped)
+                corner, j, cut, swap = peeled
+                shorter = self._piece(cut, reads) if len(cut) > 2 else self.arc_steps.get(cut, _NO_STATES)
+                result = _divided(j, corner, shorter, self.product(swap, reads) if swap else _NO_STATES)
             self.cache[piece] = result
         if reads is not None:  # a pass drops the map at its last read
             if left := reads.pop(piece) - 1:
@@ -402,12 +398,6 @@ def _live_paths(domain: PathDomain) -> list[tuple[int, ...]]:
     return list(level)
 
 
-def _side_value(maps: list[States], kind: str) -> int:
-    """The sum of one kind of weight over the maps' product: the product of its sums."""
-    k = 1 if kind == KIND_COMPLEX else 2
-    return prod([sum(states[k]) for states in maps])
-
-
 class _Joins(dict):
     """The glue's memo for partitions into `blocks` blocks: a tuple of labels, ends ->
     whether joining the blocks of its pairs ends[0:2], ends[2:4], ... leaves one."""
@@ -426,7 +416,7 @@ class _Joins(dict):
 
 def _glue(corner: States, direct: States, joins) -> tuple[int, int]:
     """(complex, Welschinger) sums over glued pairs forming a connected curve, from
-    each side's map, its pieces' `_flat`.  A direct partition, of `joins.blocks`
+    each side's map, its engine's `product`.  A direct partition, of `joins.blocks`
     blocks, joins a corner-side one iff its labels on that one's spanning forest
     do: the forest links each step to the previous step of its block, and with
     no edge it is a loop at 0."""
@@ -460,32 +450,32 @@ class PathMultiplicity(NamedTuple):
     welschinger_total: int
 
 
-def _glued(domain: PathDomain) -> Iterator[tuple[tuple[int, ...], list[States], list[States], int, int]]:
-    """Each path live on the corner side, as ranks, with both sides' pieces' maps and
-    its connected (complex, Welschinger) totals from `_glue`, as `path_multiplicity`
-    glues one path.  The corner pieces stay for the pass, since freeing them at
-    their last read cost more time than it saved; each direct piece's map goes at
-    its last read, which the pass counts first.  Paths come in ascending order of
-    their reversed ranks, each leaving the list once glued.  The recursion peels a
-    piece at its first turning corner, so its descendants differ from it near the
-    front and share its tail: paths with a common tail read their direct pieces
-    together, and each map is freed soon after it is built (`count -d 6` peaks at
-    91 MB so, against 152 MB in the search's order).  It yields no
-    `PathMultiplicity` rows, which slowed `count_both(5)` by 10-20 ms."""
+def _glued(domain: PathDomain) -> Iterator[tuple[tuple[int, ...], States, States, int, int]]:
+    """Each path live on both sides, as ranks, with both sides' maps and its connected
+    (complex, Welschinger) totals from `_glue`, as `path_multiplicity` glues one path.
+    The direct side comes first: a path dead there has no glued pair, and no corner
+    map.  Each direct piece's map goes at its last read, which the pass counts first;
+    the corner pieces stay for the pass, since freeing them cost more time than it
+    saved.  Paths come in ascending order of their reversed ranks, each leaving the
+    list once glued.  The recursion peels a piece at its first turning corner, so
+    paths with a common tail read their direct pieces together, and each map is
+    freed soon after it is built (`count -d 6` peaks at 90 MB so, against 149 MB in
+    the search's order).  It yields no `PathMultiplicity` rows: they were slower."""
     corner, direct = domain.engines.values()
     live = _live_paths(domain)
     reads = direct.reads(live)
     live.sort(key=lambda path: path[::-1], reverse=True)
     while live:
         path = live.pop()
-        corner_maps, direct_maps = corner.maps(path), direct.maps(path, reads)
-        totals = _glue(_flat(corner_maps), _flat(direct_maps), domain.joins)
-        yield path, corner_maps, direct_maps, *totals
+        direct_map = direct.product(path, reads)
+        if direct_map[0]:
+            corner_map = corner.product(path)
+            yield path, corner_map, direct_map, *_glue(corner_map, direct_map, domain.joins)
 
 
-def _multiplicity(domain: PathDomain, corner: list, direct: list, mu, nu) -> PathMultiplicity:
-    """A path's `PathMultiplicity` from both sides' pieces' maps and its totals."""
-    values = _side_value(corner, KIND_COMPLEX), _side_value(direct, KIND_COMPLEX)
+def _multiplicity(domain: PathDomain, corner: States, direct: States, mu, nu) -> PathMultiplicity:
+    """A path's `PathMultiplicity` from both sides' maps and its totals."""
+    values = sum(corner[1]), sum(direct[1])
     plus, minus = values if domain.corner_side() == SIDE_PLUS else values[::-1]
     return PathMultiplicity(plus, minus, mu, nu)
 
@@ -497,15 +487,14 @@ def side_multiplicity(path, domain: PathDomain, side: str, kind: str) -> int:
         raise ValueError(f"side must be {SIDE_PLUS!r} or {SIDE_MINUS!r}")
     if kind not in (KIND_COMPLEX, KIND_WELSCHINGER):
         raise ValueError(f"kind must be {KIND_COMPLEX!r} or {KIND_WELSCHINGER!r}")
-    return _side_value(domain.engines[side].maps(ranks), kind)
+    return sum(domain.engines[side].product(ranks)[1 if kind == KIND_COMPLEX else 2])
 
 
 def path_multiplicity(path, domain: PathDomain) -> PathMultiplicity:
     """Side values and connected totals of one top-level path."""
     ranks = _ranks(path, domain)
-    corner, direct = (engine.maps(ranks) for engine in domain.engines.values())
-    totals = _glue(_flat(corner), _flat(direct), domain.joins)
-    return _multiplicity(domain, corner, direct, *totals)
+    corner, direct = (engine.product(ranks) for engine in domain.engines.values())
+    return _multiplicity(domain, corner, direct, *_glue(corner, direct, domain.joins))
 
 
 def nonzero_multiplicities(domain: PathDomain) -> list[tuple[tuple[Point, ...], PathMultiplicity]]:

@@ -15,7 +15,7 @@ division engine's map of a path in that dict form.
 
 from __future__ import annotations
 
-from tropcurve.paths import SIDE_MINUS, SIDE_PLUS, PathDomain, _flat
+from tropcurve.paths import SIDE_MINUS, SIDE_PLUS, PathDomain
 
 
 def _orientation(p, q, r) -> int:
@@ -195,7 +195,7 @@ class ForwardRecursion:
 def engine_states(engine, path) -> dict:
     """A division engine's map of a path as a dict, partition -> (complex, Welschinger)
     weight: the product of its pieces' maps, in the oracles' form."""
-    keys, mus, nus = _flat(engine.maps(path))
+    keys, mus, nus = engine.product(path)
     return dict(zip(keys, zip(mus, nus)))
 
 

@@ -427,8 +427,10 @@ class TestCurve:
         # a fresh interpreter's limit is 4300 digits: a numeral past it, in an
         # expression or a term table, is named by its size, and a vertex with a
         # denominator past it (y = 1/a - 1/b, of about 4400 digits), or a slope
-        # summed past it, cannot be written as JSON.  Each exits 1 with one line,
-        # no traceback and neither file
+        # summed past it, cannot be written as JSON.  A parse error about a value
+        # past it, a slope summed to a fraction (1/a + 1/b) or a duplicate term at
+        # a summed exponent, names the value by its size.  Each exits 1 with one
+        # line, no traceback and neither file
         out = tmp_path / "out"
         out.mkdir()
         flags = ["--json", str(out / "curve.json"), "--svg", str(out / "curve.svg")]
@@ -445,6 +447,14 @@ class TestCurve:
             (["--poly", str(tmp_path / "coefficient.txt")], "line 2: " + numeral.format(5000)),
             (["--expr", f"max(0, x + 1/{a}, x + y + 1/{b})"], written),
             (["--expr", f"max(0, {nines}x + {nines}x, y)"], written),
+            (
+                ["--expr", f"max(0, 1/{a} x + 1/{b} x, y)"],
+                "slope of x must be an integer, got a fraction of 4399 digits, past the int-to-str digit limit (4300 digits)",
+            ),
+            (
+                ["--expr", f"max(0, {nines}x + {nines}x, {nines}x + {nines}x)"],
+                "duplicate term at exponent (an integer of 4301 digits, past the int-to-str digit limit (4300 digits), 0)",
+            ),
         ]
         for args, message in refusals:
             run = subprocess.run(

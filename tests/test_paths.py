@@ -359,10 +359,10 @@ class TestSideMultiplicity:
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     @pytest.mark.parametrize("order", [ORDER_XEY, ORDER_ROWMAJOR])
     def test_direct_side_value_is_the_product_of_its_pieces_sums(self, d, order):
-        # a product map's weight sum is the product of its factors' sums, so the
-        # direct side's value needs no top-level map.  It equals the sum over
-        # the product map for both kinds, and the per-path API and the nonzero
-        # listing's pass report that value as the direct side's
+        # a product map's weight sum is the product of its factors' sums.  The
+        # direct side's value is the sum over its product map for both kinds,
+        # and the per-path API and the nonzero listing's pass report that value
+        # as the direct side's
         dom, ref = path_domain(d, order), path_domain(d, order)
         direct = SIDE_MINUS if dom.corner_side() == SIDE_PLUS else SIDE_PLUS
 
@@ -756,8 +756,7 @@ class TestCounts:
         reads = engine.reads([path, path])
         assert later <= set(reads)
         for _ in range(2):
-            maps = engine.maps(path, reads)
-            assert maps[0] is paths._NO_STATES and paths._flat(maps)[0] == []
+            assert engine.product(path, reads)[0] == []
         assert reads == {} and engine.cache == {}
 
     @pytest.mark.parametrize("order", [ORDER_XEY, ORDER_ROWMAJOR])
@@ -765,15 +764,29 @@ class TestCounts:
         # the recursion peels a piece at its first turning corner, so paths with a
         # common tail share direct pieces: the pass glues them in ascending order
         # of their reversed ranks, and the direct engine holds at most 2014
-        # partition entries at once at d = 5 (3599 in the search's order)
+        # partition entries at once at d = 5 (3599 in the search's order).  Of
+        # the 1833 live paths, 1432 have a tiling toward the direct arc too
         dom = path_domain(5, order)
         direct = dom.engines[direct_side(dom)]
         order_keys, peak = [], 0
         for path, *_ in paths._glued(dom):
             order_keys.append(path[::-1])
             peak = max(peak, sum(len(keys) for keys, _, _ in direct.cache.values()))
-        assert len(order_keys) == 1833 and order_keys == sorted(order_keys)
+        assert len(order_keys) == 1432 and order_keys == sorted(order_keys)
         assert 0 < peak <= 2014
+
+    @pytest.mark.parametrize("order", [ORDER_XEY, ORDER_ROWMAJOR])
+    def test_a_pass_builds_no_corner_side_for_a_path_dead_on_the_direct_one(self, order):
+        # a path whose direct map is empty has no glued pair: the pass yields
+        # exactly the live paths with a nonempty direct product, and builds the
+        # corner side of those alone, leaving 904 corner pieces at d = 5 (986
+        # if it built the corner side of all 1833 live paths)
+        dom, ref = path_domain(5, order), path_domain(5, order)
+        probe = ref.engines[direct_side(ref)]
+        expected = [path for path in paths._live_paths(ref) if probe.product(path)[0]]
+        rows = [path for path, *_ in paths._glued(dom)]
+        assert sorted(rows) == sorted(expected) and len(rows) == 1432
+        assert len(dom.engines[dom.corner_side()].cache) == 904
 
 
 class TestSideChoice:
@@ -851,12 +864,39 @@ class TestGlue:
     @example([{}])
     def test_flat_lists_equal_the_product_map(self, maps):
         # runs of one-entry pieces, weights (1, 1) or not, between pieces of
-        # several entries, with a dead piece anywhere: the same entries in order
-        # as the dict product of the oracle.  A lone map comes back uncopied
+        # several entries, with a dead piece anywhere: `product` gives the same
+        # entries in order as the dict product of the oracle.  Each map is read
+        # as the piece (2k, 2k + 1, 2k + 2), with the even ranks on the arc.  A
+        # lone map of several entries comes back uncopied
         pieces = list(map(engine_form, maps))
-        keys, mus, nus = paths._flat(pieces)
+        engine = object.__new__(paths._DivisionEngine)
+        engine.on_arc, engine.arc_steps = set(range(0, 2 * len(pieces) + 1, 2)), {}
+        engine._piece = lambda piece, reads: pieces[piece[0] // 2]
+        got = engine.product(tuple(range(2 * len(pieces) + 1)))
+        keys, mus, nus = got
         assert list(zip(keys, zip(mus, nus))) == list(product(maps).items())
-        assert len(pieces) > 1 or paths._flat(pieces) is pieces[0]
+        assert len(pieces) > 1 or len(keys) == 1 or got is pieces[0]
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("order", [ORDER_XEY, ORDER_ROWMAJOR])
+    def test_product_equals_the_pieces_product_on_every_census_path(self, d, order):
+        # on either side, a path's map is the dict product of its pieces' maps,
+        # entries in order; a path whose one piece has several entries reads
+        # that piece's cached map itself (one census path at d = 4, on the
+        # direct side)
+        dom = path_domain(d, order)
+        lone = 0
+        for engine in dom.engines.values():
+            for path in census_ranks(dom):
+                got = engine.product(path)
+                pieces = engine.pieces(path)
+                maps = [engine.product(piece) for piece in pieces]
+                expected = product([dict(zip(keys, zip(mus, nus))) for keys, mus, nus in maps])
+                assert list(zip(got[0], zip(got[1], got[2]))) == list(expected.items())
+                if len(pieces) == 1 and len(maps[0][0]) > 1:
+                    assert got is engine.cache[path]
+                    lone += 1
+        assert lone == {4: 1}.get(d, 0)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_forest_test_equals_the_join_on_random_partitions(self, seed):
@@ -892,7 +932,7 @@ class TestGlue:
         joins = paths._Joins(d)  # one, as the domain keeps it
         for path in census_ranks(dom):
             (corner_states, corner), (other_states, direct) = [
-                (engine_states(engine, path), paths._flat(engine.maps(path))) for engine in dom.engines.values()
+                (engine_states(engine, path), engine.product(path)) for engine in dom.engines.values()
             ]
             for states, (keys, mus, nus) in ((corner_states, corner), (other_states, direct)):
                 assert dict(zip(keys, zip(mus, nus))) == states
@@ -950,10 +990,11 @@ class TestReverseSearch:
         assert nonzero_multiplicities(path_domain(d, order)) == expected
         # the listing prints every row with a nonzero Welschinger total: a live
         # path with a zero complex total has no connected pair, even where both
-        # of its sides have tilings (the reducible ones, from d = 4 on)
+        # of its sides have tilings (the reducible ones, from d = 4 on).  The
+        # pass yields no path dead on the direct side
         zero = [row for row in paths._glued(path_domain(d, order)) if row[3] == 0]
         assert all(nu == 0 for *_, nu in zero)
-        assert sum(1 for _, _, direct, _, _ in zero if all(keys for keys, _, _ in direct)) == {4: 5}.get(d, 0)
+        assert all(keys for _, _, (keys, _, _), _, _ in zero) and len(zero) == {4: 5}.get(d, 0)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("order", [ORDER_XEY, ORDER_ROWMAJOR])

@@ -18,6 +18,7 @@ from tropcurve import (
     parse_term_table,
 )
 from tropcurve.geometry import convex_hull
+from tropcurve.polynomial import _shown
 
 LINE_TERMS = [((0, 0), Fraction(0)), ((1, 0), Fraction(0)), ((0, 1), Fraction(0))]
 
@@ -380,6 +381,21 @@ def test_parse_rational_names_a_numeral_past_the_digit_limit_by_its_size(digit_l
             parse_rational(text)
         digits = 700 if text.startswith("7") else 641
         assert str(exc.value) == f"a numeral of {digits} digits is past the int-to-str digit limit (640 digits)"
+
+
+def test_a_value_past_the_digit_limit_is_named_by_its_digit_count(digit_limit):
+    # the digit count comes from the bit length, checked against a power of ten:
+    # it equals the length of the decimal string on each side of every boundary
+    values = [sign * (10**k + step) for k in range(640, 700) for step in (-1, 0, 1) for sign in (1, -1)]
+    digit_limit(0)
+    expected = [len(str(abs(value))) for value in values]
+    digit_limit(640)
+    for value, digits in zip(values, expected):
+        shown = "an integer of {} digits, past the int-to-str digit limit (640 digits)"
+        assert _shown(value) == (str(value) if digits <= 640 else shown.format(digits))
+    fraction = Fraction(1, 10**700 + 1)
+    assert _shown(fraction) == "a fraction of 701 digits, past the int-to-str digit limit (640 digits)"
+    assert _shown(Fraction(-7, 3)) == "-7/3"
 
 
 def test_repr_mentions_terms():
