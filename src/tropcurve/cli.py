@@ -14,7 +14,7 @@ from pathlib import Path
 from . import curve as curvemod
 from . import paths as pathsmod
 from .document import curve_document, write_document
-from .errors import CrossCheckMismatchError, ParseError, TropcurveError
+from .errors import CrossCheckMismatchError, ParseError, TropcurveError, digit_limit
 from .invariants import asymptotic_report, build_table, km_count
 from .polynomial import parse_expression, parse_term_table
 from .svgout import render_svg
@@ -92,8 +92,7 @@ def cmd_curve(args) -> None:
         doc = curve_document(curve)
         text = write_document(doc)
     except ValueError:  # the JSON keeps exact values: an int past CPython's int-to-str digit limit
-        limit = f"the int-to-str digit limit ({sys.get_int_max_str_digits()} digits)"
-        raise TropcurveError(f"a number in the curve is past {limit}, so no JSON can write it") from None
+        raise TropcurveError(f"a number in the curve is past {digit_limit()}, so no JSON can write it") from None
     svg = render_svg(doc) if args.svg_path else None  # a refused SVG leaves no JSON file behind
     if args.json_path:
         Path(args.json_path).write_text(text, encoding="utf-8")

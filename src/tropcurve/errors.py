@@ -5,6 +5,29 @@ user-input failures to exit code 1 and internal consistency failures
 (cross-check mismatches, balancing violations) to exit code 2.
 """
 
+import sys
+
+
+def digit_limit() -> str:
+    """The one wording of CPython's int-to-str digit limit, as set now (4300 by default)."""
+    return f"the int-to-str digit limit ({sys.get_int_max_str_digits()} digits)"
+
+
+def past_digit_limit(digits: int, negative: bool, fraction: bool) -> str:
+    """A number past the digit limit, by its kind, sign and digit count (of its longer part)."""
+    kind = "fraction" if fraction else "integer"
+    return f"{'a negative' if negative else 'a' if fraction else 'an'} {kind} of {digits} digits, past {digit_limit()}"
+
+
+def shown(value, text=str) -> str:
+    """text(value), or, for an int or a Fraction past the digit limit, its `past_digit_limit` name."""
+    try:
+        return text(value)
+    except ValueError:
+        n = max(abs(value.numerator), value.denominator)
+        digits = int((n.bit_length() - 1) * 0.30102999566398120) + 1  # log10(2): low by at most one
+        return past_digit_limit(digits + (n >= 10**digits), value < 0, not isinstance(value, int))
+
 
 class TropcurveError(Exception):
     """Base class for all tropcurve errors."""

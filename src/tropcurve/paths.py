@@ -60,7 +60,7 @@ from itertools import combinations, compress
 from operator import itemgetter, lt
 from typing import Iterator, NamedTuple, Sequence
 
-from .errors import BadDegreeError, InvalidPathError
+from .errors import BadDegreeError, InvalidPathError, shown
 from .geometry import Point, triangle_weights, turn
 
 ORDER_XEY = "xey"  # x ascending, y descending: realizes x - eps*y
@@ -161,23 +161,13 @@ class PathDomain(_DomainFields):
         return 3 * self.d - 1
 
 
-def _shown(d) -> str:
-    """repr(d), or the size of an int past CPython's int-to-str digit limit."""
-    try:
-        return repr(d)
-    except ValueError:  # `sys.get_int_max_str_digits()`: 4300 unless set otherwise
-        if not isinstance(d, int):  # a Fraction holding such an int
-            return f"a {type(d).__name__} too long"
-        return f"{'a negative' if d < 0 else 'an'} integer of {d.bit_length()} bits"
-
-
 def check_degree(d: int, method: str) -> None:
     """Raise BadDegreeError unless d is a positive int (bools excluded), and
     one that `method`, a key of MAX_DEGREE, serves."""
     if not isinstance(d, int) or isinstance(d, bool) or d < 1:
-        raise BadDegreeError(f"degree must be a positive integer, got {_shown(d)}")
+        raise BadDegreeError(f"degree must be a positive integer, got {shown(d, repr)}")
     if d > MAX_DEGREE[method]:
-        limit = f"{method} serves degrees up to {MAX_DEGREE[method]}, got {_shown(d)}"
+        limit = f"{method} serves degrees up to {MAX_DEGREE[method]}, got {shown(d)}"
         raise BadDegreeError(limit + _PAST_MAX.get(method, ""))
 
 

@@ -16,12 +16,11 @@ compared as Python ints.
 from __future__ import annotations
 
 import re
-import sys
 from fractions import Fraction
 from math import lcm
 from typing import Iterable
 
-from .errors import DuplicateTermError, EmptySupportError, ParseError
+from .errors import DuplicateTermError, EmptySupportError, ParseError, past_digit_limit, shown
 from .geometry import Point
 
 # ASCII digits only: int() and Fraction() also accept "1_0" and non-ASCII
@@ -39,21 +38,9 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator: {text!r}") from None
-    except ValueError:  # `sys.get_int_max_str_digits()`: 4300 unless set otherwise
-        digits = max(map(len, re.findall("[0-9]+", text)))
-        limit = f"the int-to-str digit limit ({sys.get_int_max_str_digits()} digits)"
-        raise ParseError(f"a numeral of {digits} digits is past {limit}") from None
-
-
-def _shown(value: Fraction | int) -> str:
-    """str(value), or past CPython's int-to-str digit limit the digit count of its longer part."""
-    try:
-        return str(value)
-    except ValueError:  # `sys.get_int_max_str_digits()`: 4300 unless set otherwise
-        n, limit = max(abs(value.numerator), value.denominator), sys.get_int_max_str_digits()
-        digits = int((n.bit_length() - 1) * 0.30102999566398120) + 1  # log10(2): low by at most one
-        kind = "an integer" if value.denominator == 1 else "a fraction"
-        return f"{kind} of {digits + (n >= 10**digits)} digits, past the int-to-str digit limit ({limit} digits)"
+    except ValueError:  # past CPython's int-to-str digit limit
+        digits = max(map(len, text.lstrip("+-").split("/")))
+        raise ParseError(f"cannot read {past_digit_limit(digits, text[0] == '-', '/' in text)}") from None
 
 
 def format_rational(value: Fraction) -> str:
@@ -75,7 +62,7 @@ class TropicalPolynomial:
             if key != (point[0], point[1]):
                 raise ValueError(f"exponent {tuple(point)!r} is not integral")
             if key in coeffs:
-                raise DuplicateTermError(f"duplicate term at exponent ({', '.join(map(_shown, key))})")
+                raise DuplicateTermError(f"duplicate term at exponent ({', '.join(map(shown, key))})")
             coeffs[key] = Fraction(coeff)
         if not coeffs:
             raise EmptySupportError("polynomial needs at least one term")
@@ -257,7 +244,7 @@ def parse_expression(text: str) -> TropicalPolynomial:
             sign = 1 if take() == "+" else -1
         for name in ("x", "y"):
             if parts[name].denominator != 1:
-                raise ParseError(f"slope of {name} must be an integer, got {_shown(parts[name])}")
+                raise ParseError(f"slope of {name} must be an integer, got {shown(parts[name])}")
         terms.append(((int(parts["x"]), int(parts["y"])), parts[""]))
         if stack[-1] != ",":
             break

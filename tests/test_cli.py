@@ -438,7 +438,7 @@ class TestCurve:
         tables = {"exponent": f"0 0 0\n{long} 0 0\n0 1 0\n", "coefficient": f"0 0 0\n1 0 {long}\n0 1 0\n"}
         for name, table in tables.items():
             (tmp_path / f"{name}.txt").write_text(table, encoding="utf-8")
-        numeral = "a numeral of {} digits is past the int-to-str digit limit (4300 digits)"
+        numeral = "cannot read an integer of {} digits, past the int-to-str digit limit (4300 digits)"
         written = "a number in the curve is past the int-to-str digit limit (4300 digits), so no JSON can write it"
         refusals = [
             (["--expr", f"max({long}, x, y)"], numeral.format(5000)),

@@ -194,8 +194,8 @@ class TestDomain:
 
 
 class TestDegreeGate:
-    # 10**5000 has 5001 digits and 16610 bits: past CPython's default limit of 4300
-    # digits, so its refusal names it by its size
+    # 10**5000 has 5001 digits: past CPython's default limit of 4300 digits, so its
+    # refusal names it by its size
     @pytest.mark.parametrize(
         "method, pointer",
         [
@@ -210,15 +210,16 @@ class TestDegreeGate:
     ):
         digit_limit(4300)
         limit = paths.MAX_DEGREE[method]
+        huge = "integer of 5001 digits, past the int-to-str digit limit (4300 digits)"
         with pytest.raises(BadDegreeError) as refused:
             paths.check_degree(10**5000, method)
         assert str(refused.value) == (
-            f"{method} serves degrees up to {limit}, got an integer of 16610 bits{pointer}"
+            f"{method} serves degrees up to {limit}, got an {huge}{pointer}"
         )
         with pytest.raises(BadDegreeError) as refused:
             paths.check_degree(-(10**5000), method)
         assert str(refused.value) == (
-            "degree must be a positive integer, got a negative integer of 16610 bits"
+            f"degree must be a positive integer, got a negative {huge}"
         )
         # a degree with as many digits as the limit allows is shown in full
         with pytest.raises(BadDegreeError) as refused:
@@ -232,14 +233,16 @@ class TestDegreeGate:
     def test_a_lowered_digit_limit_is_followed(self, digit_limit):
         # PYTHONINTMAXSTRDIGITS may lower the limit to 640: 10**639 still has 640 digits
         digit_limit(640)
-        for d, shown in ((10**639, "1" + "0" * 639), (10**640, "an integer of 2127 bits")):
+        limit = "the int-to-str digit limit (640 digits)"
+        for d, shown in ((10**639, "1" + "0" * 639), (10**640, f"an integer of 641 digits, past {limit}")):
             with pytest.raises(BadDegreeError) as refused:
                 paths.check_degree(d, paths.RECURSION)
             assert str(refused.value) == f"the recursion serves degrees up to 500, got {shown}"
 
     def test_entry_points_refuse_a_huge_degree_at_once(self, digit_limit):
         digit_limit(4300)
-        huge = "integer of 16610 bits"
+        past = "of 5001 digits, past the int-to-str digit limit (4300 digits)"
+        huge = f"integer {past}"
         calls = [
             (path_domain, 10**5000, past_the_counter(f"an {huge}")),
             (count_both, 10**5000, past_the_counter(f"an {huge}")),
@@ -248,7 +251,7 @@ class TestDegreeGate:
             (
                 km_count,
                 Fraction(10**5000),
-                "degree must be a positive integer, got a Fraction too long",
+                f"degree must be a positive integer, got a fraction {past}",
             ),
         ]
         for call, d, line in calls:

@@ -18,7 +18,7 @@ from tropcurve import (
     parse_term_table,
 )
 from tropcurve.geometry import convex_hull
-from tropcurve.polynomial import _shown
+from tropcurve.errors import shown
 
 LINE_TERMS = [((0, 0), Fraction(0)), ((1, 0), Fraction(0)), ((0, 1), Fraction(0))]
 
@@ -105,12 +105,21 @@ class TestTermTable:
             parse_term_table("0 1 0\n" + line)
         assert exc.value.line == 2
 
-    @pytest.mark.parametrize("line", ["{} 0 0", "0 -{} 0", "0 0 {}", "0 0 -1/{}"])
-    def test_a_numeral_past_the_digit_limit_is_named_by_its_size(self, digit_limit, line):
+    @pytest.mark.parametrize(
+        "line, kind",
+        [
+            ("{} 0 0", "an integer"),
+            ("0 -{} 0", "a negative integer"),
+            ("0 0 {}", "an integer"),
+            ("0 0 -1/{}", "a negative fraction"),
+        ],
+    )
+    def test_a_numeral_past_the_digit_limit_is_named_by_its_size(self, digit_limit, line, kind):
         digit_limit(640)
         with pytest.raises(ParseError) as exc:
             parse_term_table("0 1 0\n" + line.format("7" * 641))
-        assert str(exc.value) == "line 2: a numeral of 641 digits is past the int-to-str digit limit (640 digits)"
+        past = "of 641 digits, past the int-to-str digit limit (640 digits)"
+        assert str(exc.value) == f"line 2: cannot read {kind} {past}"
         digit_limit(0)  # no limit: the numeral is read as written
         assert parse_term_table(line.format("7" * 641)).support
 
@@ -175,7 +184,9 @@ class TestExpression:
         digit_limit(640)
         with pytest.raises(ParseError) as exc:
             parse_expression(text.format("7" * 641))
-        assert str(exc.value) == "a numeral of 641 digits is past the int-to-str digit limit (640 digits)"
+        # a numeral in an expression is unsigned: its sign is an operator
+        past = "an integer of 641 digits, past the int-to-str digit limit (640 digits)"
+        assert str(exc.value) == f"cannot read {past}"
         digit_limit(0)  # no limit: the numeral is read as written
         assert len(parse_expression(text.format("7" * 641))) == 3
 
@@ -376,11 +387,17 @@ def test_parse_rational_rejects_junk():
 
 def test_parse_rational_names_a_numeral_past_the_digit_limit_by_its_size(digit_limit):
     digit_limit(640)
-    for text in ("-" + "7" * 641, "1/" + "7" * 641, "7" * 700 + "/" + "7" * 641):
+    refusals = {
+        "-" + "7" * 641: "a negative integer of 641 digits",
+        "+" + "7" * 641: "an integer of 641 digits",
+        "1/" + "7" * 641: "a fraction of 641 digits",
+        "7" * 700 + "/" + "7" * 641: "a fraction of 700 digits",
+        "-7/" + "7" * 641: "a negative fraction of 641 digits",
+    }
+    for text, kind in refusals.items():
         with pytest.raises(ParseError) as exc:
             parse_rational(text)
-        digits = 700 if text.startswith("7") else 641
-        assert str(exc.value) == f"a numeral of {digits} digits is past the int-to-str digit limit (640 digits)"
+        assert str(exc.value) == f"cannot read {kind}, past the int-to-str digit limit (640 digits)"
 
 
 def test_a_value_past_the_digit_limit_is_named_by_its_digit_count(digit_limit):
@@ -390,12 +407,17 @@ def test_a_value_past_the_digit_limit_is_named_by_its_digit_count(digit_limit):
     digit_limit(0)
     expected = [len(str(abs(value))) for value in values]
     digit_limit(640)
+    past = "of {} digits, past the int-to-str digit limit (640 digits)"
     for value, digits in zip(values, expected):
-        shown = "an integer of {} digits, past the int-to-str digit limit (640 digits)"
-        assert _shown(value) == (str(value) if digits <= 640 else shown.format(digits))
+        kind = "a negative integer" if value < 0 else "an integer"
+        assert shown(value) == (str(value) if digits <= 640 else f"{kind} {past.format(digits)}")
     fraction = Fraction(1, 10**700 + 1)
-    assert _shown(fraction) == "a fraction of 701 digits, past the int-to-str digit limit (640 digits)"
-    assert _shown(Fraction(-7, 3)) == "-7/3"
+    assert shown(fraction) == "a fraction " + past.format(701)
+    assert shown(-fraction) == "a negative fraction " + past.format(701)
+    # an integral Fraction is named a fraction, as its type says
+    assert shown(Fraction(10**700)) == "a fraction " + past.format(701)
+    assert shown(Fraction(-7, 3)) == "-7/3"
+    assert shown(Fraction(-7, 3), repr) == "Fraction(-7, 3)"
 
 
 def test_repr_mentions_terms():
