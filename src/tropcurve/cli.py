@@ -16,12 +16,21 @@ from . import paths as pathsmod
 from .document import curve_document, write_document
 from .errors import CrossCheckMismatchError, ParseError, TropcurveError, digit_limit
 from .invariants import asymptotic_report, build_table, km_count
-from .polynomial import parse_expression, parse_term_table
+from .polynomial import parse_expression, parse_integer, parse_term_table
 from .svgout import render_svg
 
 EXIT_OK = 0
 EXIT_USER = 1
 EXIT_INTERNAL = 2
+
+
+def _integer(text: str) -> int:
+    """A degree numeral, read as strictly as a term table's exponent: a numeral past
+    the int-to-str digit limit is named by its size, never echoed."""
+    try:
+        return parse_integer(text)
+    except (ValueError, ParseError) as exc:  # main catches only SystemExit around parse_args
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -48,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_curve.add_argument("--svg", dest="svg_path", help="write curve SVG here")
 
     p_count = sub.add_parser("count", help="rational curve count N_d")
-    p_count.add_argument("-d", "--degree", type=int, required=True)
+    p_count.add_argument("-d", "--degree", type=_integer, required=True)
     p_count.add_argument(
         "--method",
         choices=["paths", "recursion", "both"],
@@ -57,16 +66,16 @@ def _build_parser() -> argparse.ArgumentParser:
     add_lambda(p_count)
 
     p_w = sub.add_parser("welschinger", help="Welschinger invariant W_d")
-    p_w.add_argument("-d", "--degree", type=int, required=True)
+    p_w.add_argument("-d", "--degree", type=_integer, required=True)
     add_lambda(p_w)
 
     p_paths = sub.add_parser("paths", help="list lattice paths with multiplicities")
-    p_paths.add_argument("-d", "--degree", type=int, required=True)
+    p_paths.add_argument("-d", "--degree", type=_integer, required=True)
     p_paths.add_argument("--nonzero-only", action="store_true")
     add_lambda(p_paths)
 
     p_report = sub.add_parser("report", help="invariant table and asymptotics")
-    p_report.add_argument("--max", dest="dmax", type=int, required=True)
+    p_report.add_argument("--max", dest="dmax", type=_integer, required=True)
     add_lambda(p_report)
 
     return parser

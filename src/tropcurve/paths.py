@@ -35,22 +35,21 @@ a spanning forest of the other (each step linked to the previous step of its
 block), form one component.  A top-level partition has one block per arc
 step, so the forest of the corner side's 2d blocks has d - 1 edges over the
 other side's d blocks.  Few distinct labellings of the forest's edge ends
-occur (189 at d = 5, 3605 at d = 6), so the domain memoizes whether each
-joins the d blocks into one.  Side values are weight sums.  No component
-escapes the partitions: every cell branch owns a step of its path.
+occur, so the domain memoizes whether each joins the d blocks into one.  Side
+values are weight sums.  No component escapes the partitions: every cell
+branch owns a step of its path.
 
 The counts and the listing of nonzero paths do not scan the census.  Few
-paths have a tiling toward the arc through the third corner of the triangle
-(1833 of 27132 at d = 5).  A reverse search (Avis-Fukuda) lists exactly those,
-grown out of that arc by the recursion's moves run backwards; only they meet
-the engines, and a path with a nonzero total is one of them.  One engine per
-side runs the recursion forwards toward its arc.  It splits each path where
-the path meets the arc and memoizes the pieces: 1999 toward the direct arc at
-d = 5, and 904 toward the corner one, read for the 1432 live paths with a
-direct tiling alone (56467 and 19756 at d = 6).  A side's map of a path, its
-engine's `product` of the pieces' maps, has the one form of every map from the
-memo to the glue; a side value sums it.  Inside, a path is the tuple of its
-points' ranks in the domain's order.
+paths have a tiling toward the arc through the third corner of the triangle.
+A reverse search (Avis-Fukuda) lists exactly those, grown out of that arc by
+the recursion's moves run backwards; only they meet the engines, and a path
+with a nonzero total is one of them.  One engine per side runs the recursion
+forwards toward its arc.  It splits each path where the path meets the arc
+and memoizes the pieces; the corner engine reads only the live paths with a
+direct tiling.  A side's map of a path, its engine's `product` of the pieces'
+maps, has the one form of every map from the memo to the glue; a side value
+sums it.  Inside, a path is the tuple of its points' ranks in the domain's
+order.
 """
 
 from __future__ import annotations
@@ -83,8 +82,8 @@ MAX_DEGREE = {
     PATH_COUNTER: 6,
     # d = 5 lists 27132 paths; at d = 6 the memos outgrew 1 GiB long before the end
     FULL_LISTING: 5,
-    # `invariants.km_count`: N_500 has 3673 digits and takes about 9 s; the cost grows
-    # faster than d^3
+    # `invariants.km_count`: N_500 has 3673 digits and takes 6-10 s (2 vCPUs); the cost
+    # grows faster than d^3
     RECURSION: 500,
 }
 _PAST_MAX = {
@@ -134,7 +133,7 @@ class PathDomain(_DomainFields):
     def turns(self) -> dict[str, dict[tuple[int, int, int], tuple[int, int, int]]]:
         """Per side, each rank triple a < b < c whose corner b turns toward the side's
         arc -> the triangle's weights and the rank of v = a + c - b, or -1 outside T_d.
-        One pass files every non-collinear triple under one side (3276 triples at d = 6)."""
+        One pass files every non-collinear triple under one side."""
         points, rank = self.points, self.rank
         tables: dict = {SIDE_PLUS: {}, SIDE_MINUS: {}}
         for abc in combinations(range(len(points)), 3):
@@ -449,8 +448,8 @@ def _glued(domain: PathDomain) -> Iterator[tuple[tuple[int, ...], States, States
     saved.  Paths come in ascending order of their reversed ranks, each leaving the
     list once glued.  The recursion peels a piece at its first turning corner, so
     paths with a common tail read their direct pieces together, and each map is
-    freed soon after it is built (`count -d 6` peaks at 90 MB so, against 149 MB in
-    the search's order).  It yields no `PathMultiplicity` rows: they were slower."""
+    freed soon after it is built, which lowers the peak against the search's order.
+    It yields no `PathMultiplicity` rows: they were slower."""
     corner, direct = domain.engines.values()
     live = _live_paths(domain)
     reads = direct.reads(live)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import lcm
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import DuplicateTermError, EmptySupportError, ParseError, past_digit_limit, shown
 from .geometry import Point
@@ -43,11 +43,17 @@ def parse_rational(text: str) -> Fraction:
         raise ParseError(f"cannot read {past_digit_limit(digits, text[0] == '-', '/' in text)}") from None
 
 
+def parse_integer(text: str) -> int:
+    """Parse an integer numeral as a term table's exponent is read, with the errors
+    of `parse_rational`."""
+    if not _INTEGER_RE.match(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(parse_rational(text))
+
+
 def format_rational(value: Fraction) -> str:
     """Canonical text for a Fraction: 'p' when integral, else 'p/q'."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return str(value)
 
 
 class TropicalPolynomial:
@@ -143,26 +149,34 @@ def parse_term_table(text: str) -> TropicalPolynomial:
     """Parse term-table text: one `<i> <j> <c>` per line.
 
     Blank lines and lines starting with '#' are ignored; '#' also starts a
-    trailing comment.  Raises ParseError with the 1-based line number.
+    trailing comment.  Raises ParseError, or DuplicateTermError for an
+    exponent given twice, with the 1-based line number.
     """
-    terms: list[tuple[Point, Fraction]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if len(fields) != 3:
-            raise ParseError(f"expected `i j c`, got {raw.strip()!r}", line=lineno)
-        if not (_INTEGER_RE.match(fields[0]) and _INTEGER_RE.match(fields[1])):
-            raise ParseError(f"exponents must be integers: {raw.strip()!r}", line=lineno)
-        try:
-            i, j, c = map(parse_rational, fields)  # the exponents are integers, as checked
-        except ValueError:
-            raise ParseError(f"bad coefficient {fields[2]!r}", line=lineno)
-        except ParseError as exc:  # a numeral past the digit limit
-            raise ParseError(str(exc), line=lineno) from None
-        terms.append(((i, j), c))
-    return TropicalPolynomial(terms)
+    lineno = 0
+
+    def terms() -> Iterator[tuple[Point, Fraction]]:
+        nonlocal lineno  # the polynomial takes each term as its line is read
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            fields = line.split()
+            if len(fields) != 3:
+                raise ParseError(f"expected `i j c`, got {raw.strip()!r}", line=lineno)
+            if not (_INTEGER_RE.match(fields[0]) and _INTEGER_RE.match(fields[1])):
+                raise ParseError(f"exponents must be integers: {raw.strip()!r}", line=lineno)
+            try:
+                i, j, c = map(parse_rational, fields)  # the exponents are integers, as checked
+            except ValueError:
+                raise ParseError(f"bad coefficient {fields[2]!r}", line=lineno)
+            except ParseError as exc:  # a numeral past the digit limit
+                raise ParseError(str(exc), line=lineno) from None
+            yield (i, j), c
+
+    try:
+        return TropicalPolynomial(terms())
+    except DuplicateTermError as exc:  # raised at the duplicate's line
+        raise DuplicateTermError(f"line {lineno}: {exc}") from None
 
 
 # --- expression parser ------------------------------------------------------

@@ -179,6 +179,31 @@ class TestCensusLimit:
         assert (result.returncode, result.stdout) == (1, "")
         assert result.stderr == past_the_counter(1000000)
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["count", "-d", "1" * 5000], "an integer"),
+            (["paths", "--nonzero-only", "-d", "1" * 5000], "an integer"),
+            (["report", "--max", "1" * 5000], "an integer"),
+            (["welschinger", "-d", "-" + "1" * 5000], "a negative integer"),
+        ],
+        ids=["count", "paths", "report", "welschinger"],
+    )
+    def test_a_numeral_past_the_digit_limit_is_named_not_echoed(self, capsys, digit_limit, argv, named):
+        # -d and --max are read as strictly as a term table's exponent, so a
+        # 5000-digit numeral is named by its size: a usage line and one error line
+        digit_limit(4300)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert len(err.encode()) < 1024
+        assert err.endswith(f": cannot read {named} of 5000 digits, past the int-to-str digit limit (4300 digits)\n")
+
+    @pytest.mark.parametrize("numeral", ["1x", "1_0", "\uff15", "1/1", "5.0", ""])
+    def test_a_degree_is_read_as_strictly_as_an_exponent(self, capsys, numeral):
+        code, out, err = run_cli(capsys, "count", "-d", numeral)
+        assert (code, out) == (1, "")
+        assert err.endswith(f"error: argument -d/--degree: not an integer: {numeral!r}\n")
+
     def test_recursion_past_its_limit_is_one_error_line(self, capsys):
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "count", "-d", "501", "--method", "recursion")

@@ -17,8 +17,8 @@ from tropcurve import (
     parse_rational,
     parse_term_table,
 )
-from tropcurve.geometry import convex_hull
 from tropcurve.errors import shown
+from tropcurve.geometry import convex_hull
 
 LINE_TERMS = [((0, 0), Fraction(0)), ((1, 0), Fraction(0)), ((0, 1), Fraction(0))]
 
@@ -93,6 +93,20 @@ class TestTermTable:
             parse_term_table("0 0 0\n1 0")
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0 0 0\n1 0 0\n0 1 0\n1 0 1", "line 4: duplicate term at exponent (1, 0)"),
+            # the duplicate's own line, counted past comments and blanks
+            ("0 0 0\n# 0 0 1\n\n0 0 1\n1 0 0", "line 4: duplicate term at exponent (0, 0)"),
+        ],
+        ids=["last-line", "past-a-comment"],
+    )
+    def test_duplicate_term_reports_line(self, text, message):
+        with pytest.raises(DuplicateTermError) as exc:
+            parse_term_table(text)
+        assert str(exc.value) == message
+
     def test_negative_exponents_allowed(self):
         poly = parse_term_table("-1 -2 3")
         assert poly.support == [(-1, -2)]
@@ -113,6 +127,7 @@ class TestTermTable:
             ("0 0 {}", "an integer"),
             ("0 0 -1/{}", "a negative fraction"),
         ],
+        ids=["{} 0 0", "0 -{} 0", "0 0 {}", "0 0 -1/{}"],
     )
     def test_a_numeral_past_the_digit_limit_is_named_by_its_size(self, digit_limit, line, kind):
         digit_limit(640)
