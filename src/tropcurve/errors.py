@@ -20,10 +20,13 @@ def past_digit_limit(digits: int, negative: bool, fraction: bool) -> str:
 
 
 def shown(value, text=str) -> str:
-    """text(value), or, for an int or a Fraction past the digit limit, its `past_digit_limit` name."""
+    """text(value), or, for an int or a Fraction past the digit limit, its `past_digit_limit`
+    name; any other value whose text holds such a number is named by its type."""
     try:
         return text(value)
     except ValueError:
+        if not hasattr(value, "numerator"):
+            return f"a {type(value).__name__} holding a number past {digit_limit()}"
         n = max(abs(value.numerator), value.denominator)
         digits = int((n.bit_length() - 1) * 0.30102999566398120) + 1  # log10(2): low by at most one
         return past_digit_limit(digits + (n >= 10**digits), value < 0, not isinstance(value, int))

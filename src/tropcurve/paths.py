@@ -48,7 +48,7 @@ forwards toward its arc.  It splits each path where the path meets the arc
 and memoizes the pieces; the corner engine reads only the live paths with a
 direct tiling.  A side's map of a path, its engine's `product` of the pieces'
 maps, has the one form of every map from the memo to the glue; a side value
-sums it.  Inside, a path is the tuple of its points' ranks in the domain's
+sums it.  Inside, a path is the bytes of its points' ranks in the domain's
 order.
 """
 
@@ -78,7 +78,7 @@ PATH_COUNTER = "the lattice-path counter"
 FULL_LISTING = "the full listing"
 RECURSION = "the recursion"
 MAX_DEGREE = {
-    # d = 6: 5311735 census paths, counted in 9-10 s at 90 MB (2 vCPUs); d = 7: 1855967520
+    # d = 6: 5311735 census paths, counted in 7-9 s at 54 MB (2 vCPUs); d = 7: 1855967520
     PATH_COUNTER: 6,
     # d = 5 lists 27132 paths; at d = 6 the memos outgrew 1 GiB long before the end
     FULL_LISTING: 5,
@@ -96,9 +96,12 @@ _PAST_MAX = {
 # weight of the tilings that induce it, as three parallel sequences: distinct
 # partitions, complex and Welschinger weights.  Labels are dense, 0..k-1 in no
 # set order, as the glue needs: arcs start as range, cuts copy, swaps exchange.
-States = tuple[Sequence[tuple[int, ...]], Sequence[int], Sequence[int]]
+# A partition is bytes, one label per byte, as a path is the bytes of its ranks:
+# a rank or a label past 255 makes `bytes` raise, and T_6 has 28 points.
+States = tuple[Sequence[bytes], Sequence[int], Sequence[int]]
 
 _NO_STATES: States = ((), (), ())  # shared by every dead side; a truth test reads its keys
+_BYTE = [bytes((k,)) for k in range(256)]  # each rank and label as a one-byte key
 
 
 class _DomainFields(NamedTuple):
@@ -124,10 +127,10 @@ class PathDomain(_DomainFields):
         """The side whose arc runs through the third corner: 2d + 1 points against d + 1."""
         return SIDE_PLUS if len(self.left_arc) > len(self.right_arc) else SIDE_MINUS
 
-    def arc(self, side: str) -> tuple[int, ...]:
+    def arc(self, side: str) -> bytes:
         """The side's boundary arc as ranks, increasing."""
         arc = self.left_arc if side == SIDE_PLUS else self.right_arc
-        return tuple(map(self.rank.__getitem__, arc))
+        return bytes(map(self.rank.__getitem__, arc))
 
     @cached_property
     def turns(self) -> dict[str, dict[tuple[int, int, int], tuple[int, int, int]]]:
@@ -204,11 +207,11 @@ def enumerate_paths(domain: PathDomain) -> Iterator[tuple[Point, ...]]:
     return (head + middle + tail for middle in middles)
 
 
-def _ranks(path, domain: PathDomain) -> tuple[int, ...]:
+def _ranks(path, domain: PathDomain) -> bytes:
     """The ranks of a top-level path of the domain; else InvalidPathError."""
     rank, path = domain.rank, tuple(path)  # both passes read it; a tuple stays itself
     try:
-        ranks = tuple(map(rank.__getitem__, path))  # only pairs are keys
+        ranks = bytes(map(rank.__getitem__, path))  # only pairs are keys
     except (KeyError, TypeError):
         ranks = []
         for v in path:
@@ -224,7 +227,7 @@ def _ranks(path, domain: PathDomain) -> tuple[int, ...]:
         raise InvalidPathError("path is not strictly increasing in the point order")
     if len(ranks) != domain.steps() + 1:
         raise InvalidPathError(f"path must visit {domain.steps() + 1} points, got {len(ranks)}")
-    return tuple(ranks)
+    return bytes(ranks)
 
 
 def _divided(j: int, corner, shorter: States, swapped: States) -> States:
@@ -235,7 +238,7 @@ def _divided(j: int, corner, shorter: States, swapped: States) -> States:
     m, fw, _ = corner
     out = {labels[:j] + labels[j - 1 :]: (m * mu, fw * nu) for labels, mu, nu in zip(*shorter)}
     for labels, mu, nu in zip(*swapped):
-        key = labels[: j - 1] + (labels[j], labels[j - 1]) + labels[j + 1 :]
+        key = labels[: j - 1] + labels[j : j + 1] + labels[j - 1 : j] + labels[j + 1 :]
         old_mu, old_nu = out.get(key, (0, 0))
         out[key] = (old_mu + mu, old_nu + nu)
     return (tuple(out), *zip(*out.values())) if out else _NO_STATES
@@ -255,18 +258,18 @@ class _DivisionEngine:
     """
 
     def __init__(self, domain: PathDomain, side: str):
-        self.cache: dict[tuple[int, ...], States] = {}
+        self.cache: dict[bytes, States] = {}
         self.toward = domain.turns[side]
         arc = domain.arc(side)
         self.on_arc = set(arc)
-        self.arc_steps = {(a, c): (((i,),), (1,), (1,)) for i, (a, c) in enumerate(zip(arc, arc[1:]))}
+        self.arc_steps = {arc[i : i + 2]: ((_BYTE[i],), (1,), (1,)) for i in range(len(arc) - 1)}
 
-    def pieces(self, path: tuple[int, ...]) -> list[tuple[int, ...]]:
+    def pieces(self, path: bytes) -> list[bytes]:
         """The runs of a path between consecutive arc points; its ends lie on the arc."""
         ends = [j for j, rank in enumerate(path) if rank in self.on_arc]
         return [path[i : j + 1] for i, j in zip(ends, ends[1:])]
 
-    def _peeled(self, piece: tuple[int, ...]):
+    def _peeled(self, piece: bytes):
         """A piece's first corner turning toward the arc, its step j, the cut child's
         piece and the swap child's path (empty with v outside T_d); or None."""
         turning = self.toward.get
@@ -274,13 +277,14 @@ class _DivisionEngine:
             corner = turning(abc)
             if corner is not None:
                 v, head, tail = corner[2], piece[:j], piece[j + 1 :]
-                return corner, j, head + tail, head + (v,) + tail if v >= 0 else ()
+                return corner, j, head + tail, head + _BYTE[v] + tail if v >= 0 else b""
         return None
 
-    def reads(self, paths) -> dict[tuple[int, ...], int]:
+    def reads(self, paths) -> dict[bytes, int]:
         """How often `product` reads each piece's map in a pass over `paths`: the recursion
-        on keys alone, expanding a piece at its first read unless the memo holds it."""
-        reads: dict[tuple[int, ...], int] = {}
+        on keys alone, expanding a piece at its first read unless the memo holds it.  The
+        swap child is one piece unless v lands on the arc."""
+        reads: dict[bytes, int] = {}
         for path in paths:
             work = self.pieces(path)
             while work:
@@ -289,17 +293,18 @@ class _DivisionEngine:
                     seen = reads.get(piece, 0)
                     reads[piece] = seen + 1
                     if not (seen or piece in self.cache) and (peeled := self._peeled(piece)):
-                        work += [peeled[2], *self.pieces(peeled[3])]
+                        corner, _, cut, swap = peeled
+                        work += [cut, *self.pieces(swap)] if corner[2] in self.on_arc else [cut, swap]
         return reads
 
-    def product(self, path: tuple[int, ...], reads=None) -> States:
+    def product(self, path: bytes, reads=None) -> States:
         """The map of an increasing path from arc to arc, in one walk: its pieces' maps,
         labels concatenated and weights multiplied.  Most pieces are arc steps, of one
         entry: a run of them joins the next piece's labels once, and scales every entry
         last; a lone piece's map of several entries comes back uncopied.  A pass passes
         its `reads`; every piece is read, consuming each counted read past a dead one."""
-        unit = out = (((),), (1,), (1,))
-        run, scale_mu, scale_nu = (), 1, 1
+        unit = out = ((b"",), (1,), (1,))
+        run, scale_mu, scale_nu = b"", 1, 1
         begin, on_arc, arc_step = 0, self.on_arc, self.arc_steps.get
         for end, rank in enumerate(path[1:], 1):
             if rank in on_arc:
@@ -310,7 +315,7 @@ class _DivisionEngine:
                     run, scale_mu, scale_nu = run + labels[0], scale_mu * mus[0], scale_nu * nus[0]
                     continue
                 if run:
-                    states, run = ([run + l for l in labels], mus, nus), ()
+                    states, run = ([run + l for l in labels], mus, nus), b""
                 if out is not unit:
                     (keys, ms, ws), (labels, mus, nus) = out, states
                     keys, ms = [k + l for k in keys for l in labels], [m * n for m in ms for n in mus]
@@ -322,7 +327,7 @@ class _DivisionEngine:
             out = out[0], [m * scale_mu for m in out[1]], [w * scale_nu for w in out[2]]
         return out
 
-    def _piece(self, piece: tuple[int, ...], reads) -> States:
+    def _piece(self, piece: bytes, reads) -> States:
         """The map of a piece of three points or more."""
         result = self.cache.get(piece)
         if result is None:
@@ -340,7 +345,7 @@ class _DivisionEngine:
         return result
 
 
-def _live_paths(domain: PathDomain) -> list[tuple[int, ...]]:
+def _live_paths(domain: PathDomain) -> list[bytes]:
     """The top-level paths, as ranks, with a tiling toward the corner side's arc,
     by reverse search level by level in the number of points.  The recursion
     peels a live path at its first corner j turning toward the arc, to a live
@@ -351,12 +356,12 @@ def _live_paths(domain: PathDomain) -> list[tuple[int, ...]]:
     side = domain.corner_side()
     toward = domain.turns[side]
     # the b whose corner between a and c turns, and the b a swap turned into v
-    between: dict[tuple[int, int], list[int]] = {}
-    unswap: dict[tuple[int, int, int], int] = {}
+    between: dict[bytes, list[int]] = {}
+    unswap: dict[bytes, int] = {}
     for (a, b, c), (_, _, v) in toward.items():
-        between.setdefault((a, c), []).append(b)
+        between.setdefault(bytes((a, c)), []).append(b)
         if v >= 0:
-            unswap[a, v, c] = b
+            unswap[bytes((a, v, c))] = b
 
     def keeps(path, j, b):
         # b, whose corner turns, lands at j: does no corner before it turn?
@@ -368,7 +373,7 @@ def _live_paths(domain: PathDomain) -> list[tuple[int, ...]]:
     for size in range(len(arc), domain.steps() + 2):
         if size > len(arc):  # a move puts b at j <= first + 1: corners 1..j-2 stay
             level = {
-                path[:j] + (b,) + path[j:]: j
+                path[:j] + _BYTE[b] + path[j:]: j
                 for path, first in level.items()
                 for j in range(1, min(first + 1, size - 2) + 1)
                 for b in between.get(path[j - 1 : j + 1], ())
@@ -380,7 +385,7 @@ def _live_paths(domain: PathDomain) -> list[tuple[int, ...]]:
             for j in range(1, min(level[path] + 1, size - 2) + 1):
                 b = unswap.get(path[j - 1 : j + 2])
                 if b is not None and keeps(path, j, b):
-                    swapped = path[:j] + (b,) + path[j + 1 :]
+                    swapped = path[:j] + _BYTE[b] + path[j + 1 :]
                     if swapped not in level:
                         level[swapped] = j
                         work.append(swapped)
@@ -439,7 +444,7 @@ class PathMultiplicity(NamedTuple):
     welschinger_total: int
 
 
-def _glued(domain: PathDomain) -> Iterator[tuple[tuple[int, ...], States, States, int, int]]:
+def _glued(domain: PathDomain) -> Iterator[tuple[bytes, States, States, int, int]]:
     """Each path live on both sides, as ranks, with both sides' maps and its connected
     (complex, Welschinger) totals from `_glue`, as `path_multiplicity` glues one path.
     The direct side comes first: a path dead there has no glued pair, and no corner

@@ -25,14 +25,14 @@ from .geometry import Point
 
 # ASCII digits only: int() and Fraction() also accept "1_0" and non-ASCII
 # digits such as "\uff11", which would silently change what was written.
-_INTEGER_RE = re.compile(r"^[+-]?[0-9]+$")
-_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse 'p' or 'p/q' (q > 0) into a Fraction: ValueError if malformed, and a
     ParseError naming the size of a numeral past CPython's int-to-str digit limit."""
-    if not _RATIONAL_RE.match(text):
+    if not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"not a rational: {text!r}")
     try:
         return Fraction(text)
@@ -46,7 +46,7 @@ def parse_rational(text: str) -> Fraction:
 def parse_integer(text: str) -> int:
     """Parse an integer numeral as a term table's exponent is read, with the errors
     of `parse_rational`."""
-    if not _INTEGER_RE.match(text):
+    if not _INTEGER_RE.fullmatch(text):
         raise ValueError(f"not an integer: {text!r}")
     return int(parse_rational(text))
 
@@ -163,7 +163,7 @@ def parse_term_table(text: str) -> TropicalPolynomial:
             fields = line.split()
             if len(fields) != 3:
                 raise ParseError(f"expected `i j c`, got {raw.strip()!r}", line=lineno)
-            if not (_INTEGER_RE.match(fields[0]) and _INTEGER_RE.match(fields[1])):
+            if not (_INTEGER_RE.fullmatch(fields[0]) and _INTEGER_RE.fullmatch(fields[1])):
                 raise ParseError(f"exponents must be integers: {raw.strip()!r}", line=lineno)
             try:
                 i, j, c = map(parse_rational, fields)  # the exponents are integers, as checked

@@ -11,6 +11,10 @@ glues two state maps by a union-find over every step, the reference for the
 forest test in `tropcurve.paths`, `product` multiplies state maps as
 dicts, the reference for its flat product, and `engine_states` reads a
 division engine's map of a path in that dict form.
+
+The engines hold a path as the bytes of its points' ranks, and a partition
+as the bytes of its labels; the oracles use tuples.  `to_engine` and
+`from_engine` are the one adapter between the two forms.
 """
 
 from __future__ import annotations
@@ -192,11 +196,34 @@ class ForwardRecursion:
         return out
 
 
+def to_engine(values, domain: PathDomain | None = None) -> bytes:
+    """Ranks or labels in the engines' form, bytes; with a domain, `values` are points,
+    taken by their ranks."""
+    return bytes(values if domain is None else map(domain.rank.__getitem__, values))
+
+
+def from_engine(key: bytes, domain: PathDomain | None = None) -> tuple:
+    """An engine's key as a tuple of ints; with a domain, of the points they rank."""
+    return tuple(key if domain is None else map(domain.points.__getitem__, key))
+
+
+def engine_map(states: dict):
+    """A dict state map, partition tuple -> (complex, Welschinger), in the engines' form:
+    three parallel lists, partitions as bytes."""
+    keys = [to_engine(labels) for labels in states]
+    return keys, [mu for mu, _ in states.values()], [nu for _, nu in states.values()]
+
+
+def oracle_map(states) -> dict:
+    """An engine's map, three parallel sequences, as a dict in the oracles' form."""
+    keys, mus, nus = states
+    return dict(zip(map(from_engine, keys), zip(mus, nus)))
+
+
 def engine_states(engine, path) -> dict:
-    """A division engine's map of a path as a dict, partition -> (complex, Welschinger)
-    weight: the product of its pieces' maps, in the oracles' form."""
-    keys, mus, nus = engine.product(path)
-    return dict(zip(keys, zip(mus, nus)))
+    """A division engine's map of a path, ranks in either form, as a dict, partition ->
+    (complex, Welschinger) weight: the product of its pieces' maps, in the oracles' form."""
+    return oracle_map(engine.product(to_engine(path)))
 
 
 def product(maps) -> dict:

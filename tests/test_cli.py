@@ -198,7 +198,7 @@ class TestCensusLimit:
         assert len(err.encode()) < 1024
         assert err.endswith(f": cannot read {named} of 5000 digits, past the int-to-str digit limit (4300 digits)\n")
 
-    @pytest.mark.parametrize("numeral", ["1x", "1_0", "\uff15", "1/1", "5.0", ""])
+    @pytest.mark.parametrize("numeral", ["1x", "1_0", "\uff15", "1/1", "5.0", "", "5\n"])
     def test_a_degree_is_read_as_strictly_as_an_exponent(self, capsys, numeral):
         code, out, err = run_cli(capsys, "count", "-d", numeral)
         assert (code, out) == (1, "")

@@ -41,9 +41,13 @@ from path_oracle import (
     ForwardRecursion,
     TilingOracle,
     brute_triangle_weights,
+    engine_map,
     engine_states,
+    from_engine,
     join_totals,
+    oracle_map,
     product,
+    to_engine,
     union_merges,
 )
 
@@ -60,17 +64,12 @@ def side_product_total(dom):
 
 
 def census_ranks(dom):
-    """The census paths as tuples of their points' ranks, as the engines take them."""
-    return [tuple(map(dom.rank.__getitem__, path)) for path in enumerate_paths(dom)]
+    """The census paths as their points' ranks, in the form the engines take them."""
+    return [to_engine(path, dom) for path in enumerate_paths(dom)]
 
 
 def direct_side(dom):
     return SIDE_MINUS if dom.corner_side() == SIDE_PLUS else SIDE_PLUS
-
-
-def flat(states):
-    """A dict state map as three lists: partitions, complex and Welschinger weights."""
-    return list(states), [mu for mu, _ in states.values()], [nu for _, nu in states.values()]
 
 
 @pytest.fixture
@@ -227,6 +226,16 @@ class TestDegreeGate:
         shown = "1" + "0" * 4299
         assert str(refused.value) == f"{method} serves degrees up to {limit}, got {shown}{pointer}"
 
+    def test_a_non_number_past_the_digit_limit_is_named_by_its_type(self, digit_limit):
+        # its repr would raise: the refusal names its type, not its digits
+        digit_limit(4300)
+        with pytest.raises(BadDegreeError) as refused:
+            paths.check_degree([10**5000], paths.RECURSION)
+        assert str(refused.value) == (
+            "degree must be a positive integer, got a list holding a number past "
+            "the int-to-str digit limit (4300 digits)"
+        )
+
     def test_the_methods_are_the_three_tested(self):
         assert set(paths.MAX_DEGREE) == {paths.PATH_COUNTER, paths.FULL_LISTING, paths.RECURSION}
 
@@ -374,7 +383,7 @@ class TestSideMultiplicity:
 
         expected = {}
         for path in enumerate_paths(dom):
-            states = engine_states(ref.engines[direct], tuple(map(ref.rank.__getitem__, path)))
+            states = engine_states(ref.engines[direct], to_engine(path, ref))
             mu, nu = sum(mu for mu, _ in states.values()), sum(nu for _, nu in states.values())
             assert side_multiplicity(path, dom, direct, KIND_COMPLEX) == mu
             assert side_multiplicity(path, dom, direct, KIND_WELSCHINGER) == nu
@@ -566,6 +575,19 @@ class TestCounts:
                     assert set(labels) == set(range(max(labels) + 1)), labels
                     keys += 1
             assert keys > 0
+
+    @pytest.mark.parametrize("order", [ORDER_XEY, ORDER_ROWMAJOR])
+    def test_live_paths_and_top_level_keys_are_bytes(self, order):
+        # a path is the bytes of its ranks and a partition the bytes of its labels,
+        # so no rank may pass 255: the largest domain the counter serves has at
+        # most 256 points
+        assert len(path_domain(paths.MAX_DEGREE[paths.PATH_COUNTER], order).points) <= 256
+        dom = path_domain(4, order)
+        live = paths._live_paths(dom)
+        assert live and all(type(path) is bytes for path in live)
+        maps = [engine.product(path) for engine in dom.engines.values() for path in live]
+        keys = [labels for partitions, _, _ in maps for labels in partitions]
+        assert keys and all(type(labels) is bytes for labels in keys)
 
     @pytest.mark.parametrize("order", [ORDER_XEY, ORDER_ROWMAJOR])
     def test_engine_keys_are_pieces(self, order):
@@ -804,9 +826,9 @@ class TestSideChoice:
             arc, direct = (dom.left_arc, dom.right_arc)[:: 1 if sides[0] == SIDE_PLUS else -1]
             for side, points in zip(sides, (arc, direct)):
                 ranks = tuple(map(dom.rank.__getitem__, points))
-                assert list(dom.engines[side].arc_steps) == list(zip(ranks, ranks[1:]))
-            assert dom.arc(sides[1]) == tuple(map(dom.rank.__getitem__, direct))
-            assert dom.arc(sides[0]) == tuple(map(dom.rank.__getitem__, arc))
+                assert list(map(from_engine, dom.engines[side].arc_steps)) == list(zip(ranks, ranks[1:]))
+            assert from_engine(dom.arc(sides[1])) == tuple(map(dom.rank.__getitem__, direct))
+            assert from_engine(dom.arc(sides[0])) == tuple(map(dom.rank.__getitem__, arc))
             (corner,) = {(0, 0), (d, 0), (0, d)} - {dom.p, dom.q}
             assert corner in arc and corner not in direct
 
@@ -832,13 +854,13 @@ def glue_by_blocks(corner, other, joins):
     by_blocks = {}
     for labels, (mu, nu) in other.items():
         keys, mus, nus = by_blocks.setdefault(max(labels) + 1, ([], [], []))
-        keys.append(labels)
+        keys.append(to_engine(labels))
         mus.append(mu)
         nus.append(nu)
     total_mu = total_nu = 0
     for blocks, direct in by_blocks.items():
         memo = joins.setdefault(blocks, paths._Joins(blocks))
-        mu, nu = paths._glue(flat(corner), direct, memo)
+        mu, nu = paths._glue(engine_map(corner), direct, memo)
         total_mu, total_nu = total_mu + mu, total_nu + nu
     return total_mu, total_nu
 
@@ -854,8 +876,8 @@ ARC_STEP = {(0,): (1, 1)}
 
 
 def engine_form(states):
-    """A dict state map as an engine holds it: `flat`, or `_NO_STATES` if empty."""
-    return flat(states) if states else paths._NO_STATES
+    """A dict state map as an engine holds it: `engine_map`, or `_NO_STATES` if empty."""
+    return engine_map(states) if states else paths._NO_STATES
 
 
 class TestGlue:
@@ -875,9 +897,9 @@ class TestGlue:
         engine = object.__new__(paths._DivisionEngine)
         engine.on_arc, engine.arc_steps = set(range(0, 2 * len(pieces) + 1, 2)), {}
         engine._piece = lambda piece, reads: pieces[piece[0] // 2]
-        got = engine.product(tuple(range(2 * len(pieces) + 1)))
+        got = engine.product(to_engine(range(2 * len(pieces) + 1)))
         keys, mus, nus = got
-        assert list(zip(keys, zip(mus, nus))) == list(product(maps).items())
+        assert list(zip(map(from_engine, keys), zip(mus, nus))) == list(product(maps).items())
         assert len(pieces) > 1 or len(keys) == 1 or got is pieces[0]
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -894,8 +916,8 @@ class TestGlue:
                 got = engine.product(path)
                 pieces = engine.pieces(path)
                 maps = [engine.product(piece) for piece in pieces]
-                expected = product([dict(zip(keys, zip(mus, nus))) for keys, mus, nus in maps])
-                assert list(zip(got[0], zip(got[1], got[2]))) == list(expected.items())
+                expected = product(list(map(oracle_map, maps)))
+                assert list(zip(map(from_engine, got[0]), zip(got[1], got[2]))) == list(expected.items())
                 if len(pieces) == 1 and len(maps[0][0]) > 1:
                     assert got is engine.cache[path]
                     lone += 1
@@ -938,7 +960,7 @@ class TestGlue:
                 (engine_states(engine, path), engine.product(path)) for engine in dom.engines.values()
             ]
             for states, (keys, mus, nus) in ((corner_states, corner), (other_states, direct)):
-                assert dict(zip(keys, zip(mus, nus))) == states
+                assert oracle_map((keys, mus, nus)) == states
                 assert len(keys) == len(states)
             if corner_states and other_states:
                 expected = join_totals(corner_states, other_states)
@@ -973,7 +995,7 @@ class TestReverseSearch:
         dom = path_domain(d, order)
         live = sorted(paths._live_paths(dom))
         for path in live:
-            assert paths._ranks(tuple(map(dom.points.__getitem__, path)), dom) == path
+            assert paths._ranks(from_engine(path, dom), dom) == path
         # the filter runs the forward recursion toward the corner arc on its own
         # domain, so it shares nothing with the search
         ref = path_domain(d, order)

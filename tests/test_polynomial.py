@@ -18,6 +18,7 @@ from tropcurve import (
     parse_term_table,
 )
 from tropcurve.errors import shown
+from tropcurve.polynomial import parse_integer
 from tropcurve.geometry import convex_hull
 
 LINE_TERMS = [((0, 0), Fraction(0)), ((1, 0), Fraction(0)), ((0, 1), Fraction(0))]
@@ -398,6 +399,13 @@ def test_parse_rational_rejects_junk():
     for bad in ("", "x", "1/", "/2", "1.5", "1/2/3", "1/0", "-3/00"):
         with pytest.raises(ValueError):
             parse_rational(bad)
+
+
+def test_a_numeral_with_a_final_newline_is_refused():
+    # a pattern ending in `$` would also match before a final newline
+    for read, text in ((parse_integer, "5\n"), (parse_rational, "1/2\n"), (parse_rational, "5\n")):
+        with pytest.raises(ValueError, match="not an? (integer|rational)"):
+            read(text)
 
 
 def test_parse_rational_names_a_numeral_past_the_digit_limit_by_its_size(digit_limit):
