@@ -98,11 +98,10 @@ def cmd_curve(args) -> None:
     if violations:
         raise CrossCheckMismatchError(f"balancing violated at vertices {violations}")
     try:
-        doc = curve_document(curve)
-        text = write_document(doc)
+        text = write_document(curve_document(curve))
     except ValueError:  # the JSON keeps exact values: an int past CPython's int-to-str digit limit
         raise TropcurveError(f"a number in the curve is past {digit_limit()}, so no JSON can write it") from None
-    svg = render_svg(doc) if args.svg_path else None  # a refused SVG leaves no JSON file behind
+    svg = render_svg(curve) if args.svg_path else None  # a refused SVG leaves no JSON file behind
     if args.json_path:
         Path(args.json_path).write_text(text, encoding="utf-8")
     if args.svg_path:

@@ -96,7 +96,7 @@ def asymptotic_report(table: tuple[TableRow, ...]) -> list[AsymptoticRow]:
     report = []
     for row in table:
         log_n = math.log(row.n_paths)
-        reference = 3 * row.d * math.log(row.d) if row.d > 1 else 0.0
+        reference = 3 * row.d * math.log(row.d)
         real_gap = None
         if row.w > 0:
             real_gap = (log_n - math.log(row.w)) / row.d

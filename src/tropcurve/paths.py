@@ -62,7 +62,7 @@ from typing import Iterator, NamedTuple, Sequence
 from .errors import BadDegreeError, InvalidPathError, shown
 from .geometry import Point, triangle_weights, turn
 
-ORDER_XEY = "xey"  # x ascending, y descending: realizes x - eps*y
+ORDER_XEY = "xey"  # (d+1)*x - y ascending: x ascending, y descending
 ORDER_ROWMAJOR = "rowmajor"  # (d+1)*x + y ascending
 
 SIDE_PLUS = "plus"  # boundary arc left of the travel direction p -> q
@@ -124,7 +124,7 @@ class PathDomain(_DomainFields):
         return {pt: k for k, pt in enumerate(self.points)}
 
     def corner_side(self) -> str:
-        """The side whose arc runs through the third corner: 2d + 1 points against d + 1."""
+        """The side whose arc runs through the third corner: the longer arc."""
         return SIDE_PLUS if len(self.left_arc) > len(self.right_arc) else SIDE_MINUS
 
     def arc(self, side: str) -> bytes:
@@ -156,11 +156,12 @@ class PathDomain(_DomainFields):
 
     @cached_property
     def joins(self) -> _Joins:
-        return _Joins(self.d)  # the direct side's top-level partitions have d blocks
+        # a direct top-level partition has one block per step of the direct, shorter arc
+        return _Joins(min(len(self.left_arc), len(self.right_arc)) - 1)
 
     def steps(self) -> int:
         """Step count of a top-level path."""
-        return 3 * self.d - 1
+        return len(self.left_arc) + len(self.right_arc) - 3  # boundary points - 1; p, q on both
 
 
 def check_degree(d: int, method: str) -> None:
@@ -178,12 +179,10 @@ def path_domain(d: int, order: str = ORDER_XEY) -> PathDomain:
     path layer's one degree gate: no domain past the counter's limit exists."""
     check_degree(d, PATH_COUNTER)
     pts = [(x, y) for x in range(d + 1) for y in range(d + 1 - x)]
-    if order == ORDER_XEY:
-        pts.sort(key=lambda pt: (pt[0], -pt[1]))
-    elif order == ORDER_ROWMAJOR:
-        pts.sort(key=lambda pt: ((d + 1) * pt[0] + pt[1]))
-    else:
+    if order not in (ORDER_XEY, ORDER_ROWMAJOR):  # by ==: an unhashable preset is refused too
         raise ValueError(f"unknown order preset {order!r}")
+    s = -1 if order == ORDER_XEY else 1
+    pts.sort(key=lambda pt: (d + 1) * pt[0] + s * pt[1])
     p, q = pts[0], pts[-1]
     # p -> q is a side of T_d, the direct arc; the rest of the boundary, with p and q,
     # is the corner arc.  Listed in the point order, each arc is increasing.

@@ -841,7 +841,7 @@ class TestGoldenBytes:
     def test_json_and_svg_bytes_are_pinned(self):
         digests = {}
         for name, poly in self.corpus().items():
-            doc = curve_document(extract_curve(poly))
-            text = write_document(doc) + render_svg(doc)
+            curve = extract_curve(poly)
+            text = write_document(curve_document(curve)) + render_svg(curve)
             digests[name] = hashlib.sha256(text.encode("utf-8")).hexdigest()
         assert digests == self.GOLDEN

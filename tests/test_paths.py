@@ -149,6 +149,13 @@ class TestDomain:
         for arc in (dom.left_arc, dom.right_arc):
             ranks = [dom.rank[pt] for pt in arc]
             assert all(a < b for a, b in zip(ranks, ranks[1:]))
+        # the step count and the join memo's block count, read off the arcs, are T_d's
+        # 3d - 1 and d; one sort key, (d + 1)x -+ y, orders T_d as these keys do
+        assert dom.steps() == 3 * d - 1
+        assert dom.joins.blocks == d
+        preset_key = {ORDER_XEY: lambda pt: (pt[0], -pt[1]), ORDER_ROWMAJOR: lambda pt: (d + 1) * pt[0] + pt[1]}
+        triangle = [(x, y) for x in range(d + 1) for y in range(d + 1 - x)]
+        assert dom.points == tuple(sorted(triangle, key=preset_key[order]))
 
     def test_bad_degree(self):
         with pytest.raises(BadDegreeError):
@@ -376,7 +383,7 @@ class TestSideMultiplicity:
         # and the per-path API and the nonzero listing's pass report that value
         # as the direct side's
         dom, ref = path_domain(d, order), path_domain(d, order)
-        direct = SIDE_MINUS if dom.corner_side() == SIDE_PLUS else SIDE_PLUS
+        direct = direct_side(dom)
 
         def direct_value(m):
             return m.complex_plus if direct == SIDE_PLUS else m.complex_minus
@@ -652,7 +659,7 @@ class TestCounts:
                 for side in (SIDE_PLUS, SIDE_MINUS):
                     arc = set(dom.arc(side))
                     assert not any(b in arc for _, b, _ in dom.turns[side])
-                direct = SIDE_MINUS if dom.corner_side() == SIDE_PLUS else SIDE_PLUS
+                direct = direct_side(dom)
                 landed = sum(v in set(dom.arc(direct)) for *_, v in dom.turns[direct].values())
                 assert landed == {1: 0, 2: 3, 3: 18, 4: 62, 5: 162, 6: 357}[d]
 
