@@ -97,8 +97,8 @@ def cmd_curve(args) -> None:
     violations = curvemod.check_balancing(curve)
     if violations:
         raise CrossCheckMismatchError(f"balancing violated at vertices {violations}")
-    try:
-        text = write_document(curve_document(curve))
+    try:  # the JSON is built only to be written or printed
+        text = write_document(curve_document(curve)) if args.json_path or not args.svg_path else None
     except ValueError:  # the JSON keeps exact values: an int past CPython's int-to-str digit limit
         raise TropcurveError(f"a number in the curve is past {digit_limit()}, so no JSON can write it") from None
     svg = render_svg(curve) if args.svg_path else None  # a refused SVG leaves no JSON file behind

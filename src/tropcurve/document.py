@@ -31,16 +31,16 @@ def curve_document(curve: TropicalCurve) -> dict:
                 "from": e.v1,
                 "to": e.v2,
                 "weight": e.weight,
-                "dual": [[e.dual[0][0], e.dual[0][1]], [e.dual[1][0], e.dual[1][1]]],
+                "dual": [list(p) for p in e.dual],
             }
             for e in curve.bounded_edges
         ],
         "rays": [
             {
                 "vertex": r.vertex,
-                "dir": [r.direction[0], r.direction[1]],
+                "dir": list(r.direction),
                 "weight": r.weight,
-                "dual": [[r.dual[0][0], r.dual[0][1]], [r.dual[1][0], r.dual[1][1]]],
+                "dual": [list(p) for p in r.dual],
             }
             for r in curve.rays
         ],

@@ -114,10 +114,9 @@ class _DomainFields(NamedTuple):
 
 
 class PathDomain(_DomainFields):
-    """Triangle T_d with a total point order and its two boundary arcs.  The
-    rank map, the turn tables, the two engines and the glue's join memo live in
-    the instance __dict__ (a NamedTuple itself has none), so they last as long as
-    the domain."""
+    """Triangle T_d with a total point order and its two boundary arcs.  Its tables,
+    the rank map, the two division engines and the glue's join memo, live in the
+    instance __dict__ (a NamedTuple itself has none), so they last as long as the domain."""
 
     @cached_property
     def rank(self) -> dict[Point, int]:
@@ -127,16 +126,10 @@ class PathDomain(_DomainFields):
         """The side whose arc runs through the third corner: the longer arc."""
         return SIDE_PLUS if len(self.left_arc) > len(self.right_arc) else SIDE_MINUS
 
-    def arc(self, side: str) -> bytes:
-        """The side's boundary arc as ranks, increasing."""
-        arc = self.left_arc if side == SIDE_PLUS else self.right_arc
-        return bytes(map(self.rank.__getitem__, arc))
-
     @cached_property
-    def turns(self) -> dict[str, dict[tuple[int, int, int], tuple[int, int, int]]]:
-        """Per side, each rank triple a < b < c whose corner b turns toward the side's
-        arc -> the triangle's weights and the rank of v = a + c - b, or -1 outside T_d.
-        One pass files every non-collinear triple under one side."""
+    def engines(self) -> dict[str, _DivisionEngine]:
+        """Per side, the division engine toward that side's arc, the corner side's first.
+        One pass files every non-collinear rank triple under the side it turns toward."""
         points, rank = self.points, self.rank
         tables: dict = {SIDE_PLUS: {}, SIDE_MINUS: {}}
         for abc in combinations(range(len(points)), 3):
@@ -145,14 +138,10 @@ class PathDomain(_DomainFields):
                 v = rank.get((a[0] + c[0] - b[0], a[1] + c[1] - b[1]), -1)
                 side = SIDE_PLUS if turned > 0 else SIDE_MINUS
                 tables[side][abc] = (*triangle_weights(a, b, c), v)
-        return tables
-
-    @cached_property
-    def engines(self) -> dict[str, _DivisionEngine]:
-        """Per side, the division engine toward that side's arc: the corner side's first."""
         corner = self.corner_side()
         sides = (corner, SIDE_MINUS if corner == SIDE_PLUS else SIDE_PLUS)
-        return {side: _DivisionEngine(self, side) for side in sides}
+        arcs = {SIDE_PLUS: self.left_arc, SIDE_MINUS: self.right_arc}
+        return {side: _DivisionEngine(tables[side], bytes(map(rank.__getitem__, arcs[side]))) for side in sides}
 
     @cached_property
     def joins(self) -> _Joins:
@@ -246,20 +235,21 @@ def _divided(j: int, corner, shorter: States, swapped: States) -> States:
 class _DivisionEngine:
     """Memoized connectivity-state division recursion toward one boundary arc, by piece.
 
-    T_d is convex, so no corner on its boundary turns toward an arc: a path's arc
-    points stay through every cut and swap, and cut the region between the path
-    and the arc into pieces, the runs of the path between consecutive arc points.
-    A piece's map labels each block by the index of its arc step, so a path's map
-    is the product of its pieces' maps, labels concatenated.  The memo keys a piece
-    by its ranks; a dead one maps to `_NO_STATES`.  Maps read with no read counts
-    stay as long as the domain; a pass over known paths may count each piece's
-    reads first (`reads`), and keep a map only until its last read.
+    `toward` maps each rank triple a < b < c whose corner b turns toward the arc to the
+    triangle's weights and the rank of v = a + c - b, or -1 outside the domain; `arc` is
+    its ranks, increasing.  No arc point may be a turning corner (T_d is convex), so a
+    path's arc points stay through every cut and swap, and cut the region between the
+    path and the arc into pieces, the runs of the path between consecutive arc points.
+    A piece's map labels each block by the index of its arc step, so a path's map is the
+    product of its pieces' maps, labels concatenated.  The memo keys a piece by its
+    ranks; a dead one maps to `_NO_STATES`.  Maps read with no read counts stay as long
+    as the domain; a pass over known paths may count each piece's reads first (`reads`),
+    and keep a map only until its last read.
     """
 
-    def __init__(self, domain: PathDomain, side: str):
+    def __init__(self, toward: dict[tuple[int, int, int], tuple[int, int, int]], arc: bytes):
         self.cache: dict[bytes, States] = {}
-        self.toward = domain.turns[side]
-        arc = domain.arc(side)
+        self.toward, self.arc = toward, arc
         self.on_arc = set(arc)
         self.arc_steps = {arc[i : i + 2]: ((_BYTE[i],), (1,), (1,)) for i in range(len(arc) - 1)}
 
@@ -344,16 +334,15 @@ class _DivisionEngine:
         return result
 
 
-def _live_paths(domain: PathDomain) -> list[bytes]:
-    """The top-level paths, as ranks, with a tiling toward the corner side's arc,
-    by reverse search level by level in the number of points.  The recursion
-    peels a live path at its first corner j turning toward the arc, to a live
-    path that is shorter (cut) or as long (swap).  Backwards: insert b between
-    consecutive a and c (inverse cut), or replace v between a and c by
-    b = a + c - v (inverse swap), a < b < c in the order.  The result is live
-    iff j, where b lands, is its first turning corner."""
-    side = domain.corner_side()
-    toward = domain.turns[side]
+def _live_paths(corner: _DivisionEngine, steps: int) -> list[bytes]:
+    """The top-level paths of `steps` steps, as ranks, with a tiling toward the corner
+    engine's arc, by reverse search level by level in the number of points.  The
+    recursion peels a live path at its first corner j turning toward the arc, to a
+    live path that is shorter (cut) or as long (swap).  Backwards: insert b between
+    consecutive a and c (inverse cut), or replace v between a and c by b = a + c - v
+    (inverse swap), a < b < c in the order.  The result is live iff j, where b lands,
+    is its first turning corner."""
+    toward, arc = corner.toward, corner.arc
     # the b whose corner between a and c turns, and the b a swap turned into v
     between: dict[bytes, list[int]] = {}
     unswap: dict[bytes, int] = {}
@@ -366,10 +355,9 @@ def _live_paths(domain: PathDomain) -> list[bytes]:
         # b, whose corner turns, lands at j: does no corner before it turn?
         return j == 1 or (path[j - 2], path[j - 1], b) not in toward
 
-    arc = domain.arc(side)
     # each path's first corner turning toward the arc; on the arc none, so len - 1
     level = {arc: len(arc) - 1}
-    for size in range(len(arc), domain.steps() + 2):
+    for size in range(len(arc), steps + 2):
         if size > len(arc):  # a move puts b at j <= first + 1: corners 1..j-2 stay
             level = {
                 path[:j] + _BYTE[b] + path[j:]: j
@@ -455,7 +443,7 @@ def _glued(domain: PathDomain) -> Iterator[tuple[bytes, States, States, int, int
     freed soon after it is built, which lowers the peak against the search's order.
     It yields no `PathMultiplicity` rows: they were slower."""
     corner, direct = domain.engines.values()
-    live = _live_paths(domain)
+    live = _live_paths(corner, domain.steps())
     reads = direct.reads(live)
     live.sort(key=lambda path: path[::-1], reverse=True)
     while live:

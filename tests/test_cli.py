@@ -492,6 +492,35 @@ class TestCurve:
             assert run.stderr == f"error: {message}\n"
             assert list(out.iterdir()) == []
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit"
+    )
+    def test_a_curve_past_the_digit_limit_draws_an_svg_alone(self, tmp_path):
+        # a vertex with a denominator past the limit (y = 1/a - 1/b) cannot be
+        # written as JSON, but the SVG draws floats: with --svg alone no JSON is
+        # built, and the SVG is written.  Asked for with --json, alone or with
+        # --svg, the JSON still refuses, with one line and no file
+        a, b = "1" * 2200, "1" * 2199 + "3"
+        expr = f"max(0, x + 1/{a}, x + y + 1/{b})"
+        written = "a number in the curve is past the int-to-str digit limit (4300 digits), so no JSON can write it"
+
+        def curve(*flags):
+            command = [sys.executable, "-m", "tropcurve.cli", "curve", "--expr", expr, *flags]
+            return subprocess.run(command, capture_output=True, text=True, timeout=60)
+
+        svg = tmp_path / "curve.svg"
+        run = curve("--svg", str(svg))
+        assert (run.returncode, run.stdout, run.stderr) == (0, "", "")
+        drawing = svg.read_text(encoding="utf-8")
+        assert drawing.count("<line ") == 3 and drawing.count("<circle") == 1
+        for kinds in (("json",), ("json", "svg")):
+            out = tmp_path / "-".join(kinds)
+            out.mkdir()
+            run = curve(*[arg for kind in kinds for arg in (f"--{kind}", str(out / f"curve.{kind}"))])
+            assert (run.returncode, run.stdout) == (1, "")
+            assert run.stderr == f"error: {written}\n"
+            assert list(out.iterdir()) == []
+
     def test_ray_direction_past_float_squares_is_drawn(self, tmp_path):
         # a ray of direction (1, 10^300) and one of weight 10^300: the squared
         # length is past float range, but each float is not, so the SVG draws them

@@ -72,6 +72,16 @@ def direct_side(dom):
     return SIDE_MINUS if dom.corner_side() == SIDE_PLUS else SIDE_PLUS
 
 
+def live_paths(dom):
+    """The reverse search's live paths, from the domain's corner engine."""
+    return paths._live_paths(dom.engines[dom.corner_side()], dom.steps())
+
+
+def turn_tables(dom):
+    """Each side's turn table, as its engine holds it."""
+    return {side: engine.toward for side, engine in dom.engines.items()}
+
+
 @pytest.fixture
 def read_tables(monkeypatch):
     """The piece read counts of each pass's direct engine, kept to look at after the pass."""
@@ -577,7 +587,7 @@ class TestCounts:
         dom = path_domain(4, order)
         for engine in dom.engines.values():
             keys = 0
-            for path in paths._live_paths(dom):
+            for path in live_paths(dom):
                 for labels in engine_states(engine, path):
                     assert set(labels) == set(range(max(labels) + 1)), labels
                     keys += 1
@@ -590,7 +600,7 @@ class TestCounts:
         # most 256 points
         assert len(path_domain(paths.MAX_DEGREE[paths.PATH_COUNTER], order).points) <= 256
         dom = path_domain(4, order)
-        live = paths._live_paths(dom)
+        live = live_paths(dom)
         assert live and all(type(path) is bytes for path in live)
         maps = [engine.product(path) for engine in dom.engines.values() for path in live]
         keys = [labels for partitions, _, _ in maps for labels in partitions]
@@ -607,7 +617,7 @@ class TestCounts:
         for path in enumerate_paths(dom):
             path_multiplicity(path, dom)
         for side, engine in dom.engines.items():
-            index = {rank: i for i, rank in enumerate(dom.arc(side))}
+            index = {rank: i for i, rank in enumerate(engine.arc)}
             for piece, (keys, _, _) in engine.cache.items():
                 assert len(piece) > 2 and piece[0] in index and piece[-1] in index
                 assert not index.keys() & set(piece[1:-1])
@@ -656,11 +666,12 @@ class TestCounts:
         for d in range(1, 7):
             for order in (ORDER_XEY, ORDER_ROWMAJOR):
                 dom = path_domain(d, order)
+                turns = turn_tables(dom)
                 for side in (SIDE_PLUS, SIDE_MINUS):
-                    arc = set(dom.arc(side))
-                    assert not any(b in arc for _, b, _ in dom.turns[side])
+                    arc = set(dom.engines[side].arc)
+                    assert not any(b in arc for _, b, _ in turns[side])
                 direct = direct_side(dom)
-                landed = sum(v in set(dom.arc(direct)) for *_, v in dom.turns[direct].values())
+                landed = sum(v in set(dom.engines[direct].arc) for *_, v in turns[direct].values())
                 assert landed == {1: 0, 2: 3, 3: 18, 4: 62, 5: 162, 6: 357}[d]
 
     def test_turn_table_holds_each_corner_turning_toward_the_arc(self):
@@ -673,13 +684,14 @@ class TestCounts:
         for d in range(1, 6):
             for order in (ORDER_XEY, ORDER_ROWMAJOR):
                 dom = path_domain(d, order)
-                assert set(dom.turns) == {SIDE_PLUS, SIDE_MINUS}
+                turns = turn_tables(dom)
+                assert set(turns) == {SIDE_PLUS, SIDE_MINUS}
                 expected = {SIDE_PLUS: {}, SIDE_MINUS: {}}
                 collinear = 0
                 for abc in combinations(range(len(dom.points)), 3):
                     a, b, c = (dom.points[k] for k in abc)
                     if turn(a, b, c) == 0:
-                        assert all(abc not in table for table in dom.turns.values())
+                        assert all(abc not in table for table in turns.values())
                         collinear += 1
                         continue
                     v = (a[0] + c[0] - b[0], a[1] + c[1] - b[1])
@@ -688,33 +700,30 @@ class TestCounts:
                     side = SIDE_PLUS if turn(a, b, c) > 0 else SIDE_MINUS
                     expected[side][abc] = (*triangle_weights(a, b, c), v_rank)
                     total += 1
-                assert dom.turns == expected
-                size = sum(map(len, dom.turns.values()))
+                assert turns == expected
+                size = sum(map(len, turns.values()))
                 assert size + collinear == math.comb(len(dom.points), 3)
         assert total > 0
 
     def test_a_far_degree_builds_no_table_up_front(self):
         # at the counter's limit T_6 has C(28, 3) = 3276 rank triples: a domain walks
-        # none of them up front, and one path toward the direct arc builds the turn
-        # table and both engines, of which only the direct one fills, and no glue memo
+        # none of them up front, and one path toward the direct arc builds both engines
+        # with their turn tables, of which only the direct one fills, and no glue memo
         for order in (ORDER_XEY, ORDER_ROWMAJOR):
             dom = path_domain(6, order)
             assert math.comb(len(dom.points), 3) == 3276
-            assert "turns" not in vars(dom)
+            assert "engines" not in vars(dom)
             path = dom.points[: dom.steps()] + (dom.q,)
             direct = direct_side(dom)
             side_multiplicity(path, dom, direct, KIND_COMPLEX)
-            for side, engine in vars(dom)["engines"].items():
-                assert engine.toward is vars(dom)["turns"][side]
             assert dom.engines[dom.corner_side()].cache == {} and dom.engines[direct].cache
             assert "joins" not in vars(dom)
         dom = path_domain(3)
         path = nonzero_multiplicities(dom)[0][0]
-        turns, engines = vars(dom)["turns"], vars(dom)["engines"]  # the pass's: one of each
+        engines = vars(dom)["engines"]  # the pass's
         path_multiplicity(path, dom)
         side_multiplicity(path, dom, dom.corner_side(), KIND_COMPLEX)
-        assert dom.turns is turns and dom.engines is engines
-        assert all(engines[side].toward is turns[side] for side in (SIDE_PLUS, SIDE_MINUS))
+        assert dom.engines is engines
 
     def test_engines_live_on_their_domain(self):
         # count_both leaves no engine behind; each domain builds its own, once.
@@ -815,7 +824,7 @@ class TestCounts:
         # if it built the corner side of all 1833 live paths)
         dom, ref = path_domain(5, order), path_domain(5, order)
         probe = ref.engines[direct_side(ref)]
-        expected = [path for path in paths._live_paths(ref) if probe.product(path)[0]]
+        expected = [path for path in live_paths(ref) if probe.product(path)[0]]
         rows = [path for path, *_ in paths._glued(dom)]
         assert sorted(rows) == sorted(expected) and len(rows) == 1432
         assert len(dom.engines[dom.corner_side()].cache) == 904
@@ -834,8 +843,8 @@ class TestSideChoice:
             for side, points in zip(sides, (arc, direct)):
                 ranks = tuple(map(dom.rank.__getitem__, points))
                 assert list(map(from_engine, dom.engines[side].arc_steps)) == list(zip(ranks, ranks[1:]))
-            assert from_engine(dom.arc(sides[1])) == tuple(map(dom.rank.__getitem__, direct))
-            assert from_engine(dom.arc(sides[0])) == tuple(map(dom.rank.__getitem__, arc))
+            assert from_engine(dom.engines[sides[1]].arc) == tuple(map(dom.rank.__getitem__, direct))
+            assert from_engine(dom.engines[sides[0]].arc) == tuple(map(dom.rank.__getitem__, arc))
             (corner,) = {(0, 0), (d, 0), (0, d)} - {dom.p, dom.q}
             assert corner in arc and corner not in direct
 
@@ -1000,13 +1009,13 @@ class TestReverseSearch:
     @pytest.mark.parametrize("order", [ORDER_XEY, ORDER_ROWMAJOR])
     def test_live_paths_equal_the_census_filter(self, d, order):
         dom = path_domain(d, order)
-        live = sorted(paths._live_paths(dom))
+        live = sorted(live_paths(dom))
         for path in live:
             assert paths._ranks(from_engine(path, dom), dom) == path
         # the filter runs the forward recursion toward the corner arc on its own
         # domain, so it shares nothing with the search
         ref = path_domain(d, order)
-        forward = paths._DivisionEngine(ref, ref.corner_side())
+        forward = ref.engines[ref.corner_side()]
         census_live = [path for path in census_ranks(ref) if engine_states(forward, path)]
         assert live == census_live
         assert len(live) == {1: 1, 2: 1, 3: 5, 4: 69, 5: 1833}[d]
@@ -1035,7 +1044,7 @@ class TestReverseSearch:
         # equals the one the recursion builds on the whole path, in the oracle's
         # own terms; it is nonempty exactly on the search's live paths
         dom = path_domain(d, order)
-        live = set(paths._live_paths(dom))
+        live = set(live_paths(dom))
         engine = dom.engines[dom.corner_side()]
         forward = ForwardRecursion(path_domain(d, order), dom.corner_side())
         missing = 0
@@ -1057,7 +1066,7 @@ class TestReverseSearch:
         gc.collect()
         gc.disable()
         try:
-            live = paths._live_paths(dom)
+            live = live_paths(dom)
             del live
             assert gc.collect() == 0
         finally:
